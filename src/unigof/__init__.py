@@ -17,7 +17,6 @@ from .composite import (
     bootstrap_pvalue,
     estimate_normal,
     estimate_pareto,
-    null_unit_matrix,
     transform_normal,
     transform_pareto,
 )
@@ -28,6 +27,7 @@ from .distributions import (
     pdf,
     sample,
     sampler_goodness,
+    supports_above_one,
     supports_unit_interval,
 )
 from .mc import (
@@ -131,7 +131,6 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
     "null_kernel",
-    "null_unit_matrix",
     "nystrom_discretize",
     "nystrom_spectrum",
     "parse_spec",
@@ -145,6 +144,7 @@ __all__ = [
     "sample",
     "sampler_goodness",
     "spec_from_density",
+    "supports_above_one",
     "supports_unit_interval",
     "tm_statistic",
     "tm_statistic_batch",

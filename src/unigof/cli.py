@@ -183,6 +183,17 @@ def _cmd_power(args) -> int:
     sizes = _parse_int_list(args.n)
     alphas = _parse_float_list(args.alpha)
     alternatives = tuple(parse_spec(s) for s in args.alt)
+    config = StudyConfig(
+        mode="power",
+        tests=tests,
+        family=args.family,
+        alternatives=alternatives,
+        sizes=sizes,
+        alphas=alphas,
+        replications=args.reps,
+        master_seed=args.seed,
+        workers=args.workers,
+    )
     if args.critvals:
         cv_result = read_study_csv(args.critvals)
     else:
@@ -198,17 +209,6 @@ def _cmd_power(args) -> int:
             workers=args.workers,
         )
         cv_result = estimate_critical_values(cv_config)
-    config = StudyConfig(
-        mode="power",
-        tests=tests,
-        family=args.family,
-        alternatives=alternatives,
-        sizes=sizes,
-        alphas=alphas,
-        replications=args.reps,
-        master_seed=args.seed,
-        workers=args.workers,
-    )
     result = estimate_power(config, cv_result)
     if args.out:
         write_study_csv(result, args.out)
@@ -230,7 +230,7 @@ def _cmd_curve(args) -> int:
         master_seed=args.seed,
         workers=args.workers,
     )
-    curve = run_power_curve(config, alpha=args.alpha)
+    curve = run_power_curve(config)
     if args.out:
         curve.write_csv(args.out)
         print(f"wrote {len(curve.sample_sizes)} rows to {args.out}")

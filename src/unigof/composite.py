@@ -32,7 +32,6 @@ __all__ = [
     "transform_normal",
     "estimate_pareto",
     "transform_pareto",
-    "null_unit_matrix",
     "bootstrap_pvalue",
 ]
 
@@ -148,21 +147,6 @@ FAMILIES: dict[str, CompositeFamily] = {
         _pareto_fitted,
     ),
 }
-
-
-def null_unit_matrix(tag: str, reps: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-interval samples distributed as the null of the named family.
-
-    ``uniform`` draws directly; the composite families draw from their
-    standard member and apply the estimated transform row by row, which by
-    pivotality is the null distribution for every parameter value.
-    """
-    if tag == "uniform":
-        return rng.random((reps, n))
-    family = FAMILIES.get(tag)
-    if family is None:
-        raise ValueError(f"unknown null family {tag!r}; expected uniform, normal or pareto")
-    return family.transform_rows(family.sample_standard((reps, n), rng))
 
 
 @dataclass(frozen=True)

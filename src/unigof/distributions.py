@@ -32,9 +32,10 @@ __all__ = [
     "sampler_goodness",
     "parse_spec",
     "supports_unit_interval",
+    "supports_above_one",
 ]
 
-# family tag -> (number of parameters, parameter validator)
+# family tag -> number of parameters
 FAMILIES: dict[str, int] = {
     "uniform": 0,
     "beta": 2,
@@ -65,6 +66,11 @@ _UNIT_FAMILIES = {
     "stephens1",
     "stephens2",
     "stephens3",
+}
+
+# families whose support is contained in [0, inf), besides pareto's [1, inf)
+_NONNEGATIVE_FAMILIES = _UNIT_FAMILIES | {
+    "weibull", "gamma", "lfr", "expgeometric", "chisq", "halfnormal"
 }
 
 
@@ -144,6 +150,24 @@ def supports_unit_interval(spec: AlternativeSpec) -> bool:
         _, a, b = spec.mixture
         return supports_unit_interval(a) and supports_unit_interval(b)
     return spec.family in _UNIT_FAMILIES
+
+
+def _support_floor(spec: AlternativeSpec) -> float:
+    if spec.family == "mixture":
+        _, a, b = spec.mixture
+        floor = min(_support_floor(a), _support_floor(b))
+    elif spec.family == "pareto":
+        floor = 1.0
+    elif spec.family in _NONNEGATIVE_FAMILIES:
+        floor = 0.0
+    else:
+        floor = -np.inf
+    return floor + 1.0 if spec.translate_by_one else floor
+
+
+def supports_above_one(spec: AlternativeSpec) -> bool:
+    """True when every draw from the spec lands in [1, inf), the Pareto null's support."""
+    return _support_floor(spec) >= 1.0
 
 
 def _draw(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,13 +4,16 @@ One engine drives every table-style result. A study is a grid of cells,
 where a cell is one (null family or alternative, sample size) pair; all
 requested tests are evaluated on the same simulated draws within a cell,
 exactly as a simulation study would share them. Cells are independent
-tasks, so the engine parallelises across cells, never inside one.
+tasks, so the engine parallelises across cells, never inside one. A power
+curve is a list of power cells, one per sample size, so its sizes run in
+parallel too.
 
 Reproducibility discipline: every replication draws from its own
 substream seeded by (master_seed, cell_salt, replication_index), where
 the cell salt is a stable hash of the cell's identity. Results are
 therefore bit-identical for a fixed master seed no matter how many
-workers run the study or in which order cells finish.
+workers run the study, in which order cells finish, or where a cell's
+chunks begin.
 """
 
 from __future__ import annotations
@@ -24,16 +27,14 @@ import numpy as np
 
 from .classical import TEST_IDS, batch_statistic
 from .composite import FAMILIES as COMPOSITE_FAMILIES
-from .distributions import AlternativeSpec, pdf, sample, supports_unit_interval
+from .distributions import AlternativeSpec, pdf, sample, supports_above_one, supports_unit_interval
 from .null_limit import cumulants_exact, pearson_fit, pearson_quantile
 from .numerics import gauss_legendre
 from .power_theory import (
     AlternativeTheorySpec,
     PowerCurve,
-    approximate_power,
-    asymptotic_variance,
     builtin_beta_specs,
-    discrepancy,
+    power_curve,
     spec_from_density,
     uniform_theory_spec,
 )
@@ -107,13 +108,31 @@ class StudyConfig:
             raise ValueError("alphas must lie strictly inside (0, 1)")
         if self.workers < 1:
             raise ValueError("workers must be a positive integer")
-        if self.family == "uniform":
-            for alt in self.alternatives:
-                if not supports_unit_interval(alt):
-                    raise ValueError(
-                        f"alternative {alt.label()} is not supported on the unit interval; "
-                        "uniformity studies need unit-interval alternatives"
-                    )
+        if self.mode == "critical_values" and self.alternatives:
+            raise ValueError("critical_values mode samples the null and takes no alternatives")
+        if self.mode in ("power", "size") and not self.alternatives:
+            raise ValueError(f"{self.mode} mode needs at least one alternative")
+        if self.mode == "power_curve":
+            if len(self.alternatives) != 1:
+                raise ValueError("power_curve mode expects exactly one alternative")
+            if self.family != "uniform":
+                raise ValueError("power curves are defined for the uniformity test")
+            if self.tests != ("tm",):
+                raise ValueError("power_curve mode runs only the tm test; set tests=('tm',)")
+            if len(self.alphas) != 1:
+                raise ValueError("power_curve mode takes exactly one alpha")
+        for alt in self.alternatives:
+            if self.family == "uniform" and not supports_unit_interval(alt):
+                raise ValueError(
+                    f"alternative {alt.label()} is not supported on the unit interval; "
+                    "uniformity studies need unit-interval alternatives"
+                )
+            if self.family == "pareto" and not supports_above_one(alt):
+                raise ValueError(
+                    f"alternative {alt.label()} can draw values below one; "
+                    "Pareto studies need alternatives supported on [1, inf), "
+                    "e.g. a positive law translated with +1"
+                )
 
 
 @dataclass(frozen=True)
@@ -158,44 +177,47 @@ def _quantile_se(sorted_vals: np.ndarray, p: float) -> float:
     return float(0.5 * (hi - lo))
 
 
-def _null_row(family: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    if family == "uniform":
-        return rng.random(n)
-    return COMPOSITE_FAMILIES[family].sample_standard(n, rng)
-
-
-def _unit_chunk_null(family: str, n: int, salt: int, seed: int, start: int, count: int) -> np.ndarray:
-    raw = np.empty((count, n))
-    for i in range(count):
-        raw[i] = _null_row(family, n, rng_substream(seed, salt, start + i))
-    if family == "uniform":
-        return raw
-    return COMPOSITE_FAMILIES[family].transform_rows(raw)
-
-
-def _unit_chunk_alt(
-    family: str, alt: AlternativeSpec, n: int, salt: int, seed: int, start: int, count: int
+def _unit_chunk(
+    family: str, alt: AlternativeSpec | None, n: int, salt: int, seed: int, start: int, count: int
 ) -> np.ndarray:
+    """Unit-interval rows ``start .. start + count - 1`` of one cell.
+
+    Row i draws from its own substream ``(seed, salt, i)``: from ``alt``,
+    or from the null's standard member when ``alt`` is None. Composite
+    families then transform every row by its own fitted parameters.
+    """
+    composite = COMPOSITE_FAMILIES.get(family)  # None for the uniform null
     raw = np.empty((count, n))
     for i in range(count):
-        raw[i] = sample(alt, n, rng_substream(seed, salt, start + i)).values
-    if family == "uniform":
-        return raw
-    return COMPOSITE_FAMILIES[family].transform_rows(raw)
+        rng = rng_substream(seed, salt, start + i)
+        if alt is not None:
+            raw[i] = sample(alt, n, rng).values
+        elif composite is None:
+            raw[i] = rng.random(n)
+        else:
+            raw[i] = composite.sample_standard(n, rng)
+    return raw if composite is None else composite.transform_rows(raw)
+
+
+def _cell_statistics(
+    seed: int, salt: int, family: str, alt: AlternativeSpec | None, n: int, tests, reps: int
+) -> dict[str, np.ndarray]:
+    """Every requested statistic on the ``reps`` rows of one cell, chunk by chunk."""
+    stats = {t: np.empty(reps) for t in tests}
+    for start in range(0, reps, _CHUNK):
+        count = min(_CHUNK, reps - start)
+        U = _unit_chunk(family, alt, n, salt, seed, start, count)
+        for t in tests:
+            stats[t][start:start + count] = batch_statistic(t, U)
+    return stats
 
 
 def _critval_cell(args) -> list[CellResult]:
     seed, family, n, tests, alphas, reps = args
-    salt = _cell_salt("critval", family, n)
-    acc = {t: np.empty(reps) for t in tests}
-    for start in range(0, reps, _CHUNK):
-        count = min(_CHUNK, reps - start)
-        U = _unit_chunk_null(family, n, salt, seed, start, count)
-        for t in tests:
-            acc[t][start:start + count] = batch_statistic(t, U)
+    stats = _cell_statistics(seed, _cell_salt("critval", family, n), family, None, n, tests, reps)
     rows = []
     for t in tests:
-        ordered = np.sort(acc[t])
+        ordered = np.sort(stats[t])
         for a in alphas:
             rows.append(
                 CellResult(
@@ -213,20 +235,12 @@ def _critval_cell(args) -> list[CellResult]:
 
 
 def _power_cell(args) -> list[CellResult]:
-    seed, family, alt, n, tests, alphas, reps, cv_map = args
-    salt = _cell_salt("power", family, alt.label(), n)
-    hits = {(t, a): 0 for t in tests for a in alphas}
-    for start in range(0, reps, _CHUNK):
-        count = min(_CHUNK, reps - start)
-        U = _unit_chunk_alt(family, alt, n, salt, seed, start, count)
-        for t in tests:
-            stats = batch_statistic(t, U)
-            for a in alphas:
-                hits[(t, a)] += int(np.sum(stats > cv_map[(t, n, a)]))
+    seed, salt, family, alt, n, tests, alphas, reps, cv_map = args
+    stats = _cell_statistics(seed, salt, family, alt, n, tests, reps)
     rows = []
     for t in tests:
         for a in alphas:
-            p_hat = hits[(t, a)] / reps
+            p_hat = int(np.count_nonzero(stats[t] > cv_map[(t, n, a)])) / reps
             rows.append(
                 CellResult(
                     test=t,
@@ -249,6 +263,26 @@ def _run_cells(worker_count: int, fn, tasks: list) -> list[CellResult]:
         with ProcessPoolExecutor(max_workers=worker_count) as pool:
             results = list(pool.map(fn, tasks))
     return [row for cell_rows in results for row in cell_rows]
+
+
+def _run_power_cells(config: StudyConfig, cv_map: dict, salt_prefix: tuple) -> list[CellResult]:
+    # power and curve cells differ only in the prefix that names their substreams
+    tasks = [
+        (
+            config.master_seed,
+            _cell_salt(*salt_prefix, alt.label(), n),
+            config.family,
+            alt,
+            n,
+            config.tests,
+            config.alphas,
+            config.replications,
+            cv_map,
+        )
+        for alt in config.alternatives
+        for n in config.sizes
+    ]
+    return _run_cells(config.workers, _power_cell, tasks)
 
 
 def estimate_critical_values(config: StudyConfig) -> StudyResult:
@@ -293,24 +327,8 @@ def estimate_power(config: StudyConfig, critical_values: StudyResult) -> StudyRe
             for a in config.alphas:
                 if (t, n, a) not in cv_map:
                     raise ValueError(f"missing critical value for test={t!r}, n={n}, alpha={a}")
-    if not config.alternatives:
-        raise ValueError("power mode needs at least one alternative")
     started = time.perf_counter()
-    tasks = [
-        (
-            config.master_seed,
-            config.family,
-            alt,
-            n,
-            config.tests,
-            config.alphas,
-            config.replications,
-            cv_map,
-        )
-        for alt in config.alternatives
-        for n in config.sizes
-    ]
-    rows = _run_cells(config.workers, _power_cell, tasks)
+    rows = _run_power_cells(config, cv_map, ("power", config.family))
     return StudyResult(
         mode=config.mode,
         rows=rows,
@@ -337,53 +355,29 @@ def theory_spec_for(alt: AlternativeSpec) -> AlternativeTheorySpec:
     return spec_from_density(alt.label(), lambda x: np.asarray(pdf(alt, x)), gauss_legendre(128))
 
 
-def run_power_curve(config: StudyConfig, alpha: float = 0.05) -> PowerCurve:
+def run_power_curve(config: StudyConfig) -> PowerCurve:
     """Empirical power of the tail-moment test across sizes, with overlay.
 
-    The critical value is the asymptotic one from the Pearson fit of the
-    null cumulants, held constant across n; the analytic overlay uses the
-    same constant, so the two columns answer the same question.
+    Each size is one power cell at the config's single alpha. The critical
+    value is the asymptotic one from the Pearson fit of the null cumulants,
+    held constant across n; the analytic overlay uses the same constant,
+    so the two columns answer the same question.
     """
     if config.mode != "power_curve":
         raise ValueError("config.mode must be 'power_curve'")
-    if len(config.alternatives) != 1:
-        raise ValueError("power_curve mode expects exactly one alternative")
-    if config.family != "uniform":
-        raise ValueError("power curves are defined for the uniformity test")
     alt = config.alternatives[0]
-    theory = theory_spec_for(alt)
-    rule = gauss_legendre(128)
-    delta = theory.delta if theory.delta is not None else discrepancy(theory, rule)
-    sigma2 = theory.sigma2 if theory.sigma2 is not None else asymptotic_variance(theory, rule)
-    # the uniform curve has sigma2 = 0: no normal approximation, empirical
-    # power is just the size of the test
-    approx_available = sigma2 > 0.0
+    alpha = config.alphas[0]
     c_limit = pearson_quantile(pearson_fit(cumulants_exact()), 1.0 - alpha)
-
-    empirical: list[float] = []
-    ses: list[float] = []
-    reps = config.replications
-    for n in config.sizes:
-        salt = _cell_salt("curve", alt.label(), n)
-        hit = 0
-        for start in range(0, reps, _CHUNK):
-            count = min(_CHUNK, reps - start)
-            U = _unit_chunk_alt("uniform", alt, n, salt, config.master_seed, start, count)
-            hit += int(np.sum(batch_statistic("tm", U) > c_limit))
-        p_hat = hit / reps
-        empirical.append(p_hat)
-        ses.append(float(np.sqrt(p_hat * (1.0 - p_hat) / reps)))
-    approx = [
-        approximate_power(delta, sigma2, n, c_limit) if approx_available else float("nan")
-        for n in config.sizes
-    ]
+    cv_map = {("tm", n, alpha): c_limit for n in config.sizes}
+    rows = _run_power_cells(config, cv_map, ("curve",))
+    overlay = power_curve(theory_spec_for(alt), alpha, config.sizes, c_limit)
     return PowerCurve(
         name=alt.label(),
         alpha=alpha,
         sample_sizes=list(config.sizes),
-        approx_power=approx,
-        empirical_power=empirical,
-        mc_se=ses,
+        approx_power=overlay.approx_power,
+        empirical_power=[r.estimate for r in rows],
+        mc_se=[r.mc_se for r in rows],
     )
 
 

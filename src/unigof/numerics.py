@@ -52,14 +52,12 @@ class QuadratureRule:
 class KernelGrid:
     """A kernel evaluated on a quadrature grid.
 
-    When ``weighted`` is true the entries are ``sqrt(w_i w_j) K(x_i, x_j)``,
-    the symmetric discretisation whose matrix powers approximate iterated
-    kernel traces.
+    The entries are ``sqrt(w_i w_j) K(x_i, x_j)``, the symmetric
+    discretisation whose matrix powers approximate iterated kernel traces.
     """
 
     grid: np.ndarray
     K: np.ndarray
-    weighted: bool
 
 
 def gauss_legendre(order: int) -> QuadratureRule:
@@ -87,22 +85,6 @@ def normal_quantile(p):
     return float(out) if out.ndim == 0 else out
 
 
-def log_gamma(x):
-    """Natural log of the gamma function for positive arguments."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("log_gamma requires positive arguments")
-    out = special.gammaln(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def beta_fn(a: float, b: float) -> float:
-    """Beta function B(a, b) for positive a, b via the log-gamma identity."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("beta_fn requires positive arguments")
-    return float(np.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b)))
-
-
 def nystrom_discretize(
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
     rule: QuadratureRule,
@@ -119,4 +101,4 @@ def nystrom_discretize(
     x = rule.nodes
     sw = np.sqrt(rule.weights)
     K = kernel(x[:, None], x[None, :])
-    return KernelGrid(grid=x, K=sw[:, None] * K * sw[None, :], weighted=True)
+    return KernelGrid(grid=x, K=sw[:, None] * K * sw[None, :])

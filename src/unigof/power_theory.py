@@ -264,15 +264,22 @@ def power_curve(
     ``critical_values`` may be a scalar (the asymptotic critical value
     used at every size) or one value per size. Constants missing from the
     spec are computed with ``rule`` (Gauss-Legendre 128 by default).
+    A degenerate spec (``sigma2 == 0``, the uniform law itself) has no
+    normal approximation, so its powers are NaN.
     """
     if not sizes:
         raise ValueError("sizes must be nonempty")
     cv = np.broadcast_to(np.asarray(critical_values, dtype=float), (len(sizes),))
-    if rule is None:
+    # build the default rule only when a constant is missing: its nodes come
+    # from a LAPACK eigensolve whose pool threads keep spinning after the call
+    if rule is None and (spec.delta is None or spec.sigma2 is None):
         rule = gauss_legendre(128)
     delta = spec.delta if spec.delta is not None else discrepancy(spec, rule)
     sigma2 = spec.sigma2 if spec.sigma2 is not None else asymptotic_variance(spec, rule)
-    powers = [approximate_power(delta, sigma2, int(n), float(c)) for n, c in zip(sizes, cv)]
+    if sigma2 > 0.0:
+        powers = [approximate_power(delta, sigma2, int(n), float(c)) for n, c in zip(sizes, cv)]
+    else:
+        powers = [float("nan")] * len(sizes)
     return PowerCurve(
         name=spec.name,
         alpha=float(alpha),

@@ -338,7 +338,7 @@ def test_09_power_curves_dominate_approximation():
             replications=2000,
             master_seed=MASTER_SEED,
         )
-        curve = run_power_curve(cfg, alpha=0.05)
+        curve = run_power_curve(cfg)
         good = sum(
             emp >= approx - 3.0 * se
             for emp, approx, se in zip(curve.empirical_power, curve.approx_power, curve.mc_se)

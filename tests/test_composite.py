@@ -9,7 +9,6 @@ from unigof import (
     bootstrap_pvalue,
     estimate_normal,
     estimate_pareto,
-    null_unit_matrix,
     transform_normal,
     transform_pareto,
 )
@@ -133,16 +132,7 @@ def test_pivotality_across_parameters(tag, sampler_params, rng):
     assert spread < 0.012, q95  # ~3 MC standard errors at these settings
 
 
-def test_null_unit_matrix_uniform(rng):
-    U = null_unit_matrix("uniform", 100, 7, rng)
-    assert U.shape == (100, 7)
-    assert np.all((U >= 0.0) & (U <= 1.0))
-
-
-def test_null_unit_matrix_composite_rows_match_single_transform(rng):
-    U = null_unit_matrix("pareto", 50, 9, rng)
-    assert U.shape == (50, 9)
-    assert np.all((U >= 0.0) & (U <= 1.0))
+def test_normal_transform_rows_match_single_transform(rng):
     # row-vectorised transform equals the scalar path
     x = FAMILIES["normal"].sample_standard((4, 12), rng)
     rows = FAMILIES["normal"].transform_rows(x)
@@ -150,11 +140,6 @@ def test_null_unit_matrix_composite_rows_match_single_transform(rng):
         np.testing.assert_allclose(
             rows[i], transform_normal(x[i]).values, atol=1e-13
         )
-
-
-def test_null_unit_matrix_unknown_tag(rng):
-    with pytest.raises(ValueError, match="unknown null family"):
-        null_unit_matrix("cauchy", 10, 5, rng)
 
 
 # ---------------------------------------------------------------------------

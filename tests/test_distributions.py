@@ -15,6 +15,7 @@ from unigof import (
     pdf,
     sample,
     sampler_goodness,
+    supports_above_one,
     supports_unit_interval,
 )
 from unigof.distributions import FAMILIES
@@ -232,6 +233,18 @@ class TestSupportsUnitInterval:
     def test_mixture_requires_both_components(self):
         assert supports_unit_interval(spec_of("mix(0.5,u,beta(2,2))"))
         assert not supports_unit_interval(spec_of("mix(0.5,u,gamma(1))"))
+
+
+class TestSupportsAboveOne:
+    def test_pareto_null_support(self):
+        for text in ("pareto(2)", "gamma(0.8)+1", "weibull(0.7)+1", "beta(2,3)+1",
+                     "mix(0.75,gamma(0.7)+1,pareto(1))", "mix(0.5,gamma(1),chisq(2))+1"):
+            assert supports_above_one(spec_of(text)), text
+
+    def test_draws_below_one(self):
+        for text in ("gamma(1)", "beta(2,3)", "normal(3,9)", "t(5)+1", "sn(1)+1",
+                     "mix(0.5,pareto(2),gamma(1))", "mix(0.5,gamma(1),normal(0,1))+1"):
+            assert not supports_above_one(spec_of(text)), text
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,22 @@ from unigof import (
     AlternativeSpec,
     StudyConfig,
     critical_value_map,
+    cumulants_exact,
     estimate_critical_values,
     estimate_power,
     format_critval_table,
     format_power_table,
     parse_spec,
+    pearson_fit,
+    pearson_quantile,
+    power_curve,
     read_study_csv,
     rng_substream,
     run_power_curve,
     uniform_theory_spec,
     write_study_csv,
 )
-from unigof.mc import _quantile_sorted, theory_spec_for
+from unigof.mc import _quantile_sorted, _unit_chunk, theory_spec_for
 
 
 def critval_config(**kw):
@@ -126,6 +130,48 @@ class TestStudyConfig:
                 master_seed=1,
             )
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            (dict(alternatives=(AlternativeSpec("uniform"),)), "takes no alternatives"),
+            (dict(mode="size"), "size mode needs at least one alternative"),
+            (dict(mode="power_curve", tests=("tm",)), "exactly one alternative"),
+            (
+                dict(mode="power_curve", alternatives=(parse_spec("beta(2,3)"),)),
+                "only the tm test",
+            ),
+            (
+                dict(mode="power_curve", tests=("tm",), alternatives=(parse_spec("beta(2,3)"),)),
+                "exactly one alpha",
+            ),
+            (
+                dict(
+                    mode="power_curve",
+                    tests=("tm",),
+                    family="normal",
+                    alternatives=(parse_spec("chisq(5)"),),
+                    alphas=(0.05,),
+                ),
+                "uniformity test",
+            ),
+            (
+                dict(mode="power", family="pareto", alternatives=(parse_spec("gamma(1)"),)),
+                r"gamma\(1\) can draw values below one",
+            ),
+            (
+                dict(
+                    mode="size",
+                    family="pareto",
+                    alternatives=(parse_spec("mix(0.5,pareto(2),t(3))"),),
+                ),
+                "below one",
+            ),
+        ],
+    )
+    def test_rejects_fields_the_mode_would_ignore(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            critval_config(**fields)
+
     def test_composite_studies_allow_real_line_alternatives(self):
         StudyConfig(
             mode="power",
@@ -181,8 +227,9 @@ class TestCriticalValues:
         assert result.rows[0].estimate > 0.0
 
     def test_requires_critval_mode(self):
+        config = critval_config(mode="power", alternatives=(parse_spec("beta(2,3)"),))
         with pytest.raises(ValueError, match="mode"):
-            estimate_critical_values(critval_config(mode="power"))
+            estimate_critical_values(config)
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +298,17 @@ class TestPower:
             estimate_power(config, small_cv)
 
     def test_power_mode_requires_alternatives(self, small_cv):
-        config = StudyConfig(
-            mode="power",
-            tests=("tm",),
-            family="uniform",
-            alternatives=(),
-            sizes=(25,),
-            alphas=(0.05,),
-            replications=500,
-            master_seed=13,
-        )
         with pytest.raises(ValueError, match="alternative"):
+            config = StudyConfig(
+                mode="power",
+                tests=("tm",),
+                family="uniform",
+                alternatives=(),
+                sizes=(25,),
+                alphas=(0.05,),
+                replications=500,
+                master_seed=13,
+            )
             estimate_power(config, small_cv)
 
 
@@ -275,8 +322,32 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         config = critval_config(sizes=(10, 15), workers=workers)
         path = tmp_path / f"w{workers}.csv"
         write_study_csv(estimate_critical_values(config), path)
-        rows[workers] = path.read_bytes()
+        curve_config = critval_config(
+            mode="power_curve",
+            tests=("tm",),
+            alternatives=(parse_spec("beta(2,2)"),),
+            sizes=(10, 20, 30),
+            alphas=(0.05,),
+            replications=300,
+            workers=workers,
+        )
+        curve_path = tmp_path / f"curve{workers}.csv"
+        run_power_curve(curve_config).write_csv(curve_path)
+        rows[workers] = path.read_bytes() + curve_path.read_bytes()
     assert rows[1] == rows[3]
+
+
+@pytest.mark.parametrize(
+    "family, alt",
+    [("uniform", None), ("pareto", None), ("uniform", "beta(2,3)"), ("normal", "chisq(5)")],
+)
+def test_chunk_boundaries_do_not_change_rows(family, alt):
+    alt = None if alt is None else parse_spec(alt)
+    whole = _unit_chunk(family, alt, 9, 123, 7, 0, 7)
+    split = np.vstack(
+        [_unit_chunk(family, alt, 9, 123, 7, 0, 3), _unit_chunk(family, alt, 9, 123, 7, 3, 4)]
+    )
+    np.testing.assert_array_equal(whole, split)
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +427,14 @@ class TestTheorySpecFor:
 
 
 class TestRunPowerCurve:
-    def curve_config(self, alt, sizes, reps=800):
+    def curve_config(self, alt, sizes, reps=800, alphas=(0.05,)):
         return StudyConfig(
             mode="power_curve",
             tests=("tm",),
             family="uniform",
             alternatives=(alt,),
             sizes=sizes,
-            alphas=(0.05,),
+            alphas=alphas,
             replications=reps,
             master_seed=5,
         )
@@ -386,15 +457,25 @@ class TestRunPowerCurve:
             run_power_curve(config)
 
     def test_single_alternative_required(self):
-        config = StudyConfig(
-            mode="power_curve",
-            tests=("tm",),
-            family="uniform",
-            alternatives=(parse_spec("beta(2,3)"), parse_spec("beta(2,2)")),
-            sizes=(30,),
-            alphas=(0.05,),
-            replications=500,
-            master_seed=5,
-        )
         with pytest.raises(ValueError, match="exactly one"):
+            config = StudyConfig(
+                mode="power_curve",
+                tests=("tm",),
+                family="uniform",
+                alternatives=(parse_spec("beta(2,3)"), parse_spec("beta(2,2)")),
+                sizes=(30,),
+                alphas=(0.05,),
+                replications=500,
+                master_seed=5,
+            )
             run_power_curve(config)
+
+    def test_curve_runs_at_the_config_alpha(self):
+        alt, sizes = parse_spec("beta(2,3)"), (30,)
+        at_1 = run_power_curve(self.curve_config(alt, sizes, alphas=(0.01,)))
+        at_5 = run_power_curve(self.curve_config(alt, sizes))
+        c_1 = pearson_quantile(pearson_fit(cumulants_exact()), 0.99)
+        assert at_1.alpha == 0.01
+        assert at_1.approx_power == power_curve(theory_spec_for(alt), 0.01, sizes, c_1).approx_power
+        # same draws, stricter critical value
+        assert at_1.empirical_power[0] < at_5.empirical_power[0]

@@ -16,7 +16,6 @@ from unigof import (
     normal_quantile,
     nystrom_discretize,
 )
-from unigof.numerics import beta_fn, log_gamma
 
 
 class TestGaussLegendre:
@@ -98,32 +97,6 @@ class TestNormalFunctions:
         assert out[1] == pytest.approx(0.0, abs=1e-15)
 
 
-class TestGammaAndBeta:
-    def test_log_gamma_factorial(self):
-        assert log_gamma(5.0) == pytest.approx(np.log(24.0), rel=1e-14)
-
-    def test_log_gamma_half(self):
-        assert log_gamma(0.5) == pytest.approx(0.5 * np.log(np.pi), rel=1e-14)
-
-    def test_log_gamma_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-
-    def test_beta_fn_closed_form(self):
-        # B(2, 3) = 1!2!/4! = 1/12
-        assert beta_fn(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-13)
-
-    def test_beta_fn_matches_integral(self):
-        # fractional endpoint powers cap the quadrature accuracy near 1e-10
-        rule = gauss_legendre(128)
-        got = rule.integrate(lambda t: t**2.5 * (1.0 - t) ** 1.5)
-        assert beta_fn(3.5, 2.5) == pytest.approx(got, rel=1e-9)
-
-    def test_beta_fn_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            beta_fn(-1.0, 2.0)
-
-
 class TestNystromDiscretize:
     """Checked against the Brownian bridge kernel min(s,t) - st.
 
@@ -139,7 +112,6 @@ class TestNystromDiscretize:
     def test_matrix_symmetric_and_weighted(self):
         rule = gauss_legendre(64)
         grid = nystrom_discretize(self.bridge, rule)
-        assert grid.weighted
         np.testing.assert_allclose(grid.K, grid.K.T, atol=1e-15)
         np.testing.assert_array_equal(grid.grid, rule.nodes)
 

@@ -293,6 +293,16 @@ class TestPowerCurve:
         b = power_curve(numeric, 0.05, [50], 0.462)
         assert a.approx_power[0] == pytest.approx(b.approx_power[0], abs=1e-9)
 
+    def test_power_curve_with_constants_builds_no_rule(self, monkeypatch):
+        import unigof.power_theory as pt
+
+        def no_rule(order):
+            raise AssertionError("power_curve built a quadrature rule it does not need")
+
+        monkeypatch.setattr(pt, "gauss_legendre", no_rule)
+        curve = power_curve(by_name()["beta(2,3)"], 0.05, [20, 50], 0.462)
+        assert len(curve.approx_power) == 2
+
     def test_power_curve_rejects_empty_sizes(self):
         with pytest.raises(ValueError):
             power_curve(by_name()["beta(2,2)"], 0.05, [], 0.462)
