@@ -31,6 +31,7 @@ from .distributions import (
     supports_unit_interval,
 )
 from .mc import (
+    STREAM_SCHEME,
     CellResult,
     StudyConfig,
     StudyResult,
@@ -101,6 +102,7 @@ __all__ = [
     "PearsonFit",
     "PowerCurve",
     "QuadratureRule",
+    "STREAM_SCHEME",
     "Sample",
     "StudyConfig",
     "StudyResult",

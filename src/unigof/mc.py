@@ -8,12 +8,13 @@ tasks, so the engine parallelises across cells, never inside one. A power
 curve is a list of power cells, one per sample size, so its sizes run in
 parallel too.
 
-Reproducibility discipline: every replication draws from its own
-substream seeded by (master_seed, cell_salt, replication_index), where
-the cell salt is a stable hash of the cell's identity. Results are
-therefore bit-identical for a fixed master seed no matter how many
-workers run the study, in which order cells finish, or where a cell's
-chunks begin.
+Reproducibility discipline: a cell's replications run in chunks of
+``_CHUNK`` rows, and each chunk draws its block from one substream seeded
+by (master_seed, cell_salt, chunk_start), where the cell salt is a stable
+hash of the cell's identity. Results are therefore bit-identical for a
+fixed master seed no matter how many workers run the study or in which
+order cells and chunks are evaluated. This is ``STREAM_SCHEME`` 2; scheme
+1 seeded one substream per replication, so its numbers differ.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "StudyConfig",
     "StudyResult",
     "CellResult",
+    "STREAM_SCHEME",
     "rng_substream",
     "estimate_critical_values",
     "estimate_power",
@@ -54,12 +56,17 @@ __all__ = [
     "format_power_table",
 ]
 
+# Version of the rule that maps (seed, cell, replication) to draws. Scheme 1
+# seeded one substream per replication; scheme 2 seeds one per chunk.
+STREAM_SCHEME = 2
+# Part of the stream rule: changing it changes every Monte Carlo number and
+# needs a STREAM_SCHEME bump.
 _CHUNK = 4096
 _NULL_FAMILIES = ("uniform", "normal", "pareto")
 
 
 def rng_substream(master_seed: int, *indices: int) -> np.random.Generator:
-    """Independent, reproducible generator for one unit of work.
+    """Independent, reproducible generator for one unit of work (a chunk).
 
     Seeding with the full index tuple keeps streams statistically
     separated without any global counter, so workers need no coordination.
@@ -153,6 +160,8 @@ class StudyResult:
     rows: list[CellResult]
     master_seed: int
     wall_seconds: float = field(default=0.0, compare=False)
+    # None for rows read back from a CSV, which does not record the scheme
+    stream_scheme: int | None = STREAM_SCHEME
 
 
 def _quantile_sorted(sorted_vals: np.ndarray, p: float) -> float:
@@ -182,20 +191,19 @@ def _unit_chunk(
 ) -> np.ndarray:
     """Unit-interval rows ``start .. start + count - 1`` of one cell.
 
-    Row i draws from its own substream ``(seed, salt, i)``: from ``alt``,
+    The whole ``(count, n)`` block comes from one call on the substream
+    ``(seed, salt, start)``: from ``alt`` (an i.i.d. flat draw, reshaped),
     or from the null's standard member when ``alt`` is None. Composite
     families then transform every row by its own fitted parameters.
     """
     composite = COMPOSITE_FAMILIES.get(family)  # None for the uniform null
-    raw = np.empty((count, n))
-    for i in range(count):
-        rng = rng_substream(seed, salt, start + i)
-        if alt is not None:
-            raw[i] = sample(alt, n, rng).values
-        elif composite is None:
-            raw[i] = rng.random(n)
-        else:
-            raw[i] = composite.sample_standard(n, rng)
+    rng = rng_substream(seed, salt, start)
+    if alt is not None:
+        raw = sample(alt, count * n, rng).values.reshape(count, n)
+    elif composite is None:
+        raw = rng.random((count, n))
+    else:
+        raw = composite.sample_standard((count, n), rng)
     return raw if composite is None else composite.transform_rows(raw)
 
 
@@ -425,7 +433,7 @@ def read_study_csv(path) -> StudyResult:
                 )
             )
     seed = rows[0].seed if rows else 0
-    return StudyResult(mode="loaded", rows=rows, master_seed=seed)
+    return StudyResult(mode="loaded", rows=rows, master_seed=seed, stream_scheme=None)
 
 
 def format_critval_table(result: StudyResult) -> str:

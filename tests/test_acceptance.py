@@ -65,10 +65,11 @@ def unif_cv():
 
 @pytest.fixture(scope="module")
 def tm_cv_fine():
-    # the 99th-percentile order statistic at R = 1e5 carries an MC SE of
-    # about 0.007, wider than the +/- 0.006 acceptance band, so the
-    # critical-value spot checks run at the reference precision R = 1e6
-    # (tm only, which keeps this under a minute)
+    # the n = 50 99th-percentile order statistic settles about 0.002 above
+    # its reference of 0.779; at R = 1e6 its MC SE of about 0.0022 leaves
+    # under 2 SE of margin inside the +/- 0.006 acceptance band, so some
+    # seeds fail by chance. R = 1e7 (SE about 0.0007) makes the spot checks
+    # pass on statistical merit (tm only, which keeps this under a minute)
     cfg = StudyConfig(
         mode="critical_values",
         tests=("tm",),
@@ -76,7 +77,7 @@ def tm_cv_fine():
         alternatives=(),
         sizes=(10, 50),
         alphas=(0.05, 0.01),
-        replications=1_000_000,
+        replications=10_000_000,
         master_seed=MASTER_SEED,
     )
     return estimate_critical_values(cfg)
@@ -196,7 +197,7 @@ def test_04_finite_sample_critical_values(tm_cv_fine):
     _report(
         "criterion 04 finite-n critical values",
         max(errs.values()) < 0.006,
-        f"{detail}; max err {max(errs.values()):.4f} (tol 0.006, R = 1e6)",
+        f"{detail}; max err {max(errs.values()):.4f} (tol 0.006, R = 1e7)",
     )
 
 

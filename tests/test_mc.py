@@ -6,10 +6,14 @@ byte-level CSV output across runs and worker counts.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unigof import (
+    STREAM_SCHEME,
     AlternativeSpec,
     StudyConfig,
+    batch_statistic,
     critical_value_map,
     cumulants_exact,
     estimate_critical_values,
@@ -26,7 +30,7 @@ from unigof import (
     uniform_theory_spec,
     write_study_csv,
 )
-from unigof.mc import _quantile_sorted, _unit_chunk, theory_spec_for
+from unigof.mc import _CHUNK, _cell_statistics, _quantile_sorted, _unit_chunk, theory_spec_for
 
 
 def critval_config(**kw):
@@ -337,17 +341,78 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert rows[1] == rows[3]
 
 
-@pytest.mark.parametrize(
-    "family, alt",
-    [("uniform", None), ("pareto", None), ("uniform", "beta(2,3)"), ("normal", "chisq(5)")],
+_CHUNK_CASES = [
+    ("uniform", None),
+    ("pareto", None),
+    ("uniform", "beta(2,3)"),
+    ("normal", "chisq(5)"),
+]
+
+
+def _case(family, alt):
+    return family, None if alt is None else parse_spec(alt)
+
+
+@pytest.mark.parametrize("family, alt", _CHUNK_CASES)
+def test_unit_chunk_is_a_pure_function(family, alt):
+    family, alt = _case(family, alt)
+    first = _unit_chunk(family, alt, 9, 123, 7, _CHUNK, 7)
+    _unit_chunk(family, alt, 9, 124, 7, 0, 5)
+    np.testing.assert_array_equal(first, _unit_chunk(family, alt, 9, 123, 7, _CHUNK, 7))
+
+
+@pytest.mark.parametrize("family, alt", _CHUNK_CASES)
+def test_longer_cell_shares_its_leading_chunk(family, alt):
+    family, alt = _case(family, alt)
+    short = _cell_statistics(7, 123, family, alt, 9, ("tm", "ks"), _CHUNK)
+    longer = _cell_statistics(7, 123, family, alt, 9, ("tm", "ks"), _CHUNK + 5)
+    for t in ("tm", "ks"):
+        np.testing.assert_array_equal(longer[t][:_CHUNK], short[t])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    case=st.sampled_from(_CHUNK_CASES),
+    n=st.integers(3, 12),
+    reps=st.integers(1, 2 * _CHUNK + 100),
 )
-def test_chunk_boundaries_do_not_change_rows(family, alt):
-    alt = None if alt is None else parse_spec(alt)
-    whole = _unit_chunk(family, alt, 9, 123, 7, 0, 7)
-    split = np.vstack(
-        [_unit_chunk(family, alt, 9, 123, 7, 0, 3), _unit_chunk(family, alt, 9, 123, 7, 3, 4)]
+def test_chunks_in_reverse_order_reproduce_the_cell(case, n, reps):
+    family, alt = _case(*case)
+    tests = ("tm", "ks")
+    whole = _cell_statistics(7, 123, family, alt, n, tests, reps)
+    blocks = {}
+    for start in reversed(range(0, reps, _CHUNK)):
+        U = _unit_chunk(family, alt, n, 123, 7, start, min(_CHUNK, reps - start))
+        blocks[start] = {t: batch_statistic(t, U) for t in tests}
+    for t in tests:
+        stitched = np.concatenate([blocks[start][t] for start in sorted(blocks)])
+        np.testing.assert_array_equal(stitched, whole[t])
+
+
+def test_stream_scheme_seeds_once_per_chunk():
+    # scheme 2: the chunk starting at row s is one block from substream (seed, salt, s)
+    assert STREAM_SCHEME == 2
+    block = _unit_chunk("uniform", None, 5, 123, 7, _CHUNK, 3)
+    np.testing.assert_array_equal(block, rng_substream(7, 123, _CHUNK).random((3, 5)))
+
+
+def test_study_results_carry_the_stream_scheme(tmp_path, small_cv):
+    assert small_cv.stream_scheme == STREAM_SCHEME
+    power = estimate_power(
+        critval_config(
+            mode="power",
+            alternatives=(parse_spec("beta(2,3)"),),
+            sizes=(25,),
+            alphas=(0.05,),
+            replications=200,
+        ),
+        small_cv,
     )
-    np.testing.assert_array_equal(whole, split)
+    assert power.stream_scheme == STREAM_SCHEME
+    path = tmp_path / "study.csv"
+    write_study_csv(small_cv, path)
+    # a CSV does not record the scheme, so rows read back do not claim one
+    assert read_study_csv(path).stream_scheme is None
 
 
 # ---------------------------------------------------------------------------
