@@ -417,19 +417,22 @@ def read_study_csv(path) -> StudyResult:
             line = line.strip()
             if not line:
                 continue
+            # labels such as beta(2,3) carry unquoted commas: the test is the
+            # first field, the numbers the last six, the alternative between
             parts = line.split(",")
-            if len(parts) != 8:
-                raise ValueError(f"line {line_no}: expected 8 fields, got {len(parts)}")
+            if len(parts) < 8:
+                raise ValueError(f"line {line_no}: expected at least 8 fields, got {len(parts)}")
+            n, alpha, estimate, mc_se, replications, seed = parts[-6:]
             rows.append(
                 CellResult(
                     test=parts[0],
-                    alternative=parts[1],
-                    n=int(parts[2]),
-                    alpha=float(parts[3]),
-                    estimate=float(parts[4]),
-                    mc_se=float(parts[5]),
-                    replications=int(parts[6]),
-                    seed=int(parts[7]),
+                    alternative=",".join(parts[1:-6]),
+                    n=int(n),
+                    alpha=float(alpha),
+                    estimate=float(estimate),
+                    mc_se=float(mc_se),
+                    replications=int(replications),
+                    seed=int(seed),
                 )
             )
     seed = rows[0].seed if rows else 0

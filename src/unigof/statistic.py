@@ -144,18 +144,10 @@ def tm_statistic_batch(U: np.ndarray) -> np.ndarray:
     return np.maximum(pair - single + n / 30.0, 0.0)
 
 
-def _unit_values(u) -> np.ndarray:
-    vals = u.values if isinstance(u, UnitSample) else np.atleast_1d(np.asarray(u, dtype=float))
-    if vals.ndim != 1 or vals.size < 1:
-        raise ValueError("expected a one-dimensional unit sample")
-    if not np.all(np.isfinite(vals)) or np.any(vals < 0.0) or np.any(vals > 1.0):
-        raise ValueError("unit sample values must lie in [0, 1]")
-    return vals
-
-
 def tm_statistic(u) -> float:
     """Closed-form statistic of a single unit sample (or plain array)."""
-    return float(tm_statistic_batch(_unit_values(u)[None, :])[0])
+    v = (u if isinstance(u, UnitSample) else UnitSample(u)).values
+    return float(tm_statistic_batch(v[None, :])[0])
 
 
 def tm_statistic_integral(u, nodes: int = 64) -> float:
@@ -169,7 +161,7 @@ def tm_statistic_integral(u, nodes: int = 64) -> float:
     """
     if nodes < 64:
         raise ValueError("nodes must be at least 64")
-    v = np.sort(_unit_values(u))
+    v = np.sort((u if isinstance(u, UnitSample) else UnitSample(u)).values)
     n = v.size
     a = 2.0 * v - 1.0
     csum = np.concatenate([[0.0], np.cumsum(a)])
@@ -194,7 +186,7 @@ def empirical_process(u: UnitSample, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0.0) or np.any(t_arr >= 1.0):
         raise ValueError("evaluation points must lie strictly inside (0, 1)")
-    v = np.sort(_unit_values(u))
+    v = np.sort((u if isinstance(u, UnitSample) else UnitSample(u)).values)
     n = v.size
     a = 2.0 * v - 1.0
     csum = np.concatenate([[0.0], np.cumsum(a)])

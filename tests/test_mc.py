@@ -421,12 +421,26 @@ def test_study_results_carry_the_stream_scheme(tmp_path, small_cv):
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
-        result = estimate_critical_values(critval_config())
-        path = tmp_path / "study.csv"
-        write_study_csv(result, path)
-        back = read_study_csv(path)
-        assert back.rows == result.rows
-        assert back.master_seed == result.master_seed
+        # alternative labels with parameters contain commas
+        power = estimate_power(
+            StudyConfig(
+                mode="power",
+                tests=("tm", "ks"),
+                family="normal",
+                alternatives=(parse_spec("beta(2,3)"), parse_spec("mix(0.5,normal(0,1),normal(1,9))")),
+                sizes=(15,),
+                alphas=(0.05,),
+                replications=500,
+                master_seed=8,
+            ),
+            estimate_critical_values(critval_config(family="normal", alphas=(0.05,), replications=500)),
+        )
+        for result in (estimate_critical_values(critval_config()), power):
+            path = tmp_path / "study.csv"
+            write_study_csv(result, path)
+            back = read_study_csv(path)
+            assert back.rows == result.rows
+            assert back.master_seed == result.master_seed
 
     def test_header(self, tmp_path):
         result = estimate_critical_values(critval_config(alphas=(0.05,)))

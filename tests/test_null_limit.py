@@ -1,8 +1,9 @@
 """Null limit distribution: kernel, cumulants, Pearson fit, quantiles.
 
 The exact rational cumulants are cross-validated against Nystrom traces
-of the discretised kernel, and the Pearson machinery is exercised across
-every family branch with scipy distributions as quantile oracles.
+of the discretised kernel. The Pearson type VI fit is checked against
+scipy's beta prime quantiles, and cumulants of every other Pearson family
+must be rejected.
 """
 
 import numpy as np
@@ -105,7 +106,7 @@ class TestCumulants:
 
 
 # ---------------------------------------------------------------------------
-# Pearson system: one case per family branch, scipy ppf as oracle
+# Pearson type VI: scipy ppf as oracle; every other family is rejected
 
 P_GRID = (0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
@@ -114,62 +115,30 @@ def quantiles(fit):
     return np.array([pearson_quantile(fit, p) for p in P_GRID])
 
 
+def _moment_cumulants(dist):
+    m, v, s, k = (float(x) for x in dist.stats(moments="mvsk"))
+    return CumulantSet(m, v, s * v**1.5, k * v**2)
+
+
+# cumulant sets of the Pearson families other than type VI
+OTHER_FAMILIES = {
+    "normal": CumulantSet(1.0, 2.0, 0.0, 0.0),
+    # Beta(3,3) on (0,1): variance 1/28, excess -2/3
+    "symmetric-beta": CumulantSet(0.5, 1.0 / 28.0, 0.0, -(2.0 / 3.0) * (1.0 / 28.0) ** 2),
+    # Student t with 10 degrees of freedom
+    "scaled-t": CumulantSet(0.0, 1.25, 0.0, 1.25**2),
+    # Gamma(4): 2 b2 - 3 b1 - 6 = 0 exactly
+    "gamma": CumulantSet(4.0, 4.0, 8.0, 24.0),
+    "beta": _moment_cumulants(stats.beta(2.0, 5.0)),
+    "beta-reflected": _moment_cumulants(stats.beta(5.0, 2.0)),
+    # InvGamma(6): mean 1/5, variance 1/100, skew 8/3, excess 19 (kappa = 1)
+    "inverse-gamma": CumulantSet(0.2, 0.01, (8.0 / 3.0) * 0.01**1.5, 19.0 * 0.01**2),
+    # skewness 1 with excess 3: complex roots, 0 < kappa < 1
+    "pearson-iv": CumulantSet(0.0, 1.0, 1.0, 3.0),
+}
+
+
 class TestPearsonFamilies:
-    def test_normal_branch(self):
-        fit = pearson_fit(CumulantSet(1.0, 2.0, 0.0, 0.0))
-        assert fit.family_tag == "normal"
-        oracle = stats.norm(1.0, np.sqrt(2.0)).ppf(P_GRID)
-        np.testing.assert_allclose(quantiles(fit), oracle, atol=1e-9)
-
-    def test_symmetric_beta_branch(self):
-        # moments of Beta(3,3) on (0,1): variance 1/28, excess -2/3
-        k2 = 1.0 / 28.0
-        fit = pearson_fit(CumulantSet(0.5, k2, 0.0, -(2.0 / 3.0) * k2**2))
-        assert fit.family_tag == "symmetric-beta"
-        oracle = stats.beta(3.0, 3.0).ppf(P_GRID)
-        np.testing.assert_allclose(quantiles(fit), oracle, atol=1e-7)
-
-    def test_scaled_t_branch(self):
-        # moments of Student t with 10 degrees of freedom
-        k2 = 1.25
-        fit = pearson_fit(CumulantSet(0.0, k2, 0.0, 1.0 * k2**2))
-        assert fit.family_tag == "scaled-t"
-        oracle = stats.t(10.0).ppf(P_GRID)
-        np.testing.assert_allclose(quantiles(fit), oracle, atol=1e-6)
-
-    def test_gamma_branch(self):
-        # Gamma(4) cumulants: (4, 4, 8, 24); here 2 b2 - 3 b1 - 6 = 0 exactly
-        fit = pearson_fit(CumulantSet(4.0, 4.0, 8.0, 24.0))
-        assert fit.family_tag == "gamma"
-        oracle = stats.gamma(4.0).ppf(P_GRID)
-        np.testing.assert_allclose(quantiles(fit), oracle, atol=1e-7)
-
-    def test_beta_branch(self):
-        m, v, s, k = (float(x) for x in stats.beta(2.0, 5.0).stats(moments="mvsk"))
-        fit = pearson_fit(CumulantSet(m, v, s * v**1.5, k * v**2))
-        assert fit.family_tag == "beta"
-        assert not fit.reflected
-        oracle = stats.beta(2.0, 5.0).ppf(P_GRID)
-        np.testing.assert_allclose(quantiles(fit), oracle, atol=1e-6)
-
-    def test_beta_branch_reflected(self):
-        # negative skew is handled by fitting the mirrored moments
-        m, v, s, k = (float(x) for x in stats.beta(5.0, 2.0).stats(moments="mvsk"))
-        fit = pearson_fit(CumulantSet(m, v, s * v**1.5, k * v**2))
-        assert fit.family_tag == "beta"
-        assert fit.reflected
-        oracle = stats.beta(5.0, 2.0).ppf(P_GRID)
-        np.testing.assert_allclose(quantiles(fit), oracle, atol=1e-6)
-
-    def test_inverse_gamma_branch(self):
-        # InvGamma(6): mean 1/5, variance 1/100, skew 8/3, excess 19;
-        # these sit exactly on the criterion = 1 line
-        k2 = 0.01
-        fit = pearson_fit(CumulantSet(0.2, k2, (8.0 / 3.0) * k2**1.5, 19.0 * k2**2))
-        assert fit.family_tag == "inverse-gamma"
-        oracle = stats.invgamma(6.0).ppf(P_GRID)
-        np.testing.assert_allclose(quantiles(fit), oracle, atol=1e-6)
-
     def test_beta_prime_branch(self):
         m, v, s, k = (float(x) for x in stats.betaprime(3.0, 9.0).stats(moments="mvsk"))
         fit = pearson_fit(CumulantSet(m, v, s * v**1.5, k * v**2))
@@ -177,17 +146,10 @@ class TestPearsonFamilies:
         oracle = stats.betaprime(3.0, 9.0).ppf(P_GRID)
         np.testing.assert_allclose(quantiles(fit), oracle, atol=1e-6)
 
-    def test_pearson_iv_branch(self):
-        # skewness 1 with excess 3 lands between the beta and beta-prime
-        # regions, where the quadratic has complex roots
-        fit = pearson_fit(CumulantSet(0.0, 1.0, 1.0, 3.0))
-        assert fit.family_tag == "pearson-iv"
-        assert fit.mean == pytest.approx(0.0, abs=1e-12)
-        assert fit.std == pytest.approx(1.0, abs=1e-12)
-        # cdf/quantile round trip through the numeric distribution
-        for p in (0.1, 0.5, 0.9):
-            x = pearson_quantile(fit, p)
-            assert fit.cdf(x) == pytest.approx(p, abs=1e-6)
+    @pytest.mark.parametrize("family", sorted(OTHER_FAMILIES))
+    def test_other_families_rejected(self, family):
+        with pytest.raises(ValueError, match="type VI"):
+            pearson_fit(OTHER_FAMILIES[family])
 
     def test_infeasible_moments_rejected(self):
         with pytest.raises(ValueError, match="feasibility"):
@@ -196,16 +158,16 @@ class TestPearsonFamilies:
 
 class TestPearsonQuantile:
     def test_rejects_bad_probability(self):
-        fit = pearson_fit(CumulantSet(0.0, 1.0, 0.0, 0.0))
+        fit = pearson_fit(cumulants_exact())
         for p in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 pearson_quantile(fit, p)
 
     def test_location_scale_equivariance(self):
-        base = pearson_fit(CumulantSet(0.0, 1.0, 0.0, 0.0))
-        moved = pearson_fit(CumulantSet(3.0, 4.0, 0.0, 0.0))
+        c = cumulants_exact()
+        base = pearson_fit(c)
+        moved = pearson_fit(CumulantSet(3.0 + 2.0 * c.k1, 4.0 * c.k2, 8.0 * c.k3, 16.0 * c.k4))
         for p in (0.1, 0.6, 0.99):
-            # each quantile is bisected to ~1e-8, so allow both errors
             assert pearson_quantile(moved, p) == pytest.approx(
                 3.0 + 2.0 * pearson_quantile(base, p), abs=1e-7
             )
@@ -222,7 +184,6 @@ class TestLimitDistribution:
     def test_family_is_beta_prime(self):
         fit = pearson_fit(cumulants_exact())
         assert fit.family_tag == "beta-prime"
-        assert not fit.reflected
 
     def test_reference_quantiles(self):
         # tabulated to three decimals in the original simulation study
