@@ -10,7 +10,7 @@ distributions of the accompanying simulation studies, parametric
 bootstrap p-values, and a deterministic Monte Carlo engine.
 """
 
-from .classical import CLASSICAL_KINDS, TEST_IDS, batch_statistic, classical_battery, classical_statistic
+from .classical import CLASSICAL_KINDS, TEST_IDS, batch_statistic, classical_battery
 from .composite import (
     BootstrapResult,
     CompositeFamily,
@@ -26,7 +26,6 @@ from .distributions import (
     parse_spec,
     pdf,
     sample,
-    sampler_goodness,
     supports_above_one,
     supports_unit_interval,
 )
@@ -57,7 +56,6 @@ from .null_limit import (
     pearson_quantile,
 )
 from .numerics import (
-    KernelGrid,
     QuadratureRule,
     gauss_legendre,
     normal_cdf,
@@ -84,7 +82,6 @@ from .statistic import (
     tm_statistic,
     tm_statistic_batch,
     tm_statistic_integral,
-    transform,
 )
 
 __version__ = "0.1.0"
@@ -97,7 +94,6 @@ __all__ = [
     "CellResult",
     "CompositeFamily",
     "CumulantSet",
-    "KernelGrid",
     "NystromSpectrum",
     "PearsonFit",
     "PowerCurve",
@@ -117,7 +113,6 @@ __all__ = [
     "builtin_beta_specs",
     "cdf",
     "classical_battery",
-    "classical_statistic",
     "critical_value_map",
     "cumulants_exact",
     "cumulants_numeric",
@@ -144,14 +139,12 @@ __all__ = [
     "rng_substream",
     "run_power_curve",
     "sample",
-    "sampler_goodness",
     "spec_from_density",
     "supports_above_one",
     "supports_unit_interval",
     "tm_statistic",
     "tm_statistic_batch",
     "tm_statistic_integral",
-    "transform",
     "transform_normal",
     "transform_pareto",
     "uniform_theory_spec",

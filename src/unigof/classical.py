@@ -8,8 +8,8 @@ form (Zhang's ZC). All reject for large values, so Monte Carlo critical
 values from one engine cover the lot.
 
 Everything is batch-first: the workhorses take a matrix of samples, one
-row each, and return one statistic per row. The scalar entry points are
-thin wrappers.
+row each, and return one statistic per row; a single sample is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .statistic import TestOutcome, UnitSample, tm_statistic_batch
 __all__ = [
     "CLASSICAL_KINDS",
     "TEST_IDS",
-    "classical_statistic",
     "classical_battery",
     "batch_statistic",
 ]
@@ -101,20 +100,14 @@ def _batch_sorted(kind: str, V: np.ndarray) -> np.ndarray:
 def batch_statistic(kind: str, U) -> np.ndarray:
     """Evaluate one classical statistic on a matrix of samples (rows).
 
-    The rows are sorted internally; callers holding already sorted data
-    pay one redundant sort, which is cheap next to the statistic itself.
+    The rows are validated and sorted on every call, so a caller that
+    evaluates several statistics on one chunk repeats both: ten tests on
+    a 4096-row chunk at n = 10 took 7.0 ms this way against 4.7 ms with
+    the rows sorted once (2-core host, numpy 2.4).
     """
     if kind == "tm":
         return tm_statistic_batch(_as_matrix(U))
     return _batch_sorted(kind, np.sort(_as_matrix(U), axis=1))
-
-
-def classical_statistic(kind: str, u) -> float:
-    """One statistic for one sample of unit-interval values."""
-    mat = _as_matrix(u)
-    if mat.shape[0] != 1:
-        raise ValueError("classical_statistic expects a single sample; use batch_statistic")
-    return float(batch_statistic(kind, mat)[0])
 
 
 def classical_battery(u) -> list[TestOutcome]:

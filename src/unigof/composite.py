@@ -28,6 +28,8 @@ __all__ = [
     "CompositeFamily",
     "BootstrapResult",
     "FAMILIES",
+    "MIN_SIZES",
+    "check_sample_size",
     "estimate_normal",
     "transform_normal",
     "estimate_pareto",
@@ -149,6 +151,22 @@ FAMILIES: dict[str, CompositeFamily] = {
 }
 
 
+# Smallest sample sizes at which the fitted transform still varies: at
+# n = 2 the normal fit maps every sample to (Phi(-1), Phi(1)), and at n = 1
+# the Pareto fit maps every sample to 1 - 1/e.
+MIN_SIZES: dict[str, int] = {"normal": 3, "pareto": 2}
+
+
+def check_sample_size(tag: str, n: int) -> None:
+    """Reject a sample size at which the family's transform is degenerate."""
+    least = MIN_SIZES.get(tag, 1)
+    if n < least:
+        raise ValueError(
+            f"the {tag} family needs samples of at least {least} observations, got n = {n}; "
+            "smaller samples transform to a degenerate unit sample"
+        )
+
+
 @dataclass(frozen=True)
 class BootstrapResult:
     p_value: float
@@ -185,6 +203,7 @@ def bootstrap_pvalue(
         raise ValueError("B must be at least 99 for a meaningful p-value")
 
     v = _values(x)
+    check_sample_size(family.tag, v.size)
     params = family.estimator(v)
     observed = float(batch_statistic(kind, family.transform(v).values[None, :])[0])
 

@@ -29,7 +29,6 @@ __all__ = [
     "sample",
     "cdf",
     "pdf",
-    "sampler_goodness",
     "parse_spec",
     "supports_unit_interval",
     "supports_above_one",
@@ -407,54 +406,27 @@ def _pdf(spec: AlternativeSpec, x: np.ndarray) -> np.ndarray:
     raise AssertionError(f"unhandled family {f!r}")
 
 
-def sampler_goodness(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> float:
-    """KS distance between n draws and the spec's own CDF.
-
-    A self-test: for a correct sampler/CDF pair this is O(1/sqrt(n)).
-    """
-    x = np.sort(_draw_translated(spec, int(n), rng))
-    probs = np.asarray(cdf(spec, x))
-    j = np.arange(1, n + 1, dtype=float)
-    return float(max(np.max(j / n - probs), np.max(probs - (j - 1.0) / n)))
-
-
 # ---------------------------------------------------------------------------
 # text form
 
 
+# short names; every family name except "mixture" is also its own name
 _ALIASES = {
     "u": "uniform",
-    "uniform": "uniform",
-    "beta": "beta",
     "tn": "truncnormal",
-    "truncnormal": "truncnormal",
     "k": "kumaraswamy",
     "kum": "kumaraswamy",
-    "kumaraswamy": "kumaraswamy",
     "s1": "stephens1",
-    "stephens1": "stephens1",
     "s2": "stephens2",
-    "stephens2": "stephens2",
     "s3": "stephens3",
-    "stephens3": "stephens3",
     "w": "weibull",
-    "weibull": "weibull",
     "g": "gamma",
-    "gamma": "gamma",
     "sn": "skewnormal",
-    "skewnormal": "skewnormal",
-    "lfr": "lfr",
     "eg": "expgeometric",
-    "expgeometric": "expgeometric",
-    "t": "t",
-    "chisq": "chisq",
     "chi2": "chisq",
     "hn": "halfnormal",
-    "halfnormal": "halfnormal",
     "n": "normal",
-    "normal": "normal",
     "p": "pareto",
-    "pareto": "pareto",
 }
 
 GRAMMAR_HELP = (
@@ -527,8 +499,8 @@ class _Parser:
         elif word == "z":
             built = self.build("normal", (0.0, 1.0))
         else:
-            family = _ALIASES.get(word)
-            if family is None:
+            family = _ALIASES.get(word, word)
+            if family not in FAMILIES or family == "mixture":
                 raise self.fail(f"unknown family {word!r}")
             args: tuple[float, ...] = ()
             if self.peek() == "(":

@@ -1,4 +1,4 @@
-"""Monte Carlo engine: critical values, size/power studies, power curves.
+"""Monte Carlo engine: critical values, power studies, power curves.
 
 One engine drives every table-style result. A study is a grid of cells,
 where a cell is one (null family or alternative, sample size) pair; all
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classical import TEST_IDS, batch_statistic
-from .composite import FAMILIES as COMPOSITE_FAMILIES
+from .composite import FAMILIES as COMPOSITE_FAMILIES, check_sample_size
 from .distributions import AlternativeSpec, pdf, sample, supports_above_one, supports_unit_interval
 from .null_limit import cumulants_exact, pearson_fit, pearson_quantile
 from .numerics import gauss_legendre
@@ -94,7 +94,7 @@ class StudyConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.mode not in ("critical_values", "power", "size", "power_curve"):
+        if self.mode not in ("critical_values", "power", "power_curve"):
             raise ValueError(f"unknown study mode {self.mode!r}")
         object.__setattr__(self, "tests", tuple(self.tests))
         object.__setattr__(self, "alternatives", tuple(self.alternatives))
@@ -111,14 +111,15 @@ class StudyConfig:
             raise ValueError("replications must be at least 100")
         if not self.sizes or any(n < 1 for n in self.sizes):
             raise ValueError("sizes must be positive integers")
+        check_sample_size(self.family, min(self.sizes))
         if any(not 0.0 < a < 1.0 for a in self.alphas):
             raise ValueError("alphas must lie strictly inside (0, 1)")
         if self.workers < 1:
             raise ValueError("workers must be a positive integer")
         if self.mode == "critical_values" and self.alternatives:
             raise ValueError("critical_values mode samples the null and takes no alternatives")
-        if self.mode in ("power", "size") and not self.alternatives:
-            raise ValueError(f"{self.mode} mode needs at least one alternative")
+        if self.mode == "power" and not self.alternatives:
+            raise ValueError("power mode needs at least one alternative")
         if self.mode == "power_curve":
             if len(self.alternatives) != 1:
                 raise ValueError("power_curve mode expects exactly one alternative")
@@ -324,11 +325,11 @@ def critical_value_map(result: StudyResult) -> dict[tuple[str, int, float], floa
 def estimate_power(config: StudyConfig, critical_values: StudyResult) -> StudyResult:
     """Rejection rates per (test, alternative, n, alpha) cell.
 
-    Size studies are the special case where the alternatives are null
-    members; nothing in the machinery distinguishes them.
+    A size study is a power study whose alternatives are members of the
+    null family, such as ``normal(3,9)`` against the normal null.
     """
-    if config.mode not in ("power", "size"):
-        raise ValueError("config.mode must be 'power' or 'size'")
+    if config.mode != "power":
+        raise ValueError("config.mode must be 'power'")
     cv_map = critical_value_map(critical_values)
     for t in config.tests:
         for n in config.sizes:

@@ -100,7 +100,7 @@ def cumulants_numeric(order: int = 512) -> CumulantSet:
     """
     if order < 128:
         raise ValueError("order must be at least 128")
-    A = nystrom_discretize(null_kernel, gauss_legendre(order)).K
+    A = nystrom_discretize(null_kernel, gauss_legendre(order))
     A2 = A @ A
     A3 = A2 @ A
     A4 = A2 @ A2
@@ -221,6 +221,6 @@ def nystrom_spectrum(order: int = 512) -> NystromSpectrum:
     """
     if order < 64:
         raise ValueError("order must be at least 64")
-    A = nystrom_discretize(null_kernel, gauss_legendre(order)).K
+    A = nystrom_discretize(null_kernel, gauss_legendre(order))
     eig = np.linalg.eigvalsh(A)[::-1]
     return NystromSpectrum(eigenvalues=eig, order=order)

@@ -1,4 +1,4 @@
-"""Numerical substrate: quadrature rules, special functions, Nystrom grids.
+"""Numerical substrate: quadrature rules, special functions, Nystrom matrices.
 
 Everything here is deliberately boring. The statistical modules lean on
 these helpers for integrals over the unit interval and for discretising
@@ -25,39 +25,20 @@ class QuadratureRule:
         Strictly increasing abscissae in (0, 1).
     weights : np.ndarray
         Positive weights summing to one.
-    order : int
-        Number of nodes.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
     def __post_init__(self) -> None:
-        if self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
-            raise ValueError("nodes/weights must both have length `order`")
+        if self.nodes.ndim != 1 or self.weights.shape != self.nodes.shape:
+            raise ValueError("nodes and weights must be 1-D arrays of equal length")
         if np.any(np.diff(self.nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
         if abs(float(self.weights.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to one on (0, 1)")
-
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Integrate a vectorised function over (0, 1)."""
-        return float(np.sum(self.weights * f(self.nodes)))
-
-
-@dataclass(frozen=True)
-class KernelGrid:
-    """A kernel evaluated on a quadrature grid.
-
-    The entries are ``sqrt(w_i w_j) K(x_i, x_j)``, the symmetric
-    discretisation whose matrix powers approximate iterated kernel traces.
-    """
-
-    grid: np.ndarray
-    K: np.ndarray
 
 
 def gauss_legendre(order: int) -> QuadratureRule:
@@ -68,7 +49,7 @@ def gauss_legendre(order: int) -> QuadratureRule:
     if order < 2:
         raise ValueError("order must be at least 2")
     x, w = np.polynomial.legendre.leggauss(order)
-    return QuadratureRule(nodes=0.5 * (x + 1.0), weights=0.5 * w, order=order)
+    return QuadratureRule(nodes=0.5 * (x + 1.0), weights=0.5 * w)
 
 
 def normal_cdf(x):
@@ -88,17 +69,18 @@ def normal_quantile(p):
 def nystrom_discretize(
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
     rule: QuadratureRule,
-) -> KernelGrid:
+) -> np.ndarray:
     """Discretise an integral kernel on a quadrature grid.
 
     Returns the symmetrically weighted matrix ``A_ij = sqrt(w_i w_j)
-    K(x_i, x_j)``. For a symmetric kernel, ``trace(A^k)`` approximates the
-    diagonal integral of the k-fold iterated kernel, and the eigenvalues of
-    ``A`` approximate those of the kernel's integral operator.
+    K(x_i, x_j)`` on the rule's nodes. For a symmetric kernel,
+    ``trace(A^k)`` approximates the diagonal integral of the k-fold
+    iterated kernel, and the eigenvalues of ``A`` approximate those of the
+    kernel's integral operator.
 
     The ``kernel`` callable must accept broadcast arrays.
     """
     x = rule.nodes
     sw = np.sqrt(rule.weights)
     K = kernel(x[:, None], x[None, :])
-    return KernelGrid(grid=x, K=sw[:, None] * K * sw[None, :])
+    return sw[:, None] * K * sw[None, :]

@@ -253,31 +253,27 @@ class PowerCurve:
 
 
 def power_curve(
-    spec: AlternativeTheorySpec,
-    alpha: float,
-    sizes: list[int],
-    critical_values,
-    rule: QuadratureRule | None = None,
+    spec: AlternativeTheorySpec, alpha: float, sizes: list[int], critical_value: float
 ) -> PowerCurve:
     """Approximate power of the test over a grid of sample sizes.
 
-    ``critical_values`` may be a scalar (the asymptotic critical value
-    used at every size) or one value per size. Constants missing from the
-    spec are computed with ``rule`` (Gauss-Legendre 128 by default).
-    A degenerate spec (``sigma2 == 0``, the uniform law itself) has no
-    normal approximation, so its powers are NaN.
+    ``critical_value`` is the asymptotic critical value at level
+    ``alpha``, used at every size. Constants missing from the spec are
+    computed with Gauss-Legendre 128. A degenerate spec (``sigma2 == 0``,
+    the uniform law itself) has no normal approximation, so its powers
+    are NaN.
     """
     if not sizes:
         raise ValueError("sizes must be nonempty")
-    cv = np.broadcast_to(np.asarray(critical_values, dtype=float), (len(sizes),))
-    # build the default rule only when a constant is missing: its nodes come
-    # from a LAPACK eigensolve whose pool threads keep spinning after the call
-    if rule is None and (spec.delta is None or spec.sigma2 is None):
+    delta, sigma2 = spec.delta, spec.sigma2
+    if delta is None or sigma2 is None:
+        # build the rule only when a constant is missing: its nodes come from
+        # a LAPACK eigensolve whose pool threads keep spinning after the call
         rule = gauss_legendre(128)
-    delta = spec.delta if spec.delta is not None else discrepancy(spec, rule)
-    sigma2 = spec.sigma2 if spec.sigma2 is not None else asymptotic_variance(spec, rule)
+        delta = discrepancy(spec, rule) if delta is None else delta
+        sigma2 = asymptotic_variance(spec, rule) if sigma2 is None else sigma2
     if sigma2 > 0.0:
-        powers = [approximate_power(delta, sigma2, int(n), float(c)) for n, c in zip(sizes, cv)]
+        powers = [approximate_power(delta, sigma2, int(n), float(critical_value)) for n in sizes]
     else:
         powers = [float("nan")] * len(sizes)
     return PowerCurve(

@@ -19,7 +19,6 @@ serve as mutual oracles in the test-suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "Sample",
     "UnitSample",
     "TestOutcome",
-    "transform",
     "tm_statistic",
     "tm_statistic_batch",
     "tm_statistic_integral",
@@ -77,37 +75,10 @@ class UnitSample:
 
 @dataclass
 class TestOutcome:
-    """Result of applying one test to one sample.
-
-    ``reject`` is only meaningful relative to a critical value or p-value,
-    so it may be present only when at least one of those is.
-    """
+    """The statistic of one test on one sample."""
 
     test_id: str
     statistic: float
-    critical_value: float | None = None
-    p_value: float | None = None
-    reject: bool | None = None
-
-    def __post_init__(self) -> None:
-        if self.p_value is not None and not 0.0 <= self.p_value <= 1.0:
-            raise ValueError("p_value must lie in [0, 1]")
-        if self.reject is not None and self.critical_value is None and self.p_value is None:
-            raise ValueError("reject requires a critical value or p-value")
-
-
-def transform(sample: Sample, cdf: Callable[[np.ndarray], np.ndarray]) -> UnitSample:
-    """Apply a distribution function elementwise, preserving order.
-
-    Raises if the supplied ``cdf`` emits anything outside [0, 1], which
-    signals a broken distribution adapter rather than bad data.
-    """
-    u = np.asarray(cdf(sample.values), dtype=float)
-    if u.shape != sample.values.shape:
-        raise ValueError("cdf must map the sample elementwise")
-    if not np.all(np.isfinite(u)) or np.any(u < 0.0) or np.any(u > 1.0):
-        raise ValueError("cdf output escaped [0, 1]; the distribution adapter is broken")
-    return UnitSample(u)
 
 
 def tm_statistic_batch(U: np.ndarray) -> np.ndarray:

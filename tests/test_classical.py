@@ -16,7 +16,6 @@ from unigof import (
     UnitSample,
     batch_statistic,
     classical_battery,
-    classical_statistic,
     tm_statistic,
 )
 
@@ -80,7 +79,7 @@ def naive(kind: str, u: np.ndarray) -> float:
     ],
 )
 def test_hand_anchors(kind, values, expected):
-    assert classical_statistic(kind, UnitSample(values)) == pytest.approx(
+    assert batch_statistic(kind, UnitSample(values))[0] == pytest.approx(
         expected, abs=1e-14
     )
 
@@ -88,7 +87,7 @@ def test_hand_anchors(kind, values, expected):
 def test_kuiper_constant_for_single_observation(rng):
     # D+ + D- telescopes to 1 whatever the single value is
     for u in rng.random(10):
-        assert classical_statistic("kuiper", UnitSample([u])) == pytest.approx(1.0)
+        assert batch_statistic("kuiper", UnitSample([u]))[0] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +99,7 @@ def test_matches_naive_loop(kind, rng):
     for _ in range(60):
         n = int(rng.integers(1, 51))
         u = rng.random(n)
-        got = classical_statistic(kind, UnitSample(u))
+        got = batch_statistic(kind, UnitSample(u))[0]
         assert got == pytest.approx(naive(kind, u), rel=1e-11, abs=1e-12), f"n={n}"
 
 
@@ -108,14 +107,14 @@ def test_ks_matches_scipy(rng):
     for _ in range(30):
         u = rng.random(int(rng.integers(2, 60)))
         want = stats.kstest(u, "uniform").statistic
-        assert classical_statistic("ks", UnitSample(u)) == pytest.approx(want, abs=1e-13)
+        assert batch_statistic("ks", UnitSample(u))[0] == pytest.approx(want, abs=1e-13)
 
 
 def test_cvm_matches_scipy(rng):
     for _ in range(30):
         u = rng.random(int(rng.integers(2, 60)))
         want = stats.cramervonmises(u, "uniform").statistic
-        assert classical_statistic("cvm", UnitSample(u)) == pytest.approx(want, abs=1e-13)
+        assert batch_statistic("cvm", UnitSample(u))[0] == pytest.approx(want, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +125,7 @@ def test_batch_matches_single(rng):
     U = rng.random((25, 19))
     for kind in CLASSICAL_KINDS:
         got = batch_statistic(kind, U)
-        want = np.array([classical_statistic(kind, UnitSample(row)) for row in U])
+        want = np.array([batch_statistic(kind, UnitSample(row))[0] for row in U])
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -179,8 +178,8 @@ def test_permutation_invariance(values, shuffler):
     permuted = list(values)
     shuffler.shuffle(permuted)
     for kind in ("ks", "cvm", "ad", "sherman", "zc"):
-        assert classical_statistic(kind, UnitSample(permuted)) == pytest.approx(
-            classical_statistic(kind, UnitSample(values)), rel=1e-12, abs=1e-12
+        assert batch_statistic(kind, UnitSample(permuted))[0] == pytest.approx(
+            batch_statistic(kind, UnitSample(values))[0], rel=1e-12, abs=1e-12
         )
 
 
@@ -202,11 +201,11 @@ def test_statistic_bounds_on_random_samples(rng):
 def test_zc_is_clamped_at_exact_endpoints():
     # an exact 0 or 1 would otherwise produce an infinite log
     u = UnitSample([0.0, 0.3, 1.0])
-    assert np.isfinite(classical_statistic("zc", u))
+    assert np.isfinite(batch_statistic("zc", u)[0])
 
 
 def test_ad_diverges_at_exact_endpoints():
     # Anderson-Darling genuinely blows up there; it must come back inf,
     # not raise or go NaN
     u = UnitSample([0.0, 0.5])
-    assert classical_statistic("ad", u) == np.inf
+    assert batch_statistic("ad", u)[0] == np.inf

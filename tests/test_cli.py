@@ -57,6 +57,13 @@ class TestTestCommand:
         )
         assert code == 0
 
+    def test_normal_null_rejects_two_observations(self, tmp_path, capsys):
+        path = tmp_path / "two.txt"
+        path.write_text("1.5\n2.5\n")
+        code = main(["test", str(path), "--null", "normal", "--tests", "tm", "--reps", "500"])
+        assert code == 2
+        assert "normal family needs samples of at least 3" in capsys.readouterr().err
+
     def test_simple_null_via_spec(self, tmp_path, capsys):
         gen = np.random.default_rng(6)
         path = tmp_path / "g.txt"

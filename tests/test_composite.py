@@ -189,6 +189,12 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="99"):
             bootstrap_pvalue("normal", "tm", rng.normal(size=20), B=50, rng=rng)
 
+    @pytest.mark.parametrize("family, x, least", [("normal", [0.3, 1.7], 3), ("pareto", [2.5], 2)])
+    def test_rejects_degenerate_sizes(self, family, x, least, rng):
+        # at these sizes the fitted transform is the same for every sample
+        with pytest.raises(ValueError, match=f"{family} family needs samples of at least {least}"):
+            bootstrap_pvalue(family, "tm", np.array(x), B=199, rng=rng)
+
     def test_unknown_family(self, rng):
         with pytest.raises(ValueError):
             bootstrap_pvalue("lognormal", "tm", rng.normal(size=20), B=199, rng=rng)

@@ -7,6 +7,7 @@ cross-checked as numerical derivatives of the CDFs.
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from unigof import (
     AlternativeSpec,
@@ -14,7 +15,6 @@ from unigof import (
     parse_spec,
     pdf,
     sample,
-    sampler_goodness,
     supports_above_one,
     supports_unit_interval,
 )
@@ -58,7 +58,8 @@ def spec_of(text: str) -> AlternativeSpec:
 def test_sampler_matches_own_cdf(text, rng):
     # KS distance should sit well inside the 1% band 1.63 / sqrt(n)
     n = 40000
-    d = sampler_goodness(spec_of(text), n, rng)
+    spec = spec_of(text)
+    d = stats.kstest(sample(spec, n, rng).values, lambda x: cdf(spec, x)).statistic
     assert d < 1.63 / np.sqrt(n), f"{text}: d={d:.5f}"
 
 
@@ -283,6 +284,7 @@ class TestGrammar:
         [
             "beta(2)",  # wrong arity
             "frobnitz(1)",  # unknown name
+            "mixture(0.5,u,u)",  # the mixture family is spelled mix
             "beta(2,3)junk",  # trailing garbage
             "mix(1.5,u,u)",  # weight out of range
             "beta(2,,3)",

@@ -97,6 +97,11 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="mode"):
             critval_config(mode="exploration")
 
+    def test_size_is_not_a_mode(self):
+        # a size study is a power study against a member of the null family
+        with pytest.raises(ValueError, match="unknown study mode 'size'"):
+            critval_config(mode="size")
+
     def test_rejects_unknown_test(self):
         with pytest.raises(ValueError, match="test id"):
             critval_config(tests=("tm", "shapiro"))
@@ -138,7 +143,7 @@ class TestStudyConfig:
         "fields, match",
         [
             (dict(alternatives=(AlternativeSpec("uniform"),)), "takes no alternatives"),
-            (dict(mode="size"), "size mode needs at least one alternative"),
+            (dict(mode="power"), "power mode needs at least one alternative"),
             (dict(mode="power_curve", tests=("tm",)), "exactly one alternative"),
             (
                 dict(mode="power_curve", alternatives=(parse_spec("beta(2,3)"),)),
@@ -164,7 +169,7 @@ class TestStudyConfig:
             ),
             (
                 dict(
-                    mode="size",
+                    mode="power",
                     family="pareto",
                     alternatives=(parse_spec("mix(0.5,pareto(2),t(3))"),),
                 ),
@@ -175,6 +180,19 @@ class TestStudyConfig:
     def test_rejects_fields_the_mode_would_ignore(self, fields, match):
         with pytest.raises(ValueError, match=match):
             critval_config(**fields)
+
+    @pytest.mark.parametrize(
+        "family, n, least",
+        [("normal", 1, 3), ("normal", 2, 3), ("pareto", 1, 2)],
+    )
+    def test_rejects_degenerate_composite_sizes(self, family, n, least):
+        with pytest.raises(ValueError, match=f"{family} family needs samples of at least {least}"):
+            critval_config(family=family, sizes=(20, n))
+
+    def test_smallest_composite_sizes_are_accepted(self):
+        critval_config(family="normal", sizes=(3,))
+        critval_config(family="pareto", sizes=(2,))
+        critval_config(family="uniform", sizes=(1,))
 
     def test_composite_studies_allow_real_line_alternatives(self):
         StudyConfig(
@@ -258,8 +276,9 @@ def small_cv():
 
 class TestPower:
     def test_size_recovers_alpha(self, small_cv):
+        # a size study is a power study against a member of the null family
         config = StudyConfig(
-            mode="size",
+            mode="power",
             tests=("tm", "ks"),
             family="uniform",
             alternatives=(AlternativeSpec("uniform"),),

@@ -53,9 +53,8 @@ class TestNullKernel:
     def test_diagonal_integral_is_first_cumulant(self):
         # the diagonal is a quartic polynomial, so a small rule is exact
         rule = gauss_legendre(8)
-        assert rule.integrate(lambda t: null_kernel(t, t)) == pytest.approx(
-            EXACT[0], abs=1e-15
-        )
+        k1 = rule.weights @ null_kernel(rule.nodes, rule.nodes)
+        assert k1 == pytest.approx(EXACT[0], abs=1e-15)
 
     def test_positive_semidefinite_on_grid(self):
         t = np.linspace(0.0, 1.0, 101)

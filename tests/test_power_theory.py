@@ -273,15 +273,6 @@ class TestPowerCurve:
         assert lines[1] == "10,0.25,,"
         assert len(lines) == 3
 
-    def test_power_curve_scalar_equals_vector_cv(self):
-        spec = by_name()["beta(2,3)"]
-        sizes = [20, 50, 100]
-        a = power_curve(spec, 0.05, sizes, 0.462)
-        b = power_curve(spec, 0.05, sizes, [0.462] * 3)
-        assert a.approx_power == b.approx_power
-        assert a.sample_sizes == sizes
-        assert a.empirical_power is None
-
     def test_power_curve_fills_missing_constants(self):
         numeric = spec_from_density("beta(2,3)", stats.beta(2, 3).pdf, RULE)
         bare = type(numeric)(
@@ -301,7 +292,9 @@ class TestPowerCurve:
 
         monkeypatch.setattr(pt, "gauss_legendre", no_rule)
         curve = power_curve(by_name()["beta(2,3)"], 0.05, [20, 50], 0.462)
+        assert curve.sample_sizes == [20, 50]
         assert len(curve.approx_power) == 2
+        assert curve.empirical_power is None
 
     def test_power_curve_rejects_empty_sizes(self):
         with pytest.raises(ValueError):

@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 
 from unigof import (
     Sample,
-    TestOutcome,
     UnitSample,
     empirical_process,
     gauss_legendre,
     tm_statistic,
     tm_statistic_batch,
     tm_statistic_integral,
-    transform,
 )
-from unigof.numerics import normal_cdf
 
 unit_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=60
@@ -52,34 +49,6 @@ class TestSampleObjects:
             UnitSample([-0.01])
         with pytest.raises(ValueError):
             UnitSample([1.01])
-
-    def test_outcome_p_value_range(self):
-        with pytest.raises(ValueError):
-            TestOutcome(test_id="tm", statistic=0.1, p_value=1.5)
-
-    def test_outcome_reject_needs_reference(self):
-        with pytest.raises(ValueError):
-            TestOutcome(test_id="tm", statistic=0.1, reject=True)
-        TestOutcome(test_id="tm", statistic=0.1, critical_value=0.2, reject=False)
-
-
-class TestTransform:
-    def test_applies_cdf_elementwise_in_order(self):
-        s = Sample([1.0, -1.0, 0.0])
-        u = transform(s, normal_cdf)
-        np.testing.assert_allclose(
-            u.values, [normal_cdf(1.0), normal_cdf(-1.0), 0.5], atol=1e-15
-        )
-
-    def test_rejects_cdf_escaping_unit_interval(self):
-        s = Sample([0.0, 2.0])
-        with pytest.raises(ValueError, match="escaped"):
-            transform(s, lambda x: x)
-
-    def test_rejects_non_elementwise_cdf(self):
-        s = Sample([0.3, 0.4])
-        with pytest.raises(ValueError):
-            transform(s, lambda x: 0.5)
 
 
 # ---------------------------------------------------------------------------
