@@ -18,9 +18,10 @@ import sys
 import numpy as np
 
 from .classical import TEST_IDS, batch_statistic
-from .composite import bootstrap_pvalue, transform_normal, transform_pareto
+from .composite import FAMILIES as COMPOSITE_FAMILIES, bootstrap_pvalue
 from .distributions import GRAMMAR_HELP, cdf as spec_cdf, parse_spec
 from .mc import (
+    NULL_FAMILIES,
     StudyConfig,
     critical_value_map,
     estimate_critical_values,
@@ -96,10 +97,8 @@ def _to_unit(args, data: np.ndarray) -> UnitSample:
         if bad.size:
             raise ValueError(f"uniform null needs data in [0, 1]; found {float(bad[0])!r}")
         return UnitSample(data)
-    if null == "normal":
-        return transform_normal(Sample(data))
-    if null == "pareto":
-        return transform_pareto(Sample(data))
+    if null in COMPOSITE_FAMILIES:
+        return COMPOSITE_FAMILIES[null].transform(Sample(data))
     spec = parse_spec(null)  # simple null with a fully specified CDF
     u = np.asarray(spec_cdf(spec, data))
     return UnitSample(u)
@@ -111,12 +110,12 @@ def _critical_values_for(args, tests: tuple[str, ...], n: int) -> dict[tuple[str
     if source == "pearson":
         if tests != ("tm",):
             raise ValueError("--critvals pearson covers only the tm test; use --tests tm or --critvals mc")
-        if args.null in ("normal", "pareto"):
+        if args.null in COMPOSITE_FAMILIES:
             raise ValueError("--critvals pearson applies to simple nulls only; composite nulls need mc")
         c = pearson_quantile(pearson_fit(cumulants_exact()), 1.0 - alpha)
         return {("tm", n, alpha): c}
     if source == "mc":
-        family = args.null if args.null in ("normal", "pareto") else "uniform"
+        family = args.null if args.null in COMPOSITE_FAMILIES else "uniform"
         config = StudyConfig(
             mode="critical_values",
             tests=tests,
@@ -303,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.set_defaults(func=_cmd_test)
 
     p_crit = sub.add_parser("critval", help="tabulate Monte Carlo critical values")
-    p_crit.add_argument("--family", default="uniform", choices=("uniform", "normal", "pareto"))
+    p_crit.add_argument("--family", default="uniform", choices=NULL_FAMILIES)
     p_crit.add_argument("--n", required=True, help="comma-separated sample sizes")
     p_crit.add_argument("--alpha", default="0.1,0.05,0.01")
     p_crit.add_argument("--tests", default="tm")
@@ -315,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.set_defaults(func=_cmd_critval)
 
     p_pow = sub.add_parser("power", help="estimate empirical power against alternatives")
-    p_pow.add_argument("--family", default="uniform", choices=("uniform", "normal", "pareto"))
+    p_pow.add_argument("--family", default="uniform", choices=NULL_FAMILIES)
     p_pow.add_argument("--alt", action="append", required=True, help="alternative spec (repeatable)")
     p_pow.add_argument("--n", default="30,50")
     p_pow.add_argument("--alpha", default="0.05")
@@ -341,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_boot = sub.add_parser("bootstrap", help="parametric bootstrap p-value for composite nulls")
     p_boot.add_argument("data")
-    p_boot.add_argument("--family", required=True, choices=("normal", "pareto"))
+    p_boot.add_argument("--family", required=True, choices=tuple(COMPOSITE_FAMILIES))
     p_boot.add_argument("--test", default="tm", choices=TEST_IDS)
     p_boot.add_argument("-B", type=int, default=1000)
     p_boot.add_argument("--seed", type=int, default=0)

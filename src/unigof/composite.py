@@ -39,7 +39,8 @@ __all__ = [
 
 
 def _values(x) -> np.ndarray:
-    return x.values if isinstance(x, Sample) else np.asarray(x, dtype=float)
+    """The observations of a Sample, or of raw data checked as one."""
+    return (x if isinstance(x, Sample) else Sample(x)).values
 
 
 def estimate_normal(x) -> tuple[float, float]:

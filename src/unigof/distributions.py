@@ -1,21 +1,23 @@
 """Alternative distributions for the power studies, plus a tiny spec grammar.
 
-Seventeen families cover the alternatives that appear in the simulation
-tables: shapes on the unit interval, positive-support lifetime laws, and
-real-line laws for the composite studies. A spec is a frozen value object;
-sampling is pure given an explicit numpy Generator, and every family with
-a tractable distribution function exposes it so samplers can be self-tested
-against their own CDF.
+Each family is declared once, in ``_TABLE``: its arity, its closed support
+``(lo, hi)``, its parameter rule, and its sampler, distribution function and
+density. The seventeen families are shapes on the unit interval, lifetime
+laws on [0, inf) and real-line laws for the composite studies. ``FAMILIES``,
+spec validation, the support tests the studies run, the clip of every CDF to
+its support and the zero density outside it all derive from the table.
+Sampling is pure given an explicit numpy Generator.
 
-Mixtures compose two specs with a per-draw Bernoulli choice, and any spec
-can be translated by one to move positive support onto (1, inf) for the
-Pareto studies. The text form (``beta(2,3)``, ``mix(0.5,z,n(1,9))``,
-``gamma(1)+1``) is what the command line accepts.
+On top of the table, a mixture composes two specs with a per-draw Bernoulli
+choice, and any spec can be translated by one to move positive support onto
+(1, inf) for the Pareto studies. The text form (``beta(2,3)``,
+``mix(0.5,z,n(1,9))``, ``gamma(1)+1``) is what the command line accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import special, stats
@@ -34,43 +36,200 @@ __all__ = [
     "supports_above_one",
 ]
 
+Params = tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One family of alternatives.
+
+    ``valid(params)`` is the parameter check, and a spec that fails it is
+    rejected with ``"<family> <rule>"``. ``draw(params, n, rng)`` returns n
+    draws. ``cdf(params, y)`` and ``pdf(params, y)`` are only called with y
+    inside the closed ``support`` or NaN, and must return NaN at NaN.
+    """
+
+    arity: int
+    support: tuple[float, float]
+    valid: Callable[[Params], bool]
+    rule: str
+    draw: Callable[[Params, int, np.random.Generator], np.ndarray]
+    cdf: Callable[[Params, np.ndarray], np.ndarray]
+    pdf: Callable[[Params, np.ndarray], np.ndarray]
+
+
+_UNIT = (0.0, 1.0)
+_HALF_LINE = (0.0, np.inf)
+_LINE = (-np.inf, np.inf)
+
+
+def _positive(p: Params) -> bool:
+    return all(v > 0.0 for v in p)
+
+
+def _by_half(u: np.ndarray, lower: Callable, upper: Callable) -> np.ndarray:
+    """``lower(u)`` where u <= 1/2 and ``upper(u)`` elsewhere."""
+    low = u <= 0.5
+    out = np.empty(u.size)
+    out[low] = lower(u[low])
+    out[~low] = upper(u[~low])
+    return out
+
+
+def _truncnormal(p: Params):
+    """Mean, standard deviation and the normal CDF at both ends of [0, 1]."""
+    mu, sigma = p[0], np.sqrt(p[1])
+    return mu, sigma, normal_cdf(-mu / sigma), normal_cdf((1.0 - mu) / sigma)
+
+
+def _truncnormal_draw(p, n, rng):
+    mu, sigma, lo, hi = _truncnormal(p)
+    return mu + sigma * normal_quantile(lo + rng.random(n) * (hi - lo))
+
+
+def _truncnormal_cdf(p, y):
+    mu, sigma, lo, hi = _truncnormal(p)
+    return (normal_cdf((y - mu) / sigma) - lo) / (hi - lo)
+
+
+def _truncnormal_pdf(p, y):
+    mu, sigma, lo, hi = _truncnormal(p)
+    return np.exp(-0.5 * ((y - mu) / sigma) ** 2) / (sigma * np.sqrt(2.0 * np.pi) * (hi - lo))
+
+
+def _weibull_pdf(p, y):
+    # zero at the origin, where shapes below one have an infinite density
+    z = np.where(y == 0.0, 1.0, y)
+    return np.where(y == 0.0, 0.0, p[0] * z ** (p[0] - 1.0) * np.exp(-(z ** p[0])))
+
+
+def _skewnormal_draw(p, n, rng):
+    delta = p[0] / np.sqrt(1.0 + p[0] ** 2)
+    z1 = np.abs(rng.standard_normal(n))
+    z2 = rng.standard_normal(n)
+    return delta * z1 + np.sqrt(1.0 - delta * delta) * z2
+
+
+def _lfr_draw(p, n, rng):
+    theta = p[0]
+    haz = -np.log1p(-rng.random(n))
+    if theta == 0.0:
+        return haz
+    return (np.sqrt(1.0 + 2.0 * theta * haz) - 1.0) / theta
+
+
+def _expgeometric_draw(p, n, rng):
+    u = rng.random(n)
+    return np.log((1.0 - p[0] * u) / (1.0 - u))
+
+
+_TABLE: dict[str, _Family] = {
+    "uniform": _Family(0, _UNIT, lambda p: True, "",
+        draw=lambda p, n, rng: rng.random(n),
+        cdf=lambda p, y: y,
+        pdf=lambda p, y: 0.0 * y + 1.0,  # NaN stays NaN
+    ),
+    "beta": _Family(2, _UNIT, _positive, "shapes must be positive",
+        draw=lambda p, n, rng: rng.beta(p[0], p[1], n),
+        cdf=lambda p, y: stats.beta.cdf(y, p[0], p[1]),
+        pdf=lambda p, y: stats.beta.pdf(y, p[0], p[1]),
+    ),
+    "truncnormal": _Family(2, _UNIT, lambda p: p[1] > 0.0, "variance must be positive",
+        draw=_truncnormal_draw, cdf=_truncnormal_cdf, pdf=_truncnormal_pdf,
+    ),
+    "kumaraswamy": _Family(2, _UNIT, _positive, "shapes must be positive",
+        draw=lambda p, n, rng: (1.0 - (1.0 - rng.random(n)) ** (1.0 / p[1])) ** (1.0 / p[0]),
+        cdf=lambda p, y: 1.0 - (1.0 - y ** p[0]) ** p[1],
+        pdf=lambda p, y: p[0] * p[1] * y ** (p[0] - 1.0) * (1.0 - y ** p[0]) ** (p[1] - 1.0),
+    ),
+    "stephens1": _Family(1, _UNIT, _positive, "parameter must be positive",
+        draw=lambda p, n, rng: 1.0 - (1.0 - rng.random(n)) ** (1.0 / p[0]),
+        cdf=lambda p, y: 1.0 - (1.0 - y) ** p[0],
+        pdf=lambda p, y: p[0] * (1.0 - y) ** (p[0] - 1.0),
+    ),
+    "stephens2": _Family(1, _UNIT, _positive, "parameter must be positive",
+        draw=lambda p, n, rng: _by_half(
+            rng.random(n),
+            lambda u: 0.5 * (2.0 * u) ** (1.0 / p[0]),
+            lambda u: 1.0 - 0.5 * (2.0 * (1.0 - u)) ** (1.0 / p[0]),
+        ),
+        cdf=lambda p, y: np.where(
+            y <= 0.5, 0.5 * (2.0 * y) ** p[0], 1.0 - 0.5 * (2.0 * (1.0 - y)) ** p[0]
+        ),
+        pdf=lambda p, y: np.where(
+            y <= 0.5, p[0] * (2.0 * y) ** (p[0] - 1.0), p[0] * (2.0 * (1.0 - y)) ** (p[0] - 1.0)
+        ),
+    ),
+    "stephens3": _Family(1, _UNIT, _positive, "parameter must be positive",
+        draw=lambda p, n, rng: _by_half(
+            rng.random(n),
+            lambda u: 0.5 * (1.0 - (1.0 - 2.0 * u) ** (1.0 / p[0])),
+            lambda u: 0.5 * (1.0 + (2.0 * u - 1.0) ** (1.0 / p[0])),
+        ),
+        # |1 - 2y| keeps fractional powers off negative bases on both halves
+        cdf=lambda p, y: np.where(
+            y <= 0.5,
+            0.5 * (1.0 - np.abs(1.0 - 2.0 * y) ** p[0]),
+            0.5 * (1.0 + np.abs(1.0 - 2.0 * y) ** p[0]),
+        ),
+        pdf=lambda p, y: p[0] * np.abs(1.0 - 2.0 * y) ** (p[0] - 1.0),
+    ),
+    "weibull": _Family(1, _HALF_LINE, _positive, "parameter must be positive",
+        draw=lambda p, n, rng: (-np.log1p(-rng.random(n))) ** (1.0 / p[0]),
+        cdf=lambda p, y: -np.expm1(-(y ** p[0])),
+        pdf=_weibull_pdf,
+    ),
+    "gamma": _Family(1, _HALF_LINE, _positive, "parameter must be positive",
+        draw=lambda p, n, rng: rng.gamma(p[0], 1.0, n),
+        cdf=lambda p, y: stats.gamma.cdf(y, p[0]),
+        pdf=lambda p, y: stats.gamma.pdf(y, p[0]),
+    ),
+    "skewnormal": _Family(1, _LINE, lambda p: True, "",
+        draw=_skewnormal_draw,
+        cdf=lambda p, y: normal_cdf(y) - 2.0 * special.owens_t(y, p[0]),
+        # displayed with a positive exponent in some sources; the density
+        # only integrates to one with exp(-x^2/2)
+        pdf=lambda p, y: np.sqrt(2.0 / np.pi) * np.exp(-0.5 * y * y) * normal_cdf(p[0] * y),
+    ),
+    "lfr": _Family(1, _HALF_LINE, lambda p: p[0] >= 0.0, "slope must be nonnegative",
+        draw=_lfr_draw,
+        cdf=lambda p, y: -np.expm1(-y - 0.5 * p[0] * y * y),
+        pdf=lambda p, y: (1.0 + p[0] * y) * np.exp(-y - 0.5 * p[0] * y * y),
+    ),
+    "expgeometric": _Family(1, _HALF_LINE, lambda p: 0.0 <= p[0] < 1.0, "parameter must lie in [0, 1)",
+        draw=_expgeometric_draw,
+        cdf=lambda p, y: (1.0 - np.exp(-y)) / (1.0 - p[0] * np.exp(-y)),
+        pdf=lambda p, y: (1.0 - p[0]) * np.exp(-y) / (1.0 - p[0] * np.exp(-y)) ** 2,
+    ),
+    "t": _Family(1, _LINE, _positive, "parameter must be positive",
+        draw=lambda p, n, rng: rng.standard_t(p[0], n),
+        cdf=lambda p, y: stats.t.cdf(y, p[0]),
+        pdf=lambda p, y: stats.t.pdf(y, p[0]),
+    ),
+    "chisq": _Family(1, _HALF_LINE, _positive, "parameter must be positive",
+        draw=lambda p, n, rng: rng.chisquare(p[0], n),
+        cdf=lambda p, y: stats.chi2.cdf(y, p[0]),
+        pdf=lambda p, y: stats.chi2.pdf(y, p[0]),
+    ),
+    "halfnormal": _Family(1, _HALF_LINE, _positive, "parameter must be positive",
+        draw=lambda p, n, rng: p[0] * np.abs(rng.standard_normal(n)),
+        cdf=lambda p, y: 2.0 * normal_cdf(y / p[0]) - 1.0,
+        pdf=lambda p, y: np.sqrt(2.0 / (np.pi * p[0] ** 2)) * np.exp(-y * y / (2.0 * p[0] ** 2)),
+    ),
+    "normal": _Family(2, _LINE, lambda p: p[1] > 0.0, "variance must be positive",
+        draw=lambda p, n, rng: p[0] + np.sqrt(p[1]) * rng.standard_normal(n),
+        cdf=lambda p, y: normal_cdf((y - p[0]) / np.sqrt(p[1])),
+        pdf=lambda p, y: np.exp(-0.5 * (y - p[0]) ** 2 / p[1]) / np.sqrt(2.0 * np.pi * p[1]),
+    ),
+    "pareto": _Family(1, (1.0, np.inf), _positive, "parameter must be positive",
+        draw=lambda p, n, rng: (1.0 - rng.random(n)) ** (-1.0 / p[0]),
+        cdf=lambda p, y: 1.0 - y ** (-p[0]),
+        pdf=lambda p, y: p[0] * y ** (-p[0] - 1.0),
+    ),
+}
+
 # family tag -> number of parameters
-FAMILIES: dict[str, int] = {
-    "uniform": 0,
-    "beta": 2,
-    "truncnormal": 2,
-    "kumaraswamy": 2,
-    "stephens1": 1,
-    "stephens2": 1,
-    "stephens3": 1,
-    "weibull": 1,
-    "gamma": 1,
-    "skewnormal": 1,
-    "lfr": 1,
-    "expgeometric": 1,
-    "t": 1,
-    "chisq": 1,
-    "halfnormal": 1,
-    "normal": 2,
-    "pareto": 1,
-    "mixture": 0,
-}
-
-# families whose support is contained in the unit interval
-_UNIT_FAMILIES = {
-    "uniform",
-    "beta",
-    "truncnormal",
-    "kumaraswamy",
-    "stephens1",
-    "stephens2",
-    "stephens3",
-}
-
-# families whose support is contained in [0, inf), besides pareto's [1, inf)
-_NONNEGATIVE_FAMILIES = _UNIT_FAMILIES | {
-    "weibull", "gamma", "lfr", "expgeometric", "chisq", "halfnormal"
-}
+FAMILIES: dict[str, int] = {tag: family.arity for tag, family in _TABLE.items()} | {"mixture": 0}
 
 
 @dataclass(frozen=True)
@@ -103,32 +262,14 @@ class AlternativeSpec:
             return
         if self.mixture is not None:
             raise ValueError("only family='mixture' may carry a mixture triple")
-        if len(self.params) != FAMILIES[self.family]:
+        family = _TABLE[self.family]
+        if len(self.params) != family.arity:
             raise ValueError(
-                f"family {self.family!r} takes {FAMILIES[self.family]} parameter(s), "
+                f"family {self.family!r} takes {family.arity} parameter(s), "
                 f"got {len(self.params)}"
             )
-        self._validate_params()
-
-    def _validate_params(self) -> None:
-        f, p = self.family, self.params
-        if f in ("beta", "kumaraswamy"):
-            if p[0] <= 0.0 or p[1] <= 0.0:
-                raise ValueError(f"{f} shapes must be positive")
-        elif f in ("truncnormal", "normal"):
-            if p[1] <= 0.0:
-                raise ValueError(f"{f} variance must be positive")
-        elif f in ("stephens1", "stephens2", "stephens3", "weibull", "gamma",
-                   "t", "chisq", "halfnormal", "pareto"):
-            if p[0] <= 0.0:
-                raise ValueError(f"{f} parameter must be positive")
-        elif f == "lfr":
-            if p[0] < 0.0:
-                raise ValueError("lfr slope must be nonnegative")
-        elif f == "expgeometric":
-            if not 0.0 <= p[0] < 1.0:
-                raise ValueError("expgeometric parameter must lie in [0, 1)")
-        # skewnormal shape may be any real
+        if not family.valid(self.params):
+            raise ValueError(f"{self.family} {family.rule}")
 
     def label(self) -> str:
         if self.family == "mixture":
@@ -141,269 +282,86 @@ class AlternativeSpec:
         return core + ("+1" if self.translate_by_one else "")
 
 
+def _support(spec: AlternativeSpec) -> tuple[float, float]:
+    """Closed interval holding every draw: a mixture's hull, shifted for +1."""
+    if spec.family == "mixture":
+        _, a, b = spec.mixture
+        (a_lo, a_hi), (b_lo, b_hi) = _support(a), _support(b)
+        lo, hi = min(a_lo, b_lo), max(a_hi, b_hi)
+    else:
+        lo, hi = _TABLE[spec.family].support
+    return (lo + 1.0, hi + 1.0) if spec.translate_by_one else (lo, hi)
+
+
 def supports_unit_interval(spec: AlternativeSpec) -> bool:
     """True when every draw from the spec lands in [0, 1]."""
-    if spec.translate_by_one:
-        return False
-    if spec.family == "mixture":
-        _, a, b = spec.mixture
-        return supports_unit_interval(a) and supports_unit_interval(b)
-    return spec.family in _UNIT_FAMILIES
-
-
-def _support_floor(spec: AlternativeSpec) -> float:
-    if spec.family == "mixture":
-        _, a, b = spec.mixture
-        floor = min(_support_floor(a), _support_floor(b))
-    elif spec.family == "pareto":
-        floor = 1.0
-    elif spec.family in _NONNEGATIVE_FAMILIES:
-        floor = 0.0
-    else:
-        floor = -np.inf
-    return floor + 1.0 if spec.translate_by_one else floor
+    lo, hi = _support(spec)
+    return lo >= 0.0 and hi <= 1.0
 
 
 def supports_above_one(spec: AlternativeSpec) -> bool:
     """True when every draw from the spec lands in [1, inf), the Pareto null's support."""
-    return _support_floor(spec) >= 1.0
+    return _support(spec)[0] >= 1.0
 
 
 def _draw(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    f, p = spec.family, spec.params
-    if f == "mixture":
+    if spec.family == "mixture":
         w, a, b = spec.mixture
         take_a = rng.random(n) < w
         out = np.empty(n)
         n_a = int(take_a.sum())
         if n_a:
-            out[take_a] = _draw_translated(a, n_a, rng)
+            out[take_a] = _draw(a, n_a, rng)
         if n - n_a:
-            out[~take_a] = _draw_translated(b, n - n_a, rng)
-        return out
-    if f == "uniform":
-        return rng.random(n)
-    if f == "beta":
-        return rng.beta(p[0], p[1], n)
-    if f == "truncnormal":
-        mu, sigma = p[0], np.sqrt(p[1])
-        lo = normal_cdf(-mu / sigma)
-        hi = normal_cdf((1.0 - mu) / sigma)
-        return mu + sigma * normal_quantile(lo + rng.random(n) * (hi - lo))
-    if f == "kumaraswamy":
-        a, b = p
-        return (1.0 - (1.0 - rng.random(n)) ** (1.0 / b)) ** (1.0 / a)
-    if f == "stephens1":
-        return 1.0 - (1.0 - rng.random(n)) ** (1.0 / p[0])
-    if f == "stephens2":
-        u = rng.random(n)
-        k = p[0]
-        lower = u <= 0.5
-        out = np.empty(n)
-        out[lower] = 0.5 * (2.0 * u[lower]) ** (1.0 / k)
-        out[~lower] = 1.0 - 0.5 * (2.0 * (1.0 - u[~lower])) ** (1.0 / k)
-        return out
-    if f == "stephens3":
-        u = rng.random(n)
-        k = p[0]
-        lower = u <= 0.5
-        out = np.empty(n)
-        out[lower] = 0.5 * (1.0 - (1.0 - 2.0 * u[lower]) ** (1.0 / k))
-        out[~lower] = 0.5 * (1.0 + (2.0 * u[~lower] - 1.0) ** (1.0 / k))
-        return out
-    if f == "weibull":
-        return (-np.log1p(-rng.random(n))) ** (1.0 / p[0])
-    if f == "gamma":
-        return rng.gamma(p[0], 1.0, n)
-    if f == "skewnormal":
-        delta = p[0] / np.sqrt(1.0 + p[0] ** 2)
-        z1 = np.abs(rng.standard_normal(n))
-        z2 = rng.standard_normal(n)
-        return delta * z1 + np.sqrt(1.0 - delta * delta) * z2
-    if f == "lfr":
-        theta = p[0]
-        haz = -np.log1p(-rng.random(n))
-        if theta == 0.0:
-            return haz
-        return (np.sqrt(1.0 + 2.0 * theta * haz) - 1.0) / theta
-    if f == "expgeometric":
-        u = rng.random(n)
-        return np.log((1.0 - p[0] * u) / (1.0 - u))
-    if f == "t":
-        return rng.standard_t(p[0], n)
-    if f == "chisq":
-        return rng.chisquare(p[0], n)
-    if f == "halfnormal":
-        return p[0] * np.abs(rng.standard_normal(n))
-    if f == "normal":
-        return p[0] + np.sqrt(p[1]) * rng.standard_normal(n)
-    if f == "pareto":
-        return (1.0 - rng.random(n)) ** (-1.0 / p[0])
-    raise AssertionError(f"unhandled family {f!r}")
-
-
-def _draw_translated(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    x = _draw(spec, n, rng)
-    return x + 1.0 if spec.translate_by_one else x
+            out[~take_a] = _draw(b, n - n_a, rng)
+    else:
+        out = _TABLE[spec.family].draw(spec.params, n, rng)
+    return out + 1.0 if spec.translate_by_one else out
 
 
 def sample(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> Sample:
     """Draw n independent observations from the spec."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return Sample(_draw_translated(spec, int(n), rng))
+    return Sample(_draw(spec, int(n), rng))
 
 
 def cdf(spec: AlternativeSpec, x) -> np.ndarray | float:
     """Distribution function of the spec, vectorised over x."""
     x = np.asarray(x, dtype=float)
-    out = _cdf(spec, x - 1.0 if spec.translate_by_one else x)
+    if spec.translate_by_one:
+        x = x - 1.0
+    if spec.family == "mixture":
+        w, a, b = spec.mixture
+        out = w * np.asarray(cdf(a, x)) + (1.0 - w) * np.asarray(cdf(b, x))
+    else:
+        family = _TABLE[spec.family]
+        lo, hi = family.support
+        # unlike np.clip, np.maximum turns -0.0 into 0.0, so no CDF value is -0.0
+        out = family.cdf(spec.params, np.minimum(np.maximum(x, lo), hi))
     out = np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
-def _cdf(spec: AlternativeSpec, x: np.ndarray) -> np.ndarray:
-    f, p = spec.family, spec.params
-    if f == "mixture":
-        w, a, b = spec.mixture
-        return w * np.asarray(cdf(a, x)) + (1.0 - w) * np.asarray(cdf(b, x))
-    if f == "uniform":
-        return np.clip(x, 0.0, 1.0)
-    if f == "beta":
-        return stats.beta.cdf(x, p[0], p[1])
-    if f == "truncnormal":
-        mu, sigma = p[0], np.sqrt(p[1])
-        lo = normal_cdf(-mu / sigma)
-        hi = normal_cdf((1.0 - mu) / sigma)
-        z = normal_cdf((np.clip(x, 0.0, 1.0) - mu) / sigma)
-        return (z - lo) / (hi - lo)
-    if f == "kumaraswamy":
-        a, b = p
-        y = np.clip(x, 0.0, 1.0)
-        return 1.0 - (1.0 - y ** a) ** b
-    if f == "stephens1":
-        y = np.clip(x, 0.0, 1.0)
-        return 1.0 - (1.0 - y) ** p[0]
-    if f == "stephens2":
-        y = np.clip(x, 0.0, 1.0)
-        k = p[0]
-        return np.where(y <= 0.5, 0.5 * (2.0 * y) ** k, 1.0 - 0.5 * (2.0 * (1.0 - y)) ** k)
-    if f == "stephens3":
-        y = np.clip(x, 0.0, 1.0)
-        k = p[0]
-        # keep fractional powers off negative bases in the unused branch
-        lo = np.maximum(1.0 - 2.0 * y, 0.0)
-        hi = np.maximum(2.0 * y - 1.0, 0.0)
-        return np.where(y <= 0.5, 0.5 * (1.0 - lo**k), 0.5 * (1.0 + hi**k))
-    if f == "weibull":
-        y = np.maximum(x, 0.0)
-        return -np.expm1(-(y ** p[0]))
-    if f == "gamma":
-        return stats.gamma.cdf(x, p[0])
-    if f == "skewnormal":
-        return normal_cdf(x) - 2.0 * special.owens_t(x, p[0])
-    if f == "lfr":
-        y = np.maximum(x, 0.0)
-        return -np.expm1(-y - 0.5 * p[0] * y * y)
-    if f == "expgeometric":
-        y = np.maximum(x, 0.0)
-        e = np.exp(-y)
-        return (1.0 - e) / (1.0 - p[0] * e)
-    if f == "t":
-        return stats.t.cdf(x, p[0])
-    if f == "chisq":
-        return stats.chi2.cdf(x, p[0])
-    if f == "halfnormal":
-        y = np.maximum(x, 0.0)
-        return 2.0 * normal_cdf(y / p[0]) - 1.0
-    if f == "normal":
-        return normal_cdf((x - p[0]) / np.sqrt(p[1]))
-    if f == "pareto":
-        y = np.maximum(x, 1.0)
-        return 1.0 - y ** (-p[0])
-    raise AssertionError(f"unhandled family {f!r}")
-
-
 def pdf(spec: AlternativeSpec, x) -> np.ndarray | float:
-    """Density of the spec, vectorised over x. Zero outside the support."""
+    """Density of the spec, vectorised over x. Zero outside the support, NaN at NaN."""
     x = np.asarray(x, dtype=float)
-    out = _pdf(spec, x - 1.0 if spec.translate_by_one else x)
-    return float(out) if out.ndim == 0 else out
-
-
-def _pdf(spec: AlternativeSpec, x: np.ndarray) -> np.ndarray:
-    f, p = spec.family, spec.params
-    if f == "mixture":
+    if spec.translate_by_one:
+        x = x - 1.0
+    if spec.family == "mixture":
         w, a, b = spec.mixture
-        return w * np.asarray(pdf(a, x)) + (1.0 - w) * np.asarray(pdf(b, x))
-    if f == "uniform":
-        return np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0)
-    if f == "beta":
-        return stats.beta.pdf(x, p[0], p[1])
-    if f == "truncnormal":
-        mu, sigma = p[0], np.sqrt(p[1])
-        lo = normal_cdf(-mu / sigma)
-        hi = normal_cdf((1.0 - mu) / sigma)
-        inside = (x >= 0.0) & (x <= 1.0)
-        dens = np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * np.sqrt(2.0 * np.pi) * (hi - lo))
-        return np.where(inside, dens, 0.0)
-    if f == "kumaraswamy":
-        a, b = p
-        inside = (x >= 0.0) & (x <= 1.0)
-        y = np.where(inside, x, 0.5)
-        return np.where(inside, a * b * y ** (a - 1.0) * (1.0 - y ** a) ** (b - 1.0), 0.0)
-    if f == "stephens1":
-        inside = (x >= 0.0) & (x <= 1.0)
-        y = np.where(inside, x, 0.5)
-        return np.where(inside, p[0] * (1.0 - y) ** (p[0] - 1.0), 0.0)
-    if f == "stephens2":
-        k = p[0]
-        inside = (x >= 0.0) & (x <= 1.0)
-        y = np.where(inside, x, 0.25)
-        dens = np.where(y <= 0.5, k * (2.0 * y) ** (k - 1.0), k * (2.0 * (1.0 - y)) ** (k - 1.0))
-        return np.where(inside, dens, 0.0)
-    if f == "stephens3":
-        k = p[0]
-        inside = (x >= 0.0) & (x <= 1.0)
-        y = np.where(inside, x, 0.25)
-        dens = np.where(y <= 0.5, k * (1.0 - 2.0 * y) ** (k - 1.0), k * (2.0 * y - 1.0) ** (k - 1.0))
-        return np.where(inside, dens, 0.0)
-    if f == "weibull":
-        inside = x > 0.0
-        y = np.where(inside, x, 1.0)
-        return np.where(inside, p[0] * y ** (p[0] - 1.0) * np.exp(-(y ** p[0])), 0.0)
-    if f == "gamma":
-        return stats.gamma.pdf(x, p[0])
-    if f == "skewnormal":
-        # displayed with a positive exponent in some sources; the density
-        # only integrates to one with exp(-x^2/2)
-        return np.sqrt(2.0 / np.pi) * np.exp(-0.5 * x * x) * normal_cdf(p[0] * x)
-    if f == "lfr":
-        inside = x >= 0.0
-        y = np.where(inside, x, 0.0)
-        return np.where(inside, (1.0 + p[0] * y) * np.exp(-y - 0.5 * p[0] * y * y), 0.0)
-    if f == "expgeometric":
-        inside = x >= 0.0
-        y = np.where(inside, x, 0.0)
-        e = np.exp(-y)
-        return np.where(inside, (1.0 - p[0]) * e / (1.0 - p[0] * e) ** 2, 0.0)
-    if f == "t":
-        return stats.t.pdf(x, p[0])
-    if f == "chisq":
-        return stats.chi2.pdf(x, p[0])
-    if f == "halfnormal":
-        inside = x >= 0.0
-        return np.where(
-            inside, np.sqrt(2.0 / (np.pi * p[0] ** 2)) * np.exp(-x * x / (2.0 * p[0] ** 2)), 0.0
-        )
-    if f == "normal":
-        v = p[1]
-        return np.exp(-0.5 * (x - p[0]) ** 2 / v) / np.sqrt(2.0 * np.pi * v)
-    if f == "pareto":
-        inside = x >= 1.0
-        y = np.where(inside, x, 1.0)
-        return np.where(inside, p[0] * y ** (-p[0] - 1.0), 0.0)
-    raise AssertionError(f"unhandled family {f!r}")
+        out = w * np.asarray(pdf(a, x)) + (1.0 - w) * np.asarray(pdf(b, x))
+    else:
+        family = _TABLE[spec.family]
+        lo, hi = family.support
+        outside = (x < lo) | (x > hi)
+        if outside.any():
+            # the formula sees an inner point where x is outside: a quarter of
+            # the way in (stephens3 with k < 1 is infinite at the middle), or one
+            # unit in from a finite lower end; in-support grids are not copied
+            x = np.where(outside, lo + 0.25 * (hi - lo) if hi < np.inf else lo + 1.0, x)
+        out = np.where(outside, 0.0, family.pdf(spec.params, x))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

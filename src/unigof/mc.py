@@ -45,6 +45,7 @@ __all__ = [
     "StudyResult",
     "CellResult",
     "STREAM_SCHEME",
+    "NULL_FAMILIES",
     "rng_substream",
     "estimate_critical_values",
     "estimate_power",
@@ -62,7 +63,7 @@ STREAM_SCHEME = 2
 # Part of the stream rule: changing it changes every Monte Carlo number and
 # needs a STREAM_SCHEME bump.
 _CHUNK = 4096
-_NULL_FAMILIES = ("uniform", "normal", "pareto")
+NULL_FAMILIES = ("uniform",) + tuple(COMPOSITE_FAMILIES)
 
 
 def rng_substream(master_seed: int, *indices: int) -> np.random.Generator:
@@ -105,8 +106,8 @@ class StudyConfig:
                 raise ValueError(f"unknown test id {t!r}; expected one of {TEST_IDS}")
         if not self.tests:
             raise ValueError("at least one test id is required")
-        if self.family not in _NULL_FAMILIES:
-            raise ValueError(f"family must be one of {_NULL_FAMILIES}")
+        if self.family not in NULL_FAMILIES:
+            raise ValueError(f"family must be one of {NULL_FAMILIES}")
         if self.replications < 100:
             raise ValueError("replications must be at least 100")
         if not self.sizes or any(n < 1 for n in self.sizes):
@@ -348,15 +349,9 @@ def estimate_power(config: StudyConfig, critical_values: StudyResult) -> StudyRe
 
 def theory_spec_for(alt: AlternativeSpec) -> AlternativeTheorySpec:
     """Match an alternative to its theory spec, or build one numerically."""
-    if alt.family == "uniform" and not alt.translate_by_one:
-        return uniform_theory_spec()
-    for spec in builtin_beta_specs():
-        if (
-            alt.family == "beta"
-            and not alt.translate_by_one
-            and spec.name == f"beta({alt.params[0]:g},{alt.params[1]:g})"
-        ):
-            return spec
+    closed_form = {s.name: s for s in (uniform_theory_spec(), *builtin_beta_specs())}
+    if alt.label() in closed_form:
+        return closed_form[alt.label()]
     if not supports_unit_interval(alt):
         raise ValueError(
             f"no fixed-alternative theory for {alt.label()}: support is not the unit interval"

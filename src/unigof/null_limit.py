@@ -126,14 +126,6 @@ class PearsonFit:
     source_moments: tuple[float, float, float, float]
     _dist: object = field(repr=False)
 
-    @property
-    def mean(self) -> float:
-        return self.source_moments[0]
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.source_moments[1])
-
     def cdf(self, x: float) -> float:
         """Distribution function of the fitted family at a point."""
         return float(self._dist.cdf(x))

@@ -44,13 +44,9 @@ class Sample:
     def __post_init__(self) -> None:
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if self.values.ndim != 1 or self.values.size < 1:
-            raise ValueError("a sample needs at least one observation")
+            raise ValueError("sample must be one-dimensional with at least one observation")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("sample values must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
 
 @dataclass
@@ -62,15 +58,11 @@ class UnitSample:
     def __post_init__(self) -> None:
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if self.values.ndim != 1 or self.values.size < 1:
-            raise ValueError("a unit sample needs at least one observation")
+            raise ValueError("unit sample must be one-dimensional with at least one observation")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("unit sample values must be finite")
         if np.any(self.values < 0.0) or np.any(self.values > 1.0):
             raise ValueError("unit sample values must lie in [0, 1]")
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
 
 @dataclass

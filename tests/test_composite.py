@@ -108,6 +108,35 @@ class TestParetoEstimation:
 
 
 # ---------------------------------------------------------------------------
+# raw data is checked as a Sample before any estimation
+
+
+def _bootstrap(family):
+    return lambda x: bootstrap_pvalue(family, "tm", x, B=99, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [estimate_normal, transform_normal, _bootstrap("normal"),
+     estimate_pareto, transform_pareto, _bootstrap("pareto")],
+    ids=["estimate_normal", "transform_normal", "bootstrap_normal",
+         "estimate_pareto", "transform_pareto", "bootstrap_pareto"],
+)
+@pytest.mark.parametrize(
+    "data, why",
+    [
+        ([1.5, np.nan, 2.0, 3.1], "values must be finite"),
+        ([1.5, np.inf, 2.0, 3.1], "values must be finite"),
+        (np.full((3, 4), 2.0), "must be one-dimensional"),
+    ],
+    ids=["nan", "inf", "matrix"],
+)
+def test_raw_data_fails_as_a_sample(call, data, why):
+    with pytest.raises(ValueError, match=rf"^sample {why}"):
+        call(data)
+
+
+# ---------------------------------------------------------------------------
 # pivotality: the transformed null distribution ignores the parameters
 
 

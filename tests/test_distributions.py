@@ -18,7 +18,7 @@ from unigof import (
     supports_above_one,
     supports_unit_interval,
 )
-from unigof.distributions import FAMILIES
+from unigof.distributions import _ALIASES, FAMILIES, GRAMMAR_HELP, _support
 
 # one representative per family, plus decorated composites
 CATALOG = [
@@ -75,6 +75,43 @@ def test_every_family_appears_in_catalog():
     for text in CATALOG:
         visit(spec_of(text))
     assert covered == set(FAMILIES)
+
+
+# one spec per family, so a family added without a case here fails
+TABLE_CASES = [
+    "uniform", "beta(0.5,0.5)", "tn(0.25,0.5)", "kum(0.5,2.5)", "s1(0.7)", "s2(0.6)",
+    "s3(2)", "weibull(0.8)", "gamma(0.7)", "sn(2.5)", "lfr(0.5)", "eg(0.3)", "t(5)",
+    "chisq(5)", "hn(1)", "normal(1,9)", "pareto(2)",
+]
+
+
+def test_table_cases_cover_every_family():
+    assert {spec_of(text).family for text in TABLE_CASES} == set(FAMILIES) - {"mixture"}
+
+
+@pytest.mark.parametrize("text", TABLE_CASES + ["gamma(0.8)+1", "mix(0.5,s3(0.5),eg(0.3)+1)"])
+def test_laws_respect_the_declared_support(text, rng):
+    spec = spec_of(text)
+    lo, hi = _support(spec)
+    draws = sample(spec, 5000, rng).values
+    assert np.all((draws >= lo) & (draws <= hi))
+    outside = []
+    if np.isfinite(lo):
+        assert np.all(np.asarray(cdf(spec, [-np.inf, lo - 1.0, np.nextafter(lo, -np.inf), lo])) == 0.0)
+        outside += [-np.inf, lo - 1.0, np.nextafter(lo, -np.inf)]
+    if np.isfinite(hi):
+        assert np.all(np.asarray(cdf(spec, [hi, np.nextafter(hi, np.inf), hi + 1.0, np.inf])) == 1.0)
+        outside += [np.nextafter(hi, np.inf), hi + 1.0, np.inf]
+    assert np.all(np.asarray(pdf(spec, outside)) == 0.0)
+    assert np.isnan(pdf(spec, np.nan))
+
+
+def test_grammar_help_names_every_family():
+    listed = GRAMMAR_HELP.split("names: ")[1].split(";")[0]
+    named = {word for entry in listed.split(", ") for word in entry.split("(")[0].split("|")}
+    for family in set(FAMILIES) - {"mixture"}:
+        aliases = {alias for alias, target in _ALIASES.items() if target == family}
+        assert named & ({family} | aliases), family
 
 
 def test_sampling_is_deterministic_given_generator(rng):
@@ -198,6 +235,11 @@ class TestSpecValidation:
             AlternativeSpec("beta", (-1.0, 2.0))
         with pytest.raises(ValueError):
             AlternativeSpec("normal", (0.0, 0.0))
+
+    @pytest.mark.parametrize("params", [(np.nan, 2.0), (2.0, np.nan)])
+    def test_nan_shape_rejected(self, params):
+        with pytest.raises(ValueError, match="^beta shapes must be positive$"):
+            AlternativeSpec("beta", params)
 
     def test_expgeometric_parameter_range(self):
         AlternativeSpec("expgeometric", (0.0,))

@@ -27,7 +27,7 @@ unit_lists = st.lists(
 class TestSampleObjects:
     def test_sample_accepts_list(self):
         s = Sample([1.0, -2.0, 3.5])
-        assert s.n == 3
+        assert s.values.size == 3
 
     def test_sample_rejects_nonfinite(self):
         with pytest.raises(ValueError):
