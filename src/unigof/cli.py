@@ -93,9 +93,6 @@ def _parse_size_range(raw: str) -> tuple[int, ...]:
 def _to_unit(args, data: np.ndarray) -> UnitSample:
     null = args.null
     if null == "uniform":
-        bad = data[(data < 0.0) | (data > 1.0)]
-        if bad.size:
-            raise ValueError(f"uniform null needs data in [0, 1]; found {float(bad[0])!r}")
         return UnitSample(data)
     if null in COMPOSITE_FAMILIES:
         return COMPOSITE_FAMILIES[null].transform(Sample(data))
@@ -104,35 +101,38 @@ def _to_unit(args, data: np.ndarray) -> UnitSample:
     return UnitSample(u)
 
 
-def _critical_values_for(args, tests: tuple[str, ...], n: int) -> dict[tuple[str, int, float], float]:
-    source = args.critvals
-    alpha = args.alpha
-    if source == "pearson":
-        if tests != ("tm",):
-            raise ValueError("--critvals pearson covers only the tm test; use --tests tm or --critvals mc")
-        if args.null in COMPOSITE_FAMILIES:
-            raise ValueError("--critvals pearson applies to simple nulls only; composite nulls need mc")
-        c = pearson_quantile(pearson_fit(cumulants_exact()), 1.0 - alpha)
-        return {("tm", n, alpha): c}
-    if source == "mc":
-        family = args.null if args.null in COMPOSITE_FAMILIES else "uniform"
+def _critical_values(args, source, family: str, tests, sizes, alphas, reps: int):
+    """Critical values for every (test, n, alpha) cell under ``family``'s null.
+
+    Read from the study CSV at ``source``, or simulated with ``reps``
+    replications when ``source`` is None. A CSV whose rows were simulated
+    under another null, or that lacks a cell, is rejected.
+    """
+    if source is None:
         config = StudyConfig(
             mode="critical_values",
             tests=tests,
             family=family,
             alternatives=(),
-            sizes=(n,),
-            alphas=(alpha,),
-            replications=args.reps,
+            sizes=sizes,
+            alphas=alphas,
+            replications=reps,
             master_seed=args.seed,
             workers=args.workers,
         )
-        return critical_value_map(estimate_critical_values(config))
-    table = critical_value_map(read_study_csv(source))
+        return estimate_critical_values(config)
+    result = read_study_csv(source)
+    for r in result.rows:
+        if r.alternative != family:
+            raise ValueError(f"{source}: rows are for {r.alternative}, not the {family} null; "
+                             "critical values must come from the same null family")
+    table = critical_value_map(result)
     for t in tests:
-        if (t, n, alpha) not in table:
-            raise ValueError(f"{source}: no critical value for test={t}, n={n}, alpha={alpha:g}")
-    return table
+        for n in sizes:
+            for a in alphas:
+                if (t, n, a) not in table:
+                    raise ValueError(f"{source}: no critical value for test={t}, n={n}, alpha={a:g}")
+    return result
 
 
 def _cmd_test(args) -> int:
@@ -140,7 +140,16 @@ def _cmd_test(args) -> int:
     unit = _to_unit(args, data)
     tests = _parse_id_list(args.tests, TEST_IDS, "test id")
     n = unit.values.size
-    cv = _critical_values_for(args, tests, n)
+    if args.critvals == "pearson":
+        if tests != ("tm",):
+            raise ValueError("--critvals pearson covers only the tm test; use --tests tm or --critvals mc")
+        if args.null in COMPOSITE_FAMILIES:
+            raise ValueError("--critvals pearson applies to simple nulls only; composite nulls need mc")
+        cv = {("tm", n, args.alpha): pearson_quantile(pearson_fit(cumulants_exact()), 1.0 - args.alpha)}
+    else:
+        family = args.null if args.null in COMPOSITE_FAMILIES else "uniform"
+        source = None if args.critvals == "mc" else args.critvals
+        cv = critical_value_map(_critical_values(args, source, family, tests, (n,), (args.alpha,), args.reps))
 
     decision_test = "tm" if "tm" in tests else tests[0]
     exit_code = 0
@@ -192,21 +201,7 @@ def _cmd_power(args) -> int:
         master_seed=args.seed,
         workers=args.workers,
     )
-    if args.critvals:
-        cv_result = read_study_csv(args.critvals)
-    else:
-        cv_config = StudyConfig(
-            mode="critical_values",
-            tests=tests,
-            family=args.family,
-            alternatives=(),
-            sizes=sizes,
-            alphas=alphas,
-            replications=args.critval_reps,
-            master_seed=args.seed,
-            workers=args.workers,
-        )
-        cv_result = estimate_critical_values(cv_config)
+    cv_result = _critical_values(args, args.critvals, args.family, tests, sizes, alphas, args.critval_reps)
     result = estimate_power(config, cv_result)
     if args.out:
         write_study_csv(result, args.out)
@@ -260,7 +255,7 @@ def _cmd_spectrum(args) -> int:
     exact = cumulants_exact()
     numeric = cumulants_numeric(max(args.order, 128))
     top = spec.eigenvalues[: args.top]
-    print(f"leading eigenvalues (order {spec.order}):")
+    print(f"leading eigenvalues (order {spec.eigenvalues.size}):")
     for i, lam in enumerate(top, start=1):
         print(f"  {i:3d}  {lam:.12f}")
     print(f"trace: {float(np.sum(spec.eigenvalues)):.12f} (mean of limit: {exact.k1:.12f})")
@@ -320,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("--alpha", default="0.05")
     p_pow.add_argument("--tests", default=",".join(TEST_IDS))
     p_pow.add_argument("--reps", type=int, default=10000)
-    p_pow.add_argument("--critval-reps", type=int, default=100000, dest="critval_reps")
+    p_pow.add_argument("--critval-reps", type=int, default=100000, dest="critval_reps",
+                       help="replications for simulated critical values; only used without --critvals")
     p_pow.add_argument("--critvals", help="reuse critical values from this study CSV")
     p_pow.add_argument("--seed", type=int, default=0)
     p_pow.add_argument("--workers", type=int, default=1)

@@ -184,22 +184,21 @@ class BootstrapResult:
 
 
 def bootstrap_pvalue(
-    family, kind: str, x, B: int, rng: np.random.Generator
+    tag: str, kind: str, x, B: int, rng: np.random.Generator
 ) -> BootstrapResult:
     """Parametric bootstrap p-value for one statistic on one sample.
 
-    Fits the family to the data, computes the observed statistic on the
+    ``tag`` names the composite family, a key of :data:`FAMILIES`. Fits
+    the family to the data, computes the observed statistic on the
     transformed sample, then repeats estimate-transform-evaluate on B
     samples drawn from the fitted member. The p-value uses the add-one
     convention (1 + exceedances) / (B + 1), which is valid at any finite B.
     Replicates whose estimation degenerates are dropped; more than 1% of
     them failing aborts the run.
     """
-    if isinstance(family, str):
-        resolved = FAMILIES.get(family)
-        if resolved is None:
-            raise ValueError(f"unknown composite family {family!r}")
-        family = resolved
+    family = FAMILIES.get(tag)
+    if family is None:
+        raise ValueError(f"unknown composite family {tag!r}")
     if B < 99:
         raise ValueError("B must be at least 99 for a meaningful p-value")
 

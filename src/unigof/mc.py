@@ -20,9 +20,9 @@ order cells and chunks are evaluated. This is ``STREAM_SCHEME`` 2; scheme
 from __future__ import annotations
 
 import hashlib
-import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,6 +117,12 @@ class StudyConfig:
             raise ValueError("alphas must lie strictly inside (0, 1)")
         if self.workers < 1:
             raise ValueError("workers must be a positive integer")
+        labels = tuple(alt.label() for alt in self.alternatives)
+        for name, entries in (("tests", self.tests), ("sizes", self.sizes), ("alphas", self.alphas),
+                              ("alternatives", labels)):
+            repeated = [e for e, count in Counter(entries).items() if count > 1]
+            if repeated:
+                raise ValueError(f"{name} lists {repeated[0]!r} more than once; each entry runs once")
         if self.mode == "critical_values" and self.alternatives:
             raise ValueError("critical_values mode samples the null and takes no alternatives")
         if self.mode == "power" and not self.alternatives:
@@ -161,7 +167,6 @@ class StudyResult:
     mode: str
     rows: list[CellResult]
     master_seed: int
-    wall_seconds: float = field(default=0.0, compare=False)
     # None for rows read back from a CSV, which does not record the scheme
     stream_scheme: int | None = STREAM_SCHEME
 
@@ -304,18 +309,12 @@ def estimate_critical_values(config: StudyConfig) -> StudyResult:
     """
     if config.mode != "critical_values":
         raise ValueError("config.mode must be 'critical_values'")
-    started = time.perf_counter()
     tasks = [
         (config.master_seed, config.family, n, config.tests, config.alphas, config.replications)
         for n in config.sizes
     ]
     rows = _run_cells(config.workers, _critval_cell, tasks)
-    return StudyResult(
-        mode=config.mode,
-        rows=rows,
-        master_seed=config.master_seed,
-        wall_seconds=time.perf_counter() - started,
-    )
+    return StudyResult(mode=config.mode, rows=rows, master_seed=config.master_seed)
 
 
 def critical_value_map(result: StudyResult) -> dict[tuple[str, int, float], float]:
@@ -337,14 +336,8 @@ def estimate_power(config: StudyConfig, critical_values: StudyResult) -> StudyRe
             for a in config.alphas:
                 if (t, n, a) not in cv_map:
                     raise ValueError(f"missing critical value for test={t!r}, n={n}, alpha={a}")
-    started = time.perf_counter()
     rows = _run_power_cells(config, cv_map, ("power", config.family))
-    return StudyResult(
-        mode=config.mode,
-        rows=rows,
-        master_seed=config.master_seed,
-        wall_seconds=time.perf_counter() - started,
-    )
+    return StudyResult(mode=config.mode, rows=rows, master_seed=config.master_seed)
 
 
 def theory_spec_for(alt: AlternativeSpec) -> AlternativeTheorySpec:
@@ -451,8 +444,8 @@ def format_critval_table(result: StudyResult) -> str:
     return "\n\n".join(blocks)
 
 
-def format_power_table(result: StudyResult, percent: bool = True) -> str:
-    """Power grid with one row per alternative, one column per test."""
+def format_power_table(result: StudyResult) -> str:
+    """Power grid with one row per alternative, one column per test, entries in percent."""
     alts = list(dict.fromkeys(r.alternative for r in result.rows))
     tests = list(dict.fromkeys(r.test for r in result.rows))
     combos = sorted({(r.n, r.alpha) for r in result.rows})
@@ -461,19 +454,14 @@ def format_power_table(result: StudyResult, percent: bool = True) -> str:
     blocks = []
     for n, a in combos:
         lines = [
-            f"n={n}, alpha={a:g}" + (", entries in %" if percent else ""),
+            f"n={n}, alpha={a:g}, entries in %",
             "alternative".ljust(width) + "  " + "  ".join(f"{t:>7s}" for t in tests),
         ]
         for alt in alts:
             cells = []
             for t in tests:
                 val = by_key.get((alt, t, n, a))
-                if val is None:
-                    cells.append("      .")
-                elif percent:
-                    cells.append(f"{100.0 * val:7.0f}")
-                else:
-                    cells.append(f"{val:7.3f}")
+                cells.append("      ." if val is None else f"{100.0 * val:7.0f}")
             lines.append(alt.ljust(width) + "  " + "  ".join(cells))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)

@@ -64,14 +64,6 @@ class CumulantSet:
             raise ValueError("the second cumulant (variance) must be positive")
 
     @property
-    def mean(self) -> float:
-        return self.k1
-
-    @property
-    def variance(self) -> float:
-        return self.k2
-
-    @property
     def skewness(self) -> float:
         return self.k3 / self.k2 ** 1.5
 
@@ -141,7 +133,7 @@ def pearson_fit(c: CumulantSet) -> PearsonFit:
     region raises ``ValueError`` naming the skewness and kappa. The fitted
     family reproduces the input mean, variance, skewness and kurtosis.
     """
-    mean, var = c.mean, c.variance
+    mean, var = c.k1, c.k2
     g1, g2 = c.skewness, c.excess_kurtosis
     b1 = g1 * g1
     b2 = g2 + 3.0
@@ -201,7 +193,6 @@ class NystromSpectrum:
     """Leading eigenvalues of the discretised kernel operator."""
 
     eigenvalues: np.ndarray
-    order: int
 
 
 def nystrom_spectrum(order: int = 512) -> NystromSpectrum:
@@ -215,4 +206,4 @@ def nystrom_spectrum(order: int = 512) -> NystromSpectrum:
         raise ValueError("order must be at least 64")
     A = nystrom_discretize(null_kernel, gauss_legendre(order))
     eig = np.linalg.eigvalsh(A)[::-1]
-    return NystromSpectrum(eigenvalues=eig, order=order)
+    return NystromSpectrum(eigenvalues=eig)

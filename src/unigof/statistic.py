@@ -49,20 +49,17 @@ class Sample:
             raise ValueError("sample values must be finite")
 
 
-@dataclass
-class UnitSample:
-    """Observations mapped to [0, 1], usually via a probability transform."""
+class UnitSample(Sample):
+    """A :class:`Sample` whose values also lie in [0, 1], usually after a probability transform.
 
-    values: np.ndarray
+    Raises ``ValueError`` naming the first value outside the interval.
+    """
 
     def __post_init__(self) -> None:
-        self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if self.values.ndim != 1 or self.values.size < 1:
-            raise ValueError("unit sample must be one-dimensional with at least one observation")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("unit sample values must be finite")
-        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
-            raise ValueError("unit sample values must lie in [0, 1]")
+        super().__post_init__()
+        outside = self.values[(self.values < 0.0) | (self.values > 1.0)]
+        if outside.size:
+            raise ValueError(f"unit sample values must lie in [0, 1]; found {float(outside[0])!r}")
 
 
 @dataclass
@@ -113,17 +110,15 @@ def tm_statistic(u) -> float:
     return float(tm_statistic_batch(v[None, :])[0])
 
 
-def tm_statistic_integral(u, nodes: int = 64) -> float:
+def tm_statistic_integral(u) -> float:
     """The statistic by piecewise quadrature of its defining integral.
 
     Between consecutive order statistics the integrand is a fixed quartic
     polynomial in t, so a per-segment Gauss-Legendre rule integrates each
-    piece exactly. ``nodes`` is the per-segment order; anything from 3 up
-    would already be exact, the floor of 64 simply buys slack against
-    misuse on non-polynomial edits.
+    piece exactly. The rule has 64 nodes per segment: 3 would already be
+    exact, and the rest is slack against edits that break the polynomial
+    form.
     """
-    if nodes < 64:
-        raise ValueError("nodes must be at least 64")
     v = np.sort((u if isinstance(u, UnitSample) else UnitSample(u)).values)
     n = v.size
     a = 2.0 * v - 1.0
@@ -133,7 +128,7 @@ def tm_statistic_integral(u, nodes: int = 64) -> float:
     # On (breaks[i], breaks[i+1]) the indicator sum counts u_j >= breaks[i+1].
     first = np.searchsorted(v, breaks[1:], side="left")
     tail = (csum[-1] - csum[first]) / n
-    rule = gauss_legendre(nodes)
+    rule = gauss_legendre(64)
     t = breaks[:-1, None] + lengths[:, None] * rule.nodes[None, :]
     sq = (tail[:, None] - t * (1.0 - t)) ** 2
     return float(n * np.sum(lengths * (sq @ rule.weights)))

@@ -4,7 +4,9 @@
 removed or renamed name breaks the benchmark without breaking any other
 test. This runs every operation of every workload once at the tiny scale
 and checks only that nothing raises; the benchmark's own output checks
-and bands stay in ``benchmarks/``.
+and bands stay in ``benchmarks/``. The traced run patches names the same
+way, so the tracer of ``benchmarks/tracing.py`` is installed once to check
+that every name it hooks exists and that removing it restores them all.
 """
 
 import importlib.util
@@ -15,12 +17,13 @@ import pytest
 
 import unigof
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+# hooks the tracer still lists for `mc`, which no longer imports these names
+OPTIONAL_HOOKS = {"unigof.mc.discrepancy", "unigof.mc.asymptotic_variance"}
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PY)
+def _load(stem: str):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{stem}", BENCHMARKS / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     # import without leaving a bytecode cache next to the benchmark
@@ -32,6 +35,11 @@ def workloads():
     return module
 
 
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
+
+
 @pytest.mark.parametrize("name", ["critval", "power", "bootstrap", "asymptotic"])
 def test_every_op_runs_once(workloads, name):
     assert name in workloads.WORKLOADS
@@ -39,3 +47,22 @@ def test_every_op_runs_once(workloads, name):
     assert ops
     for op in ops:
         op.canon(op.run())
+
+
+def test_tracer_hooks_exist_and_are_removed():
+    from unigof import classical, composite, distributions, mc, null_limit, numerics, power_theory, statistic
+
+    # the namespaces benchmarks/test_smoke.py checks after a traced run
+    modules = (unigof, classical, composite, distributions, mc, null_limit, numerics, power_theory, statistic)
+    spaces = [vars(m) for m in modules] + [composite.FAMILIES, vars(null_limit.PearsonFit)]
+    before = [dict(space) for space in spaces]
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert set(tracer.missing) <= OPTIONAL_HOOKS
+    finally:
+        tracer.remove()
+    for snapshot, space in zip(before, spaces):
+        changed = [name for name, value in snapshot.items() if space.get(name) is not value]
+        assert not changed, f"left behind: {changed}"

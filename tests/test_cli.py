@@ -162,6 +162,42 @@ class TestCritvalCommand:
         assert "no critical value" in err
 
 
+
+@pytest.fixture
+def uniform_cv(tmp_path):
+    cv = tmp_path / "uniform_cv.csv"
+    main(["critval", "--n", "50,60", "--alpha", "0.05", "--tests", "tm",
+          "--reps", "500", "--out", str(cv)])
+    return str(cv)
+
+
+class TestCritvalsFromAnotherNull:
+    def test_test_rejects_uniform_table_for_normal_null(self, normal_file, uniform_cv, capsys):
+        capsys.readouterr()
+        code = main(["test", normal_file, "--null", "normal", "--tests", "tm", "--critvals", uniform_cv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "uniform" in err and "normal" in err
+
+    def test_power_rejects_uniform_table_for_normal_family(self, uniform_cv, capsys):
+        capsys.readouterr()
+        code = main(["power", "--family", "normal", "--alt", "chisq(5)", "--n", "60", "--reps", "300",
+                     "--tests", "tm", "--critvals", uniform_cv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "uniform" in err and "normal" in err
+
+    def test_power_study_csv_is_not_a_table(self, tmp_path, uniform_file, uniform_cv, capsys):
+        study = tmp_path / "power.csv"
+        main(["power", "--alt", "beta(2,3)", "--n", "50", "--reps", "300", "--tests", "tm",
+              "--critvals", uniform_cv, "--out", str(study)])
+        capsys.readouterr()
+        code = main(["test", uniform_file, "--tests", "tm", "--critvals", str(study)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "beta(2,3)" in err and "uniform" in err
+
+
 class TestPowerCommand:
     def test_power_table(self, capsys):
         code = main(

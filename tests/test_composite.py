@@ -227,8 +227,3 @@ class TestBootstrap:
     def test_unknown_family(self, rng):
         with pytest.raises(ValueError):
             bootstrap_pvalue("lognormal", "tm", rng.normal(size=20), B=199, rng=rng)
-
-    def test_accepts_family_object(self, rng):
-        x = rng.normal(size=30)
-        out = bootstrap_pvalue(FAMILIES["normal"], "cvm", x, B=199, rng=rng)
-        assert out.family_tag == "normal"

@@ -189,6 +189,22 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match=f"{family} family needs samples of at least {least}"):
             critval_config(family=family, sizes=(20, n))
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            (dict(tests=("tm", "ks", "tm")), "tests lists 'tm' more than once"),
+            (dict(sizes=(10, 20, 10)), "sizes lists 10 more than once"),
+            (dict(alphas=(0.05, 0.01, 0.05)), "alphas lists 0.05 more than once"),
+            (
+                dict(mode="power", alternatives=(parse_spec("beta(2,3)"), parse_spec("beta(2,3)"))),
+                r"alternatives lists 'beta\(2,3\)' more than once",
+            ),
+        ],
+    )
+    def test_rejects_repeated_entries(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            critval_config(**fields)
+
     def test_smallest_composite_sizes_are_accepted(self):
         critval_config(family="normal", sizes=(3,))
         critval_config(family="pareto", sizes=(2,))

@@ -113,11 +113,6 @@ def test_integral_route_handles_ties_and_endpoints():
     assert abs(tm_statistic(u) - tm_statistic_integral(u)) < 1e-12
 
 
-def test_integral_route_rejects_low_order():
-    with pytest.raises(ValueError):
-        tm_statistic_integral([0.5], nodes=8)
-
-
 @given(unit_lists)
 @settings(max_examples=150)
 def test_dual_route_property(values):
