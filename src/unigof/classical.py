@@ -7,16 +7,17 @@ order-statistic deviation (Frosini-Revesz-Sarkadi) and a likelihood-ratio
 form (Zhang's ZC). All reject for large values, so Monte Carlo critical
 values from one engine cover the lot.
 
-Everything is batch-first: the workhorses take a matrix of samples, one
-row each, and return one statistic per row; a single sample is a batch of
-one.
+Everything is batch-first: the workhorses take a
+:class:`~unigof.statistic.UnitRows`, the checked and sorted rows of a
+batch of samples, and return one statistic per row; a single sample is a
+batch of one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .statistic import TestOutcome, UnitSample, tm_statistic_batch
+from .statistic import TestOutcome, UnitRows, tm_statistic_batch
 
 __all__ = [
     "CLASSICAL_KINDS",
@@ -29,18 +30,6 @@ CLASSICAL_KINDS = ("ks", "cvm", "ad", "watson", "sherman", "kuiper", "qm", "frs"
 TEST_IDS = ("tm",) + CLASSICAL_KINDS
 
 _ZC_CLAMP = 1e-12
-
-
-def _as_matrix(u) -> np.ndarray:
-    values = u.values if isinstance(u, UnitSample) else np.asarray(u, dtype=float)
-    mat = np.atleast_2d(np.asarray(values, dtype=float))
-    if mat.ndim != 2 or mat.shape[1] == 0:
-        raise ValueError("expected one sample per row with at least one observation")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("samples must be finite")
-    if mat.min() < 0.0 or mat.max() > 1.0:
-        raise ValueError("values must lie in [0, 1]; apply the probability transform first")
-    return mat
 
 
 def _spacings(V: np.ndarray) -> np.ndarray:
@@ -89,8 +78,6 @@ def _batch_sorted(kind: str, V: np.ndarray) -> np.ndarray:
 
     if kind == "zc":
         W = np.clip(V, _ZC_CLAMP, 1.0 - _ZC_CLAMP)
-        if np.any(W <= 0.0) or np.any(W >= 1.0):
-            raise ValueError("boundary values survived clamping; cannot form the log ratio")
         ratio = (1.0 / W - 1.0) / ((n - 0.5) / (j - 0.75) - 1.0)
         return np.sum(np.log(ratio) ** 2, axis=1)
 
@@ -98,34 +85,26 @@ def _batch_sorted(kind: str, V: np.ndarray) -> np.ndarray:
 
 
 def batch_statistic(kind: str, U) -> np.ndarray:
-    """Evaluate one classical statistic on a matrix of samples (rows).
+    """Evaluate one statistic, tail-moment or classical, on each row of a batch.
 
-    The rows are validated and sorted on every call, so a caller that
-    evaluates several statistics on one chunk repeats both: ten tests on
-    a 4096-row chunk at n = 10 took 7.0 ms this way against 4.7 ms with
-    the rows sorted once (2-core host, numpy 2.4).
+    A :class:`~unigof.statistic.UnitRows` is used as it is; any other input
+    (a matrix, a ``UnitSample`` or a 1-D array) is checked and sorted into
+    one first. A caller that evaluates several statistics on one batch
+    builds the ``UnitRows`` once and passes it to every call.
     """
+    rows = U if isinstance(U, UnitRows) else UnitRows(U)
     if kind == "tm":
-        return tm_statistic_batch(_as_matrix(U))
-    return _batch_sorted(kind, np.sort(_as_matrix(U), axis=1))
+        return tm_statistic_batch(rows)
+    return _batch_sorted(kind, rows.values)
 
 
 def classical_battery(u) -> list[TestOutcome]:
     """All ten statistics (tail-moment first) for one sample.
 
-    A failure in any single statistic is recorded as a NaN outcome rather
-    than aborting the battery, so one degenerate competitor cannot mask
-    the others in a simulation sweep.
+    The sample is checked and sorted once; an error in any statistic
+    propagates.
     """
-    mat = _as_matrix(u)
-    if mat.shape[0] != 1:
+    rows = UnitRows(u)
+    if rows.values.shape[0] != 1:
         raise ValueError("classical_battery expects a single sample")
-    V = np.sort(mat, axis=1)
-    outcomes = [TestOutcome(test_id="tm", statistic=float(tm_statistic_batch(V)[0]))]
-    for kind in CLASSICAL_KINDS:
-        try:
-            value = float(_batch_sorted(kind, V)[0])
-        except Exception:
-            value = float("nan")
-        outcomes.append(TestOutcome(test_id=kind, statistic=value))
-    return outcomes
+    return [TestOutcome(test_id=t, statistic=float(batch_statistic(t, rows)[0])) for t in TEST_IDS]

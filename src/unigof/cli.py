@@ -34,7 +34,7 @@ from .mc import (
     write_study_csv,
 )
 from .null_limit import cumulants_exact, cumulants_numeric, nystrom_spectrum, pearson_fit, pearson_quantile
-from .statistic import Sample, UnitSample
+from .statistic import Sample, UnitRows, UnitSample
 
 __all__ = ["main"]
 
@@ -59,14 +59,16 @@ def _read_observations(path: str) -> np.ndarray:
     return np.asarray(values)
 
 
-def _parse_id_list(raw: str, valid: tuple[str, ...], what: str) -> tuple[str, ...]:
-    items = tuple(s.strip() for s in raw.split(",") if s.strip())
-    for item in items:
-        if item not in valid:
-            raise ValueError(f"unknown {what} {item!r}; expected one of {', '.join(valid)}")
-    if not items:
-        raise ValueError(f"no {what}s given")
-    return items
+def _parse_tests(raw: str) -> tuple[str, ...]:
+    tests = tuple(s.strip() for s in raw.split(",") if s.strip())
+    for i, t in enumerate(tests):
+        if t not in TEST_IDS:
+            raise ValueError(f"unknown test id {t!r}; expected one of {', '.join(TEST_IDS)}")
+        if t in tests[:i]:
+            raise ValueError(f"tests lists {t!r} more than once; each entry runs once")
+    if not tests:
+        raise ValueError("no test ids given")
+    return tests
 
 
 def _parse_int_list(raw: str) -> tuple[int, ...]:
@@ -126,6 +128,9 @@ def _critical_values(args, source, family: str, tests, sizes, alphas, reps: int)
         if r.alternative != family:
             raise ValueError(f"{source}: rows are for {r.alternative}, not the {family} null; "
                              "critical values must come from the same null family")
+    if result.mode != "critical_values":
+        raise ValueError(f"{source}: its header marks a {result.mode} study, not a critical-value "
+                         "table; write one with unigof critval --out")
     table = critical_value_map(result)
     for t in tests:
         for n in sizes:
@@ -137,9 +142,9 @@ def _critical_values(args, source, family: str, tests, sizes, alphas, reps: int)
 
 def _cmd_test(args) -> int:
     data = _read_observations(args.data)
-    unit = _to_unit(args, data)
-    tests = _parse_id_list(args.tests, TEST_IDS, "test id")
-    n = unit.values.size
+    rows = UnitRows(_to_unit(args, data))
+    tests = _parse_tests(args.tests)
+    n = rows.values.shape[1]
     if args.critvals == "pearson":
         if tests != ("tm",):
             raise ValueError("--critvals pearson covers only the tm test; use --tests tm or --critvals mc")
@@ -155,7 +160,7 @@ def _cmd_test(args) -> int:
     exit_code = 0
     print(f"n = {n}, null = {args.null}, alpha = {args.alpha:g}, critical values: {args.critvals}")
     for t in tests:
-        stat = float(batch_statistic(t, unit.values[None, :])[0])
+        stat = float(batch_statistic(t, rows)[0])
         c = cv[(t, n, args.alpha)]
         verdict = "reject" if stat > c else "retain"
         print(f"{t:>8s}  statistic {stat:12.6f}  critical {c:12.6f}  -> {verdict}")
@@ -167,7 +172,7 @@ def _cmd_test(args) -> int:
 def _cmd_critval(args) -> int:
     config = StudyConfig(
         mode="critical_values",
-        tests=_parse_id_list(args.tests, TEST_IDS, "test id"),
+        tests=_parse_tests(args.tests),
         family=args.family,
         alternatives=(),
         sizes=_parse_int_list(args.n),
@@ -186,7 +191,7 @@ def _cmd_critval(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    tests = _parse_id_list(args.tests, TEST_IDS, "test id")
+    tests = _parse_tests(args.tests)
     sizes = _parse_int_list(args.n)
     alphas = _parse_float_list(args.alpha)
     alternatives = tuple(parse_spec(s) for s in args.alt)

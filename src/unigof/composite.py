@@ -205,7 +205,7 @@ def bootstrap_pvalue(
     v = _values(x)
     check_sample_size(family.tag, v.size)
     params = family.estimator(v)
-    observed = float(batch_statistic(kind, family.transform(v).values[None, :])[0])
+    observed = float(batch_statistic(kind, family.transform(v))[0])
 
     draws = family.sample_fitted(params, (int(B), v.size), rng)
     U = family.transform_rows(draws)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .power_theory import (
     spec_from_density,
     uniform_theory_spec,
 )
+from .statistic import UnitRows
 
 __all__ = [
     "StudyConfig",
@@ -217,13 +218,13 @@ def _unit_chunk(
 def _cell_statistics(
     seed: int, salt: int, family: str, alt: AlternativeSpec | None, n: int, tests, reps: int
 ) -> dict[str, np.ndarray]:
-    """Every requested statistic on the ``reps`` rows of one cell, chunk by chunk."""
+    """Every requested statistic on the ``reps`` rows of one cell; each chunk is sorted once."""
     stats = {t: np.empty(reps) for t in tests}
     for start in range(0, reps, _CHUNK):
         count = min(_CHUNK, reps - start)
-        U = _unit_chunk(family, alt, n, salt, seed, start, count)
+        rows = UnitRows(_unit_chunk(family, alt, n, salt, seed, start, count))
         for t in tests:
-            stats[t][start:start + count] = batch_statistic(t, U)
+            stats[t][start:start + count] = batch_statistic(t, rows)
     return stats
 
 
@@ -368,27 +369,22 @@ def run_power_curve(config: StudyConfig) -> PowerCurve:
     cv_map = {("tm", n, alpha): c_limit for n in config.sizes}
     rows = _run_power_cells(config, cv_map, ("curve",))
     overlay = power_curve(theory_spec_for(alt), alpha, config.sizes, c_limit)
-    return PowerCurve(
-        name=alt.label(),
-        alpha=alpha,
-        sample_sizes=list(config.sizes),
-        approx_power=overlay.approx_power,
-        empirical_power=[r.estimate for r in rows],
-        mc_se=[r.mc_se for r in rows],
-    )
+    return replace(overlay, empirical_power=[r.estimate for r in rows], mc_se=[r.mc_se for r in rows])
 
 
 # ---------------------------------------------------------------------------
 # serialization and table formatting
 
 
-_CSV_HEADER = "test,alternative,n,alpha,estimate,mc_se,replications,seed"
+# the second column names what the rows were drawn from, and so the study mode
+_CSV_HEADERS = {"critical_values": "test,null,n,alpha,estimate,mc_se,replications,seed",
+                "power": "test,alternative,n,alpha,estimate,mc_se,replications,seed"}
 
 
 def write_study_csv(result: StudyResult, path) -> None:
     """Serialise a study grid; floats use repr so files are bit-stable."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(_CSV_HEADER + "\n")
+        fh.write(_CSV_HEADERS[result.mode] + "\n")
         for r in result.rows:
             fh.write(
                 f"{r.test},{r.alternative},{r.n},{r.alpha!r},"
@@ -400,7 +396,8 @@ def read_study_csv(path) -> StudyResult:
     rows: list[CellResult] = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
-        if header != _CSV_HEADER:
+        mode = {h: m for m, h in _CSV_HEADERS.items()}.get(header)
+        if mode is None:
             raise ValueError(f"unexpected study CSV header: {header!r}")
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
@@ -425,7 +422,7 @@ def read_study_csv(path) -> StudyResult:
                 )
             )
     seed = rows[0].seed if rows else 0
-    return StudyResult(mode="loaded", rows=rows, master_seed=seed, stream_scheme=None)
+    return StudyResult(mode=mode, rows=rows, master_seed=seed, stream_scheme=None)
 
 
 def format_critval_table(result: StudyResult) -> str:

@@ -27,6 +27,7 @@ from .numerics import gauss_legendre
 __all__ = [
     "Sample",
     "UnitSample",
+    "UnitRows",
     "TestOutcome",
     "tm_statistic",
     "tm_statistic_batch",
@@ -59,7 +60,27 @@ class UnitSample(Sample):
         super().__post_init__()
         outside = self.values[(self.values < 0.0) | (self.values > 1.0)]
         if outside.size:
-            raise ValueError(f"unit sample values must lie in [0, 1]; found {float(outside[0])!r}")
+            raise ValueError(f"unit sample values must lie in [0, 1]; found {float(outside[0])!r} "
+                             "(apply the probability transform first)")
+
+
+@dataclass
+class UnitRows:
+    """Unit samples of one size, one per row, checked once and kept sorted in ``values``.
+
+    Built from an ``(R, n)`` matrix, or from a :class:`UnitSample` or a 1-D
+    array as one row; every value is checked through :class:`UnitSample`.
+    """
+
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        u = self.values
+        mat = np.atleast_2d(np.asarray(u.values if isinstance(u, UnitSample) else u, dtype=float))
+        if mat.ndim != 2 or mat.size == 0:
+            raise ValueError("expected one sample per row with at least one observation")
+        UnitSample(mat.ravel())
+        self.values = np.sort(mat, axis=1)
 
 
 @dataclass
@@ -70,13 +91,14 @@ class TestOutcome:
     statistic: float
 
 
-def tm_statistic_batch(U: np.ndarray) -> np.ndarray:
+def tm_statistic_batch(U) -> np.ndarray:
     """Closed-form statistic for each row of a batch of unit samples.
 
     Parameters
     ----------
-    U : np.ndarray, shape (R, n)
-        R unit samples of common size n.
+    U : UnitRows, or anything :class:`UnitRows` accepts
+        R unit samples of common size n. A :class:`UnitRows` is used as it
+        is; any other input is checked and sorted into one first.
 
     Returns
     -------
@@ -91,10 +113,7 @@ def tm_statistic_batch(U: np.ndarray) -> np.ndarray:
     is ``(2 U_j - 1)(2 U_k - 1)``, sorting each row turns the double sum
     into prefix sums, so a row costs O(n log n) instead of O(n^2).
     """
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2:
-        raise ValueError("expected a 2-d batch of samples")
-    V = np.sort(U, axis=1)
+    V = (U if isinstance(U, UnitRows) else UnitRows(U)).values
     n = V.shape[1]
     A = 2.0 * V - 1.0
     P = np.cumsum(A * V, axis=1)
@@ -106,8 +125,7 @@ def tm_statistic_batch(U: np.ndarray) -> np.ndarray:
 
 def tm_statistic(u) -> float:
     """Closed-form statistic of a single unit sample (or plain array)."""
-    v = (u if isinstance(u, UnitSample) else UnitSample(u)).values
-    return float(tm_statistic_batch(v[None, :])[0])
+    return float(tm_statistic_batch(u if isinstance(u, UnitSample) else UnitSample(u))[0])
 
 
 def tm_statistic_integral(u) -> float:

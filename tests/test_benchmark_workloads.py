@@ -66,3 +66,30 @@ def test_tracer_hooks_exist_and_are_removed():
     for snapshot, space in zip(before, spaces):
         changed = [name for name, value in snapshot.items() if space.get(name) is not value]
         assert not changed, f"left behind: {changed}"
+
+
+def test_tracer_sees_each_kind_once_per_chunk():
+    # the traced run times each statistic at the engine's `batch_statistic`
+    # call, one span per test and chunk, with the chunk's rows
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    config = unigof.StudyConfig(
+        mode="critical_values",
+        tests=unigof.TEST_IDS,
+        family="uniform",
+        alternatives=(),
+        sizes=(10,),
+        alphas=(0.05,),
+        replications=5000,
+        master_seed=1,
+    )
+    try:
+        tracing.install(tracer)
+        unigof.estimate_critical_values(config)
+    finally:
+        tracer.remove()
+    summary = tracer.summary()
+    for kind in unigof.CLASSICAL_KINDS + ("tm",):
+        assert summary[f"classical.{kind}"]["calls"] == 2, kind
+        assert summary[f"classical.{kind}"]["rows"] == 5000, kind
+    assert summary["statistic.tm_statistic_batch"]["rows"] == 5000

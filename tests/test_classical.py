@@ -18,6 +18,8 @@ from unigof import (
     classical_battery,
     tm_statistic,
 )
+from unigof import classical
+from unigof.statistic import UnitRows
 
 interior_lists = st.lists(
     st.floats(min_value=1e-6, max_value=1.0 - 1e-6, allow_nan=False),
@@ -146,6 +148,21 @@ def test_batch_validates_range():
         batch_statistic("ks", np.array([[0.1, 1.7]]))
 
 
+@pytest.mark.parametrize("n", [1, 10, 200])
+def test_checked_rows_give_bit_identical_statistics(rng, n):
+    # ties and the exact endpoints, in unsorted order
+    U = np.round(rng.random((30, n)), 1)
+    U[0, :] = 0.0
+    U[1, :] = 1.0
+    U[2, ::2] = 0.0
+    U[3, ::3] = 1.0
+    rows = UnitRows(U)
+    for kind in TEST_IDS:
+        got = batch_statistic(kind, rows)
+        np.testing.assert_array_equal(got, batch_statistic(kind, U), kind)
+        np.testing.assert_array_equal(got, batch_statistic(kind, U[:, ::-1]), kind)
+
+
 # ---------------------------------------------------------------------------
 # battery
 
@@ -161,6 +178,14 @@ class TestBattery:
         outcomes = classical_battery(u)
         assert outcomes[0].test_id == "tm"
         assert outcomes[0].statistic == pytest.approx(tm_statistic(u))
+
+    def test_a_failing_statistic_raises(self, rng, monkeypatch):
+        def broken(kind, V):
+            raise RuntimeError(f"{kind} failed")
+
+        monkeypatch.setattr(classical, "_batch_sorted", broken)
+        with pytest.raises(RuntimeError, match="ks failed"):
+            classical_battery(UnitSample(rng.random(30)))
 
     def test_finite_across_many_draws(self, rng):
         U = rng.beta(2.0, 3.0, size=(500, 50))

@@ -129,7 +129,7 @@ class TestCritvalCommand:
         )
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "test,alternative,n,alpha,estimate,mc_se,replications,seed"
+        assert lines[0] == "test,null,n,alpha,estimate,mc_se,replications,seed"
         assert len(lines) == 3
 
     def test_prints_table_by_default(self, capsys):
@@ -196,6 +196,29 @@ class TestCritvalsFromAnotherNull:
         err = capsys.readouterr().err
         assert code == 2
         assert "beta(2,3)" in err and "uniform" in err
+
+    def test_power_study_of_the_null_is_not_a_table(self, tmp_path, uniform_file, uniform_cv, capsys):
+        # its only alternative is named like the null, so the family check cannot tell
+        study = tmp_path / "power_uniform.csv"
+        main(["power", "--alt", "uniform", "--n", "50", "--reps", "300", "--tests", "tm",
+              "--critvals", uniform_cv, "--out", str(study)])
+        capsys.readouterr()
+        code = main(["test", uniform_file, "--tests", "tm", "--critvals", str(study)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "power study" in captured.err and "unigof critval --out" in captured.err
+
+
+class TestRepeatedTests:
+    @pytest.mark.parametrize("critvals", ["table", "pearson", "mc"])
+    def test_every_route_rejects_a_repeat(self, uniform_file, uniform_cv, critvals, capsys):
+        source = uniform_cv if critvals == "table" else critvals
+        code = main(["test", uniform_file, "--tests", "tm,tm", "--critvals", source, "--reps", "200"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "tests lists 'tm' more than once" in captured.err
 
 
 class TestPowerCommand:

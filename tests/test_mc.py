@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from unigof import (
     STREAM_SCHEME,
+    TEST_IDS,
     AlternativeSpec,
     StudyConfig,
     batch_statistic,
@@ -30,7 +31,9 @@ from unigof import (
     uniform_theory_spec,
     write_study_csv,
 )
+from unigof import mc
 from unigof.mc import _CHUNK, _cell_statistics, _quantile_sorted, _unit_chunk, theory_spec_for
+from unigof.statistic import UnitRows
 
 
 def critval_config(**kw):
@@ -405,6 +408,18 @@ def test_longer_cell_shares_its_leading_chunk(family, alt):
         np.testing.assert_array_equal(longer[t][:_CHUNK], short[t])
 
 
+def test_each_chunk_is_checked_and_sorted_once(monkeypatch):
+    built = []
+
+    def counting(U):
+        built.append(U.shape)
+        return UnitRows(U)
+
+    monkeypatch.setattr(mc, "UnitRows", counting)
+    _cell_statistics(7, 123, "normal", None, 9, TEST_IDS, 2 * _CHUNK + 5)
+    assert built == [(_CHUNK, 9), (_CHUNK, 9), (5, 9)]
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     case=st.sampled_from(_CHUNK_CASES),
@@ -482,7 +497,24 @@ class TestCsv:
         path = tmp_path / "study.csv"
         write_study_csv(result, path)
         first = path.read_text().splitlines()[0]
-        assert first == "test,alternative,n,alpha,estimate,mc_se,replications,seed"
+        assert first == "test,null,n,alpha,estimate,mc_se,replications,seed"
+
+    def test_header_names_the_mode(self, tmp_path, small_cv):
+        power = estimate_power(
+            critval_config(
+                mode="power",
+                alternatives=(parse_spec("uniform"),),
+                sizes=(25,),
+                alphas=(0.05,),
+                replications=200,
+            ),
+            small_cv,
+        )
+        for result, header in ((small_cv, "test,null,"), (power, "test,alternative,")):
+            path = tmp_path / "study.csv"
+            write_study_csv(result, path)
+            assert path.read_text().startswith(header)
+            assert read_study_csv(path).mode == result.mode
 
     def test_read_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -14,6 +14,7 @@ from unigof import (
     tm_statistic_batch,
     tm_statistic_integral,
 )
+from unigof.statistic import UnitRows
 
 unit_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=60
@@ -86,6 +87,39 @@ def test_batch_matches_single_rows(rng):
 def test_batch_requires_matrix():
     with pytest.raises(ValueError):
         tm_statistic_batch(np.array([0.1, 0.2, 0.3]).reshape(1, 1, 3))
+
+
+def test_single_sample_rejects_matrix():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        tm_statistic(np.full((2, 3), 0.5))
+
+
+class TestUnitRows:
+    @pytest.mark.parametrize(
+        "values, match",
+        [
+            ([[0.1, np.nan]], "finite"),
+            ([[0.1, np.inf]], "finite"),
+            ([[0.1, -np.inf]], "finite"),
+            ([[0.1, -0.2]], "probability transform"),
+            ([[0.1, 1.7]], "probability transform"),
+            (np.full((1, 2, 3), 0.5), "one sample per row"),
+            (np.empty((3, 0)), "one sample per row"),
+        ],
+    )
+    def test_rejects(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            UnitRows(values)
+
+    def test_rows_are_sorted_copies(self):
+        U = np.array([[0.9, 0.1, 0.5], [1.0, 0.0, 0.0]])
+        rows = UnitRows(U)
+        np.testing.assert_array_equal(rows.values, [[0.1, 0.5, 0.9], [0.0, 0.0, 1.0]])
+        assert U[0, 0] == 0.9
+
+    @pytest.mark.parametrize("single", [UnitSample([0.7, 0.2]), np.array([0.7, 0.2])])
+    def test_one_sample_is_one_row(self, single):
+        np.testing.assert_array_equal(UnitRows(single).values, [[0.2, 0.7]])
 
 
 def test_rejects_values_outside_unit_interval():
