@@ -24,6 +24,7 @@ from .mc import (
     NULL_FAMILIES,
     StudyConfig,
     critical_value_map,
+    critical_value_table,
     estimate_critical_values,
     estimate_power,
     format_critval_table,
@@ -107,8 +108,8 @@ def _critical_values(args, source, family: str, tests, sizes, alphas, reps: int)
     """Critical values for every (test, n, alpha) cell under ``family``'s null.
 
     Read from the study CSV at ``source``, or simulated with ``reps``
-    replications when ``source`` is None. A CSV whose rows were simulated
-    under another null, or that lacks a cell, is rejected.
+    replications when ``source`` is None. A CSV that ``critical_value_table``
+    refuses is an error prefixed with its path.
     """
     if source is None:
         config = StudyConfig(
@@ -124,19 +125,10 @@ def _critical_values(args, source, family: str, tests, sizes, alphas, reps: int)
         )
         return estimate_critical_values(config)
     result = read_study_csv(source)
-    for r in result.rows:
-        if r.alternative != family:
-            raise ValueError(f"{source}: rows are for {r.alternative}, not the {family} null; "
-                             "critical values must come from the same null family")
-    if result.mode != "critical_values":
-        raise ValueError(f"{source}: its header marks a {result.mode} study, not a critical-value "
-                         "table; write one with unigof critval --out")
-    table = critical_value_map(result)
-    for t in tests:
-        for n in sizes:
-            for a in alphas:
-                if (t, n, a) not in table:
-                    raise ValueError(f"{source}: no critical value for test={t}, n={n}, alpha={a:g}")
+    try:
+        critical_value_table(result, family, tests, sizes, alphas)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
     return result
 
 

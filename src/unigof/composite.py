@@ -58,8 +58,8 @@ def estimate_normal(x) -> tuple[float, float]:
 def transform_normal(x) -> UnitSample:
     """Probability transform of the scaled residuals."""
     v = _values(x)
-    mu, sigma = estimate_normal(v)
-    return UnitSample(normal_cdf((v - mu) / sigma))
+    estimate_normal(v)  # raises on a degenerate fit
+    return UnitSample(_normal_rows(v[None, :])[0])
 
 
 def estimate_pareto(x) -> float:
@@ -80,8 +80,8 @@ def transform_pareto(x) -> UnitSample:
     which is the family's group structure.
     """
     v = _values(x)
-    beta = estimate_pareto(v)
-    return UnitSample(-np.expm1(-beta * np.log(v)))
+    estimate_pareto(v)  # raises unless every value exceeds 1
+    return UnitSample(_pareto_rows(v[None, :])[0])
 
 
 def _normal_rows(X: np.ndarray) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Monte Carlo engine: critical values, power studies, power curves.
 
 One engine drives every table-style result. A study is a grid of cells,
-where a cell is one (null family or alternative, sample size) pair; all
-requested tests are evaluated on the same simulated draws within a cell,
-exactly as a simulation study would share them. Cells are independent
-tasks, so the engine parallelises across cells, never inside one. A power
-curve is a list of power cells, one per sample size, so its sizes run in
-parallel too.
+where a cell is one (alternative, sample size) pair; all requested tests
+are evaluated on the same simulated draws within a cell, exactly as a
+simulation study would share them. There is one kind of cell: a
+critical-value study's one "alternative" is the null itself, and its cells
+reduce each statistic to quantiles, while power and power-curve cells
+count exceedances of given critical values. Cells are independent tasks,
+so the engine parallelises across cells, never inside one; a power curve's
+sizes are cells too.
 
 Reproducibility discipline: a cell's replications run in chunks of
 ``_CHUNK`` rows, and each chunk draws its block from one substream seeded
@@ -20,6 +22,7 @@ order cells and chunks are evaluated. This is ``STREAM_SCHEME`` 2; scheme
 from __future__ import annotations
 
 import hashlib
+import operator
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -81,6 +84,13 @@ def _cell_salt(*parts) -> int:
     return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "little")
 
 
+def _integer(field: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field}: expected an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Full description of one simulation study."""
@@ -100,8 +110,10 @@ class StudyConfig:
             raise ValueError(f"unknown study mode {self.mode!r}")
         object.__setattr__(self, "tests", tuple(self.tests))
         object.__setattr__(self, "alternatives", tuple(self.alternatives))
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        object.__setattr__(self, "sizes", tuple(_integer("sizes", n) for n in self.sizes))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        for name in ("replications", "master_seed", "workers"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for t in self.tests:
             if t not in TEST_IDS:
                 raise ValueError(f"unknown test id {t!r}; expected one of {TEST_IDS}")
@@ -111,11 +123,13 @@ class StudyConfig:
             raise ValueError(f"family must be one of {NULL_FAMILIES}")
         if self.replications < 100:
             raise ValueError("replications must be at least 100")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed: expected a non-negative integer, got {self.master_seed}")
         if not self.sizes or any(n < 1 for n in self.sizes):
             raise ValueError("sizes must be positive integers")
         check_sample_size(self.family, min(self.sizes))
-        if any(not 0.0 < a < 1.0 for a in self.alphas):
-            raise ValueError("alphas must lie strictly inside (0, 1)")
+        if not self.alphas or any(not 0.0 < a < 1.0 for a in self.alphas):
+            raise ValueError("alphas must be one or more levels strictly inside (0, 1)")
         if self.workers < 1:
             raise ValueError("workers must be a positive integer")
         labels = tuple(alt.label() for alt in self.alternatives)
@@ -228,77 +242,38 @@ def _cell_statistics(
     return stats
 
 
-def _critval_cell(args) -> list[CellResult]:
-    seed, family, n, tests, alphas, reps = args
-    stats = _cell_statistics(seed, _cell_salt("critval", family, n), family, None, n, tests, reps)
+def _cell(task) -> list[CellResult]:
+    """One cell's rows: null quantiles when ``cv_map`` is None, else rejection rates."""
+    config, salt_prefix, alt, n, cv_map = task
+    label = config.family if alt is None else alt.label()
+    seed, reps = config.master_seed, config.replications
+    salt = _cell_salt(*salt_prefix, label, n)
+    stats = _cell_statistics(seed, salt, config.family, alt, n, config.tests, reps)
     rows = []
-    for t in tests:
-        ordered = np.sort(stats[t])
-        for a in alphas:
-            rows.append(
-                CellResult(
-                    test=t,
-                    alternative=family,
-                    n=n,
-                    alpha=a,
-                    estimate=_quantile_sorted(ordered, 1.0 - a),
-                    mc_se=_quantile_se(ordered, 1.0 - a),
-                    replications=reps,
-                    seed=seed,
-                )
-            )
+    for t in config.tests:
+        if cv_map is None:
+            ordered = np.sort(stats[t])
+        for a in config.alphas:
+            if cv_map is None:
+                estimate, se = _quantile_sorted(ordered, 1.0 - a), _quantile_se(ordered, 1.0 - a)
+            else:
+                estimate = int(np.count_nonzero(stats[t] > cv_map[(t, n, a)])) / reps
+                se = float(np.sqrt(estimate * (1.0 - estimate) / reps))
+            rows.append(CellResult(t, label, n, a, estimate, se, reps, seed))
     return rows
 
 
-def _power_cell(args) -> list[CellResult]:
-    seed, salt, family, alt, n, tests, alphas, reps, cv_map = args
-    stats = _cell_statistics(seed, salt, family, alt, n, tests, reps)
-    rows = []
-    for t in tests:
-        for a in alphas:
-            p_hat = int(np.count_nonzero(stats[t] > cv_map[(t, n, a)])) / reps
-            rows.append(
-                CellResult(
-                    test=t,
-                    alternative=alt.label(),
-                    n=n,
-                    alpha=a,
-                    estimate=p_hat,
-                    mc_se=float(np.sqrt(p_hat * (1.0 - p_hat) / reps)),
-                    replications=reps,
-                    seed=seed,
-                )
-            )
-    return rows
-
-
-def _run_cells(worker_count: int, fn, tasks: list) -> list[CellResult]:
-    if worker_count == 1 or len(tasks) <= 1:
-        results = [fn(t) for t in tasks]
+def _run_cells(config: StudyConfig, salt_prefix: tuple, cv_map: dict | None = None) -> list[CellResult]:
+    # a critical-value study's one "alternative" is the null itself (None,
+    # labelled by the family); the salt prefix names the study kind
+    alts = config.alternatives or (None,)
+    tasks = [(config, salt_prefix, alt, n, cv_map) for alt in alts for n in config.sizes]
+    if config.workers == 1 or len(tasks) <= 1:
+        results = [_cell(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=worker_count) as pool:
-            results = list(pool.map(fn, tasks))
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            results = list(pool.map(_cell, tasks))
     return [row for cell_rows in results for row in cell_rows]
-
-
-def _run_power_cells(config: StudyConfig, cv_map: dict, salt_prefix: tuple) -> list[CellResult]:
-    # power and curve cells differ only in the prefix that names their substreams
-    tasks = [
-        (
-            config.master_seed,
-            _cell_salt(*salt_prefix, alt.label(), n),
-            config.family,
-            alt,
-            n,
-            config.tests,
-            config.alphas,
-            config.replications,
-            cv_map,
-        )
-        for alt in config.alternatives
-        for n in config.sizes
-    ]
-    return _run_cells(config.workers, _power_cell, tasks)
 
 
 def estimate_critical_values(config: StudyConfig) -> StudyResult:
@@ -310,11 +285,7 @@ def estimate_critical_values(config: StudyConfig) -> StudyResult:
     """
     if config.mode != "critical_values":
         raise ValueError("config.mode must be 'critical_values'")
-    tasks = [
-        (config.master_seed, config.family, n, config.tests, config.alphas, config.replications)
-        for n in config.sizes
-    ]
-    rows = _run_cells(config.workers, _critval_cell, tasks)
+    rows = _run_cells(config, ("critval",))
     return StudyResult(mode=config.mode, rows=rows, master_seed=config.master_seed)
 
 
@@ -323,21 +294,41 @@ def critical_value_map(result: StudyResult) -> dict[tuple[str, int, float], floa
     return {(r.test, r.n, r.alpha): r.estimate for r in result.rows}
 
 
+def critical_value_table(result: StudyResult, family: str, tests, sizes, alphas) -> dict:
+    """The critical value of every requested (test, n, alpha) cell, checked.
+
+    A rejection rate only means something against quantiles of the same
+    null, so the table must be a critical-value study of ``family`` that
+    holds every requested cell.
+    """
+    for r in result.rows:
+        if r.alternative != family:
+            raise ValueError(f"rows are for {r.alternative}, not the {family} null; "
+                             "critical values must come from the same null family")
+    if result.mode != "critical_values":
+        raise ValueError(f"the table is a {result.mode} study, not a critical-value table; "
+                         "write one with estimate_critical_values or unigof critval --out")
+    table = critical_value_map(result)
+    cells = [(t, n, a) for t in tests for n in sizes for a in alphas]
+    for t, n, a in cells:
+        if (t, n, a) not in table:
+            raise ValueError("missing critical value: the table has no critical value for "
+                             f"test={t!r}, n={n}, alpha={a:g}")
+    return {cell: table[cell] for cell in cells}
+
+
 def estimate_power(config: StudyConfig, critical_values: StudyResult) -> StudyResult:
     """Rejection rates per (test, alternative, n, alpha) cell.
 
-    A size study is a power study whose alternatives are members of the
-    null family, such as ``normal(3,9)`` against the normal null.
+    ``critical_values`` must be a critical-value study of the config's null
+    family; see :func:`critical_value_table`. A size study is a power study
+    whose alternatives are members of the null family, such as
+    ``normal(3,9)`` against the normal null.
     """
     if config.mode != "power":
         raise ValueError("config.mode must be 'power'")
-    cv_map = critical_value_map(critical_values)
-    for t in config.tests:
-        for n in config.sizes:
-            for a in config.alphas:
-                if (t, n, a) not in cv_map:
-                    raise ValueError(f"missing critical value for test={t!r}, n={n}, alpha={a}")
-    rows = _run_power_cells(config, cv_map, ("power", config.family))
+    cv_map = critical_value_table(critical_values, config.family, config.tests, config.sizes, config.alphas)
+    rows = _run_cells(config, ("power", config.family), cv_map)
     return StudyResult(mode=config.mode, rows=rows, master_seed=config.master_seed)
 
 
@@ -367,7 +358,7 @@ def run_power_curve(config: StudyConfig) -> PowerCurve:
     alpha = config.alphas[0]
     c_limit = pearson_quantile(pearson_fit(cumulants_exact()), 1.0 - alpha)
     cv_map = {("tm", n, alpha): c_limit for n in config.sizes}
-    rows = _run_power_cells(config, cv_map, ("curve",))
+    rows = _run_cells(config, ("curve",), cv_map)
     overlay = power_curve(theory_spec_for(alt), alpha, config.sizes, c_limit)
     return replace(overlay, empirical_power=[r.estimate for r in rows], mc_se=[r.mc_se for r in rows])
 

@@ -93,3 +93,28 @@ def test_tracer_sees_each_kind_once_per_chunk():
         assert summary[f"classical.{kind}"]["calls"] == 2, kind
         assert summary[f"classical.{kind}"]["rows"] == 5000, kind
     assert summary["statistic.tm_statistic_batch"]["rows"] == 5000
+
+
+def test_tracer_sees_each_power_chunk_once():
+    # a normal-null power cell of two chunks: each statistic is timed once per
+    # chunk, and the engine transforms every drawn row exactly once
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    fields = dict(tests=unigof.TEST_IDS, family="normal", sizes=(10,), alphas=(0.05,), master_seed=1)
+    table = unigof.estimate_critical_values(
+        unigof.StudyConfig(mode="critical_values", alternatives=(), replications=200, **fields)
+    )
+    config = unigof.StudyConfig(
+        mode="power", alternatives=(unigof.parse_spec("chisq(5)"),), replications=5000, **fields
+    )
+    try:
+        tracing.install(tracer)
+        unigof.estimate_power(config, table)
+    finally:
+        tracer.remove()
+    summary = tracer.summary()
+    for kind in unigof.CLASSICAL_KINDS + ("tm",):
+        assert summary[f"classical.{kind}"]["calls"] == 2, kind
+        assert summary[f"classical.{kind}"]["rows"] == 5000, kind
+    assert summary["composite.transform_rows"]["calls"] == 2
+    assert summary["composite.transform_rows"]["rows"] == 5000

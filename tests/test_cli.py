@@ -161,6 +161,27 @@ class TestCritvalCommand:
         assert code == 2
         assert "no critical value" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["critval", "--n", "10", "--alpha", ""],
+        ["power", "--alt", "beta(2,3)", "--n", "10", "--alpha", ","],
+    ])
+    def test_empty_alpha_list_is_an_error(self, argv, capsys):
+        code = main(argv + ["--reps", "200"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "alphas must be one or more levels" in captured.err
+
+    def test_csv_missing_cell_names_file_and_cell(self, tmp_path, uniform_file, capsys):
+        cv = tmp_path / "cv.csv"
+        main(["critval", "--n", "50", "--alpha", "0.05", "--tests", "tm",
+              "--reps", "500", "--out", str(cv)])
+        capsys.readouterr()
+        code = main(["test", uniform_file, "--tests", "tm,ks", "--critvals", str(cv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{cv}: missing critical value" in captured.err and "test='ks', n=50" in captured.err
 
 
 @pytest.fixture

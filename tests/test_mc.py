@@ -32,7 +32,7 @@ from unigof import (
     write_study_csv,
 )
 from unigof import mc
-from unigof.mc import _CHUNK, _cell_statistics, _quantile_sorted, _unit_chunk, theory_spec_for
+from unigof.mc import _CHUNK, _cell_salt, _cell_statistics, _quantile_sorted, _unit_chunk, theory_spec_for
 from unigof.statistic import UnitRows
 
 
@@ -208,6 +208,29 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match=match):
             critval_config(**fields)
 
+    def test_rejects_empty_alphas(self):
+        with pytest.raises(ValueError, match="alphas must be one or more levels"):
+            critval_config(alphas=())
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            (dict(replications=1e4), "replications: expected an integer, got 10000.0"),
+            (dict(master_seed=1.5), "master_seed: expected an integer, got 1.5"),
+            (dict(master_seed=-1), "master_seed: expected a non-negative integer, got -1"),
+            (dict(sizes=(10.7,)), "sizes: expected an integer, got 10.7"),
+            (dict(workers=2.0), "workers: expected an integer, got 2.0"),
+        ],
+    )
+    def test_rejects_non_integer_counts_and_seeds(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            critval_config(**fields)
+
+    def test_numpy_integers_are_accepted(self):
+        config = critval_config(sizes=(np.int64(10),), replications=np.int32(200), master_seed=np.uint64(3))
+        assert (config.sizes, config.replications, config.master_seed) == ((10,), 200, 3)
+        assert all(type(v) is int for v in (config.sizes[0], config.replications, config.master_seed))
+
     def test_smallest_composite_sizes_are_accepted(self):
         critval_config(family="normal", sizes=(3,))
         critval_config(family="pareto", sizes=(2,))
@@ -352,6 +375,83 @@ class TestPower:
                 master_seed=13,
             )
             estimate_power(config, small_cv)
+
+
+class TestCriticalValueTable:
+    """``estimate_power`` takes only critical values simulated under its own null."""
+
+    def power_config(self, **kw):
+        base = dict(mode="power", alternatives=(parse_spec("beta(2,3)"),), sizes=(25,), alphas=(0.05,),
+                    replications=200)
+        return critval_config(**{**base, **kw})
+
+    def test_refuses_a_table_from_another_null(self, small_cv):
+        config = self.power_config(family="normal", alternatives=(parse_spec("chisq(5)"),))
+        with pytest.raises(ValueError, match="rows are for uniform, not the normal null"):
+            estimate_power(config, small_cv)
+
+    @pytest.mark.parametrize("alt, match", [
+        # a size study's only alternative is named like the null: only its mode tells
+        ("uniform", "the table is a power study, not a critical-value table"),
+        ("beta(2,3)", r"rows are for beta\(2,3\), not the uniform null"),
+    ])
+    def test_refuses_a_power_study_as_the_table(self, small_cv, alt, match):
+        config = self.power_config(alternatives=(parse_spec(alt),))
+        power = estimate_power(config, small_cv)
+        with pytest.raises(ValueError, match=match):
+            estimate_power(config, power)
+
+    def test_missing_cell_is_named(self, small_cv):
+        config = self.power_config(alphas=(0.05, 0.01))
+        match = r"missing critical value: .*no critical value for test='tm', n=25, alpha=0.01"
+        with pytest.raises(ValueError, match=match):
+            estimate_power(config, small_cv)
+
+    def test_holds_only_the_requested_cells(self, small_cv):
+        table = mc.critical_value_table(small_cv, "uniform", ("ks",), (25,), (0.05,))
+        assert table == {("ks", 25, 0.05): critical_value_map(small_cv)[("ks", 25, 0.05)]}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_study_kind_keeps_its_stream_salts(workers):
+    # every row equals a recomputation from the substream its salt names, so
+    # the published numbers cannot move when the cell code is reorganised
+    reps, sizes, alphas, tests = 300, (9, 12), (0.1, 0.05), ("tm", "ks")
+    base = dict(family="normal", tests=tests, sizes=sizes, alphas=alphas, replications=reps, workers=workers)
+    alts = (parse_spec("chisq(5)"), parse_spec("normal(3,9)"))
+    cv = estimate_critical_values(critval_config(**base))
+    power = estimate_power(critval_config(mode="power", alternatives=alts, **base), cv)
+    curve_alt = parse_spec("beta(2,2)")
+    curve = run_power_curve(critval_config(
+        mode="power_curve", tests=("tm",), alternatives=(curve_alt,), sizes=sizes, alphas=(0.05,),
+        replications=reps, workers=workers,
+    ))
+
+    def stats(salt, family, alt, n, tests):
+        return _cell_statistics(7, salt, family, alt, n, tests, reps)
+
+    def rate(values, c):
+        return int(np.count_nonzero(values > c)) / reps
+
+    def cells(result):
+        return [(r.test, r.alternative, r.n, r.alpha, r.estimate) for r in result.rows]
+
+    expected = []
+    for n in sizes:
+        s = stats(_cell_salt("critval", "normal", n), "normal", None, n, tests)
+        expected += [(t, "normal", n, a, _quantile_sorted(np.sort(s[t]), 1.0 - a)) for t in tests for a in alphas]
+    assert cells(cv) == expected
+    table = critical_value_map(cv)
+    expected = []
+    for alt in alts:
+        for n in sizes:
+            s = stats(_cell_salt("power", "normal", alt.label(), n), "normal", alt, n, tests)
+            expected += [(t, alt.label(), n, a, rate(s[t], table[(t, n, a)])) for t in tests for a in alphas]
+    assert cells(power) == expected
+    c = pearson_quantile(pearson_fit(cumulants_exact()), 0.95)
+    expected = [rate(stats(_cell_salt("curve", "beta(2,2)", n), "uniform", curve_alt, n, ("tm",))["tm"], c)
+                for n in sizes]
+    assert curve.empirical_power == expected
 
 
 # ---------------------------------------------------------------------------
