@@ -6,6 +6,10 @@ studies, ``curve`` emits approximate-versus-empirical power across sample
 sizes, ``bootstrap`` computes composite p-values, and ``spectrum`` prints
 diagnostics of the null limit operator.
 
+Every request is checked by the ``StudyConfig`` it runs: ``test`` checks
+--tests, --alpha, --reps, --seed and --workers on every ``--critvals`` route.
+argparse splits the list options and names the option when one is malformed.
+
 Exit codes: 0 the null is retained, 1 it is rejected (decided by the
 tail-moment test), 2 usage or input errors.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -60,37 +65,30 @@ def _read_observations(path: str) -> np.ndarray:
     return np.asarray(values)
 
 
-def _parse_tests(raw: str) -> tuple[str, ...]:
-    tests = tuple(s.strip() for s in raw.split(",") if s.strip())
-    for i, t in enumerate(tests):
-        if t not in TEST_IDS:
-            raise ValueError(f"unknown test id {t!r}; expected one of {', '.join(TEST_IDS)}")
-        if t in tests[:i]:
-            raise ValueError(f"tests lists {t!r} more than once; each entry runs once")
-    if not tests:
-        raise ValueError("no test ids given")
-    return tests
+def _list_of(convert):
+    """argparse type: a comma-separated list, each entry passed through ``convert``."""
+    def parse(raw: str) -> tuple:
+        try:
+            return tuple(convert(s.strip()) for s in raw.split(",") if s.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__} values, got {raw!r}") from None
+    return parse
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in raw.split(",") if s.strip())
-
-
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(s) for s in raw.split(",") if s.strip())
-
-
-def _parse_size_range(raw: str) -> tuple[int, ...]:
-    if ":" in raw:
-        parts = raw.split(":")
-        if len(parts) not in (2, 3):
-            raise ValueError("size range must be start:stop[:step]")
-        start, stop = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
+def _size_range(raw: str) -> tuple[int, ...]:
+    """argparse type of ``--n-range``: start:stop[:step], or comma-separated sizes."""
+    if ":" not in raw:
+        return _list_of(int)(raw)
+    parts = raw.split(":")
+    try:
+        start, stop, step = (int(s) for s in parts + ["1"] * (len(parts) == 2))
         if step < 1 or stop < start:
-            raise ValueError("size range must be increasing with positive step")
-        return tuple(range(start, stop + 1, step))
-    return _parse_int_list(raw)
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"size range must be start:stop[:step], increasing with positive step, got {raw!r}") from None
+    return tuple(range(start, stop + 1, step))
 
 
 def _to_unit(args, data: np.ndarray) -> UnitSample:
@@ -104,49 +102,57 @@ def _to_unit(args, data: np.ndarray) -> UnitSample:
     return UnitSample(u)
 
 
-def _critical_values(args, source, family: str, tests, sizes, alphas, reps: int):
-    """Critical values for every (test, n, alpha) cell under ``family``'s null.
+def _critical_values(config: StudyConfig, source):
+    """The critical-value study ``config`` describes.
 
-    Read from the study CSV at ``source``, or simulated with ``reps``
-    replications when ``source`` is None. A CSV that ``critical_value_table``
-    refuses is an error prefixed with its path.
+    Read from the study CSV at ``source``, or simulated when ``source`` is
+    None. A CSV that ``critical_value_table`` refuses is an error prefixed
+    with its path.
     """
     if source is None:
-        config = StudyConfig(
-            mode="critical_values",
-            tests=tests,
-            family=family,
-            alternatives=(),
-            sizes=sizes,
-            alphas=alphas,
-            replications=reps,
-            master_seed=args.seed,
-            workers=args.workers,
-        )
         return estimate_critical_values(config)
     result = read_study_csv(source)
     try:
-        critical_value_table(result, family, tests, sizes, alphas)
+        critical_value_table(result, config.family, config.tests, config.sizes, config.alphas)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
     return result
 
 
+def _emit(args, result, format_table) -> int:
+    """Write the study CSV to ``--out`` and print its table unless only a CSV was asked for."""
+    if args.out:
+        write_study_csv(result, args.out)
+        print(f"wrote {len(result.rows)} rows to {args.out}")
+    if args.table or not args.out:
+        print(format_table(result))
+    return 0
+
+
 def _cmd_test(args) -> int:
-    data = _read_observations(args.data)
-    rows = UnitRows(_to_unit(args, data))
-    tests = _parse_tests(args.tests)
+    rows = UnitRows(_to_unit(args, _read_observations(args.data)))
     n = rows.values.shape[1]
+    # the study behind every route checks tests, alpha, reps, seed and workers
+    config = StudyConfig(
+        mode="critical_values",
+        tests=args.tests,
+        family=args.null if args.null in COMPOSITE_FAMILIES else "uniform",
+        alternatives=(),
+        sizes=(n,),
+        alphas=(args.alpha,),
+        replications=args.reps,
+        master_seed=args.seed,
+        workers=args.workers,
+    )
+    tests = config.tests
     if args.critvals == "pearson":
         if tests != ("tm",):
             raise ValueError("--critvals pearson covers only the tm test; use --tests tm or --critvals mc")
-        if args.null in COMPOSITE_FAMILIES:
+        if config.family != "uniform":
             raise ValueError("--critvals pearson applies to simple nulls only; composite nulls need mc")
         cv = {("tm", n, args.alpha): pearson_quantile(pearson_fit(cumulants_exact()), 1.0 - args.alpha)}
     else:
-        family = args.null if args.null in COMPOSITE_FAMILIES else "uniform"
-        source = None if args.critvals == "mc" else args.critvals
-        cv = critical_value_map(_critical_values(args, source, family, tests, (n,), (args.alpha,), args.reps))
+        cv = critical_value_map(_critical_values(config, None if args.critvals == "mc" else args.critvals))
 
     decision_test = "tm" if "tm" in tests else tests[0]
     exit_code = 0
@@ -164,48 +170,37 @@ def _cmd_test(args) -> int:
 def _cmd_critval(args) -> int:
     config = StudyConfig(
         mode="critical_values",
-        tests=_parse_tests(args.tests),
+        tests=args.tests,
         family=args.family,
         alternatives=(),
-        sizes=_parse_int_list(args.n),
-        alphas=_parse_float_list(args.alpha),
+        sizes=args.n,
+        alphas=args.alpha,
         replications=args.reps,
         master_seed=args.seed,
         workers=args.workers,
     )
-    result = estimate_critical_values(config)
-    if args.out:
-        write_study_csv(result, args.out)
-        print(f"wrote {len(result.rows)} rows to {args.out}")
-    if args.table or not args.out:
-        print(format_critval_table(result))
-    return 0
+    return _emit(args, estimate_critical_values(config), format_critval_table)
 
 
 def _cmd_power(args) -> int:
-    tests = _parse_tests(args.tests)
-    sizes = _parse_int_list(args.n)
-    alphas = _parse_float_list(args.alpha)
-    alternatives = tuple(parse_spec(s) for s in args.alt)
     config = StudyConfig(
         mode="power",
-        tests=tests,
+        tests=args.tests,
         family=args.family,
-        alternatives=alternatives,
-        sizes=sizes,
-        alphas=alphas,
+        alternatives=tuple(parse_spec(s) for s in args.alt),
+        sizes=args.n,
+        alphas=args.alpha,
         replications=args.reps,
         master_seed=args.seed,
         workers=args.workers,
     )
-    cv_result = _critical_values(args, args.critvals, args.family, tests, sizes, alphas, args.critval_reps)
-    result = estimate_power(config, cv_result)
-    if args.out:
-        write_study_csv(result, args.out)
-        print(f"wrote {len(result.rows)} rows to {args.out}")
-    if args.table or not args.out:
-        print(format_power_table(result))
-    return 0
+    # every field but the replications has passed as the power study's
+    try:
+        cv_config = replace(config, mode="critical_values", alternatives=(),
+                            replications=config.replications if args.critvals else args.critval_reps)
+    except ValueError as exc:
+        raise ValueError(f"--critval-reps: {exc}") from None
+    return _emit(args, estimate_power(config, _critical_values(cv_config, args.critvals)), format_power_table)
 
 
 def _cmd_curve(args) -> int:
@@ -214,7 +209,7 @@ def _cmd_curve(args) -> int:
         tests=("tm",),
         family="uniform",
         alternatives=(parse_spec(args.alt),),
-        sizes=_parse_size_range(args.n_range),
+        sizes=args.n_range,
         alphas=(args.alpha,),
         replications=args.reps,
         master_seed=args.seed,
@@ -235,6 +230,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"master_seed: expected a non-negative integer, got {args.seed}")
     data = _read_observations(args.data)
     result = bootstrap_pvalue(
         args.family, args.test, Sample(data), args.B, rng_substream(args.seed, 0)
@@ -248,6 +245,8 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.top < 1:
+        raise ValueError(f"--top must be at least 1, got {args.top}")
     spec = nystrom_spectrum(args.order)
     exact = cumulants_exact()
     numeric = cumulants_numeric(max(args.order, 128))
@@ -281,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="uniform",
         help="uniform, normal, pareto, or a fully specified distribution spec",
     )
-    p_test.add_argument("--tests", default=",".join(TEST_IDS), help="comma-separated test ids")
+    p_test.add_argument("--tests", type=_list_of(str), default=",".join(TEST_IDS), help="comma-separated test ids")
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument(
         "--critvals",
@@ -295,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_crit = sub.add_parser("critval", help="tabulate Monte Carlo critical values")
     p_crit.add_argument("--family", default="uniform", choices=NULL_FAMILIES)
-    p_crit.add_argument("--n", required=True, help="comma-separated sample sizes")
-    p_crit.add_argument("--alpha", default="0.1,0.05,0.01")
-    p_crit.add_argument("--tests", default="tm")
+    p_crit.add_argument("--n", type=_list_of(int), required=True, help="comma-separated sample sizes")
+    p_crit.add_argument("--alpha", type=_list_of(float), default="0.1,0.05,0.01")
+    p_crit.add_argument("--tests", type=_list_of(str), default="tm")
     p_crit.add_argument("--reps", type=int, default=100000)
     p_crit.add_argument("--seed", type=int, default=0)
     p_crit.add_argument("--workers", type=int, default=1)
@@ -308,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow = sub.add_parser("power", help="estimate empirical power against alternatives")
     p_pow.add_argument("--family", default="uniform", choices=NULL_FAMILIES)
     p_pow.add_argument("--alt", action="append", required=True, help="alternative spec (repeatable)")
-    p_pow.add_argument("--n", default="30,50")
-    p_pow.add_argument("--alpha", default="0.05")
-    p_pow.add_argument("--tests", default=",".join(TEST_IDS))
+    p_pow.add_argument("--n", type=_list_of(int), default="30,50")
+    p_pow.add_argument("--alpha", type=_list_of(float), default="0.05")
+    p_pow.add_argument("--tests", type=_list_of(str), default=",".join(TEST_IDS))
     p_pow.add_argument("--reps", type=int, default=10000)
     p_pow.add_argument("--critval-reps", type=int, default=100000, dest="critval_reps",
                        help="replications for simulated critical values; only used without --critvals")
@@ -323,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="approximate vs empirical power across sample sizes")
     p_curve.add_argument("--alt", required=True, help="unit-interval alternative spec")
-    p_curve.add_argument("--n-range", default="10:200:10", dest="n_range")
+    p_curve.add_argument("--n-range", type=_size_range, default="10:200:10", dest="n_range")
     p_curve.add_argument("--alpha", type=float, default=0.05)
     p_curve.add_argument("--reps", type=int, default=2000)
     p_curve.add_argument("--seed", type=int, default=0)

@@ -283,11 +283,11 @@ class AlternativeSpec:
 
 
 def _support(spec: AlternativeSpec) -> tuple[float, float]:
-    """Closed interval holding every draw: a mixture's hull, shifted for +1."""
+    """Closed interval holding every draw: the hull of a mixture's drawn components, shifted for +1."""
     if spec.family == "mixture":
-        _, a, b = spec.mixture
-        (a_lo, a_hi), (b_lo, b_hi) = _support(a), _support(b)
-        lo, hi = min(a_lo, b_lo), max(a_hi, b_hi)
+        w, a, b = spec.mixture
+        hulls = [_support(part) for part, share in ((a, w), (b, 1.0 - w)) if share > 0.0]
+        lo, hi = min(h[0] for h in hulls), max(h[1] for h in hulls)
     else:
         lo, hi = _TABLE[spec.family].support
     return (lo + 1.0, hi + 1.0) if spec.translate_by_one else (lo, hi)

@@ -116,7 +116,7 @@ class StudyConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for t in self.tests:
             if t not in TEST_IDS:
-                raise ValueError(f"unknown test id {t!r}; expected one of {TEST_IDS}")
+                raise ValueError(f"unknown test id {t!r}; expected one of {', '.join(TEST_IDS)}")
         if not self.tests:
             raise ValueError("at least one test id is required")
         if self.family not in NULL_FAMILIES:

@@ -291,8 +291,9 @@ class TestCurveCommand:
         assert out.startswith("n,approx_power")
 
     def test_bad_range(self, capsys):
-        code = main(["curve", "--alt", "beta(2,3)", "--n-range", "50:10", "--reps", "200"])
-        assert code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["curve", "--alt", "beta(2,3)", "--n-range", "50:10", "--reps", "200"])
+        assert excinfo.value.code == 2
         assert "range" in capsys.readouterr().err
 
 
@@ -320,3 +321,68 @@ class TestSpectrumCommand:
         assert "leading eigenvalues" in out
         assert out.count("\n  ") >= 5
         assert "k4" in out
+
+
+class TestEveryRequestIsChecked:
+    @pytest.mark.parametrize("argv, option", [
+        (["critval", "--n", "10.5"], "--n"),
+        (["critval", "--n", "10", "--alpha", "0.05,x"], "--alpha"),
+        (["power", "--alt", "beta(2,3)", "--n", "20,abc"], "--n"),
+        (["power", "--alt", "beta(2,3)", "--alpha", "5%"], "--alpha"),
+        (["curve", "--alt", "beta(2,3)", "--n-range", "a:b"], "--n-range"),
+        (["curve", "--alt", "beta(2,3)", "--n-range", "10:20:0"], "--n-range"),
+        (["curve", "--alt", "beta(2,3)", "--n-range", "10,x"], "--n-range"),
+    ])
+    def test_malformed_list_option_is_named_by_argparse(self, argv, option, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert f"argument {option}: " in captured.err
+
+    def test_power_names_critval_reps(self, capsys):
+        code = main(["power", "--alt", "beta(2,3)", "--n", "10", "--tests", "tm",
+                     "--reps", "200", "--critval-reps", "50"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--critval-reps: replications must be at least 100" in captured.err
+
+    def test_power_ignores_critval_reps_with_a_table(self, uniform_cv, capsys):
+        code = main(["power", "--alt", "beta(2,3)", "--n", "50", "--tests", "tm",
+                     "--reps", "200", "--critval-reps", "50", "--critvals", uniform_cv])
+        assert code == 0
+        assert "beta(2,3)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--alpha", "1.5", "alphas must be one or more levels strictly inside (0, 1)"),
+        ("--reps", "50", "replications must be at least 100"),
+        ("--seed", "-1", "master_seed: expected a non-negative integer, got -1"),
+        ("--workers", "0", "workers must be a positive integer"),
+        ("--tests", "tm,zz", "unknown test id 'zz'; expected one of tm, ks, cvm, ad, watson"),
+    ])
+    @pytest.mark.parametrize("critvals", ["pearson", "table", "mc"])
+    def test_every_test_route_checks_the_study(self, uniform_file, uniform_cv, critvals,
+                                               option, value, message, capsys):
+        source = uniform_cv if critvals == "table" else critvals
+        code = main(["test", uniform_file, "--tests", "tm", "--critvals", source, option, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("top", ["-3", "0"])
+    def test_spectrum_refuses_top_below_one(self, top, capsys):
+        code = main(["spectrum", "--order", "64", "--top", top])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"--top must be at least 1, got {top}" in captured.err
+
+    def test_bootstrap_names_a_negative_seed(self, normal_file, capsys):
+        code = main(["bootstrap", normal_file, "--family", "normal", "-B", "199", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "master_seed: expected a non-negative integer, got -1" in captured.err

@@ -277,6 +277,12 @@ class TestSupportsUnitInterval:
         assert supports_unit_interval(spec_of("mix(0.5,u,beta(2,2))"))
         assert not supports_unit_interval(spec_of("mix(0.5,u,gamma(1))"))
 
+    def test_mixture_ignores_a_component_it_never_draws(self):
+        assert supports_unit_interval(spec_of("mix(0,gamma(1),beta(2,2))"))
+        assert supports_unit_interval(spec_of("mix(1,u,normal(0,1))"))
+        assert supports_above_one(spec_of("mix(1,pareto(2),gamma(1))"))
+        assert not supports_above_one(spec_of("mix(0,pareto(2),gamma(1))"))
+
 
 class TestSupportsAboveOne:
     def test_pareto_null_support(self):

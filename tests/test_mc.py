@@ -6,7 +6,7 @@ byte-level CSV output across runs and worker counts.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unigof import (
@@ -15,6 +15,7 @@ from unigof import (
     AlternativeSpec,
     StudyConfig,
     batch_statistic,
+    cdf,
     critical_value_map,
     cumulants_exact,
     estimate_critical_values,
@@ -28,11 +29,13 @@ from unigof import (
     read_study_csv,
     rng_substream,
     run_power_curve,
+    sample,
     uniform_theory_spec,
     write_study_csv,
 )
 from unigof import mc
-from unigof.mc import _CHUNK, _cell_salt, _cell_statistics, _quantile_sorted, _unit_chunk, theory_spec_for
+from unigof.distributions import FAMILIES
+from unigof.mc import _CHUNK, NULL_FAMILIES, _cell_salt, _cell_statistics, _quantile_sorted, _unit_chunk, theory_spec_for
 from unigof.statistic import UnitRows
 
 
@@ -108,6 +111,11 @@ class TestStudyConfig:
     def test_rejects_unknown_test(self):
         with pytest.raises(ValueError, match="test id"):
             critval_config(tests=("tm", "shapiro"))
+
+    def test_unknown_test_lists_the_ids(self):
+        with pytest.raises(ValueError) as excinfo:
+            critval_config(tests=("tm", "zz"))
+        assert str(excinfo.value) == "unknown test id 'zz'; expected one of " + ", ".join(TEST_IDS)
 
     def test_rejects_low_replications(self):
         with pytest.raises(ValueError, match="replications"):
@@ -247,6 +255,52 @@ class TestStudyConfig:
             replications=500,
             master_seed=1,
         )
+
+
+_LEAF_FAMILIES = sorted(set(FAMILIES) - {"mixture"})
+
+
+@st.composite
+def alternative_specs(draw, depth=2):
+    """Any spec of the family table, shifted by one or not, mixed up to ``depth`` levels."""
+    shift = draw(st.booleans())
+    if depth and draw(st.booleans()):
+        weight = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+        parts = (draw(alternative_specs(depth - 1)), draw(alternative_specs(depth - 1)))
+        return AlternativeSpec("mixture", translate_by_one=shift, mixture=(weight, *parts))
+    family = draw(st.sampled_from(_LEAF_FAMILIES))
+    params = draw(st.tuples(*[st.floats(0.3, 3.0)] * FAMILIES[family]))
+    try:
+        return AlternativeSpec(family, params, translate_by_one=shift)
+    except ValueError:  # outside the family's parameter rule, e.g. eg(p) with p >= 1
+        assume(False)
+
+
+def _mass_outside_support(family, alt):
+    """Probability that a draw of ``alt`` falls outside the null's support, from its CDF."""
+    if family == "normal":
+        return 0.0
+    if family == "pareto":
+        return float(cdf(alt, np.nextafter(1.0, 0.0)))
+    return float(cdf(alt, np.nextafter(0.0, -1.0))) + 1.0 - float(cdf(alt, 1.0))
+
+
+@given(family=st.sampled_from(NULL_FAMILIES), alt=alternative_specs())
+@settings(max_examples=300, deadline=None)
+def test_config_accepts_exactly_the_alternatives_inside_the_null_support(family, alt):
+    outside = _mass_outside_support(family, alt)
+    try:
+        StudyConfig(mode="power", tests=("tm",), family=family, alternatives=(alt,), sizes=(10,),
+                    alphas=(0.05,), replications=100, master_seed=0)
+    except ValueError as exc:
+        assert alt.label() in str(exc)
+        assert outside > 1e-12
+        return
+    # sums of mixture weights may miss one by an ulp
+    assert outside < 1e-12
+    draws = sample(alt, 2000, np.random.default_rng(0)).values
+    lo, hi = {"uniform": (0.0, 1.0), "normal": (-np.inf, np.inf), "pareto": (1.0, np.inf)}[family]
+    assert np.all(np.isfinite(draws) & (draws >= lo) & (draws <= hi))
 
 
 # ---------------------------------------------------------------------------
