@@ -23,11 +23,11 @@ from .composite import (
 from .distributions import (
     AlternativeSpec,
     cdf,
+    check_support,
     parse_spec,
     pdf,
     sample,
-    supports_above_one,
-    supports_unit_interval,
+    support,
 )
 from .mc import (
     STREAM_SCHEME,
@@ -77,6 +77,7 @@ from .power_theory import (
 from .statistic import (
     Sample,
     TestOutcome,
+    UnitRows,
     UnitSample,
     empirical_process,
     tm_statistic,
@@ -104,6 +105,7 @@ __all__ = [
     "StudyResult",
     "TEST_IDS",
     "TestOutcome",
+    "UnitRows",
     "UnitSample",
     "alt_kernel",
     "approximate_power",
@@ -112,6 +114,7 @@ __all__ = [
     "bootstrap_pvalue",
     "builtin_beta_specs",
     "cdf",
+    "check_support",
     "classical_battery",
     "critical_value_map",
     "cumulants_exact",
@@ -140,8 +143,7 @@ __all__ = [
     "run_power_curve",
     "sample",
     "spec_from_density",
-    "supports_above_one",
-    "supports_unit_interval",
+    "support",
     "tm_statistic",
     "tm_statistic_batch",
     "tm_statistic_integral",

@@ -24,12 +24,19 @@ __all__ = [
     "TEST_IDS",
     "classical_battery",
     "batch_statistic",
+    "check_test_id",
 ]
 
 CLASSICAL_KINDS = ("ks", "cvm", "ad", "watson", "sherman", "kuiper", "qm", "frs", "zc")
 TEST_IDS = ("tm",) + CLASSICAL_KINDS
 
 _ZC_CLAMP = 1e-12
+
+
+def check_test_id(kind: str) -> None:
+    """Raise unless ``kind`` is one of :data:`TEST_IDS`; the error lists all ten."""
+    if kind not in TEST_IDS:
+        raise ValueError(f"unknown test id {kind!r}; expected one of {', '.join(TEST_IDS)}")
 
 
 def _spacings(V: np.ndarray) -> np.ndarray:
@@ -76,12 +83,10 @@ def _batch_sorted(kind: str, V: np.ndarray) -> np.ndarray:
     if kind == "frs":
         return np.sum(np.abs(V - (j - 0.5) / n), axis=1) / np.sqrt(n)
 
-    if kind == "zc":
-        W = np.clip(V, _ZC_CLAMP, 1.0 - _ZC_CLAMP)
-        ratio = (1.0 / W - 1.0) / ((n - 0.5) / (j - 0.75) - 1.0)
-        return np.sum(np.log(ratio) ** 2, axis=1)
-
-    raise ValueError(f"unknown classical test id {kind!r}; expected one of {CLASSICAL_KINDS}")
+    # zc, the last id batch_statistic lets through
+    W = np.clip(V, _ZC_CLAMP, 1.0 - _ZC_CLAMP)
+    ratio = (1.0 / W - 1.0) / ((n - 0.5) / (j - 0.75) - 1.0)
+    return np.sum(np.log(ratio) ** 2, axis=1)
 
 
 def batch_statistic(kind: str, U) -> np.ndarray:
@@ -92,6 +97,7 @@ def batch_statistic(kind: str, U) -> np.ndarray:
     one first. A caller that evaluates several statistics on one batch
     builds the ``UnitRows`` once and passes it to every call.
     """
+    check_test_id(kind)
     rows = U if isinstance(U, UnitRows) else UnitRows(U)
     if kind == "tm":
         return tm_statistic_batch(rows)

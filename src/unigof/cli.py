@@ -24,7 +24,7 @@ import numpy as np
 
 from .classical import TEST_IDS, batch_statistic
 from .composite import FAMILIES as COMPOSITE_FAMILIES, bootstrap_pvalue
-from .distributions import GRAMMAR_HELP, cdf as spec_cdf, parse_spec
+from .distributions import GRAMMAR_HELP, cdf as spec_cdf, parse_spec, support
 from .mc import (
     NULL_FAMILIES,
     StudyConfig,
@@ -98,8 +98,13 @@ def _to_unit(args, data: np.ndarray) -> UnitSample:
     if null in COMPOSITE_FAMILIES:
         return COMPOSITE_FAMILIES[null].transform(Sample(data))
     spec = parse_spec(null)  # simple null with a fully specified CDF
-    u = np.asarray(spec_cdf(spec, data))
-    return UnitSample(u)
+    x = Sample(data).values
+    lo, hi = support(spec)  # the CDF clips to the support, so data outside it must fail here
+    outside = x[(x < lo) | (x > hi)]
+    if outside.size:
+        raise ValueError(
+            f"value {float(outside[0])!r} lies outside [{lo:g}, {hi:g}], the support of {spec.label()}")
+    return UnitSample(spec_cdf(spec, x))
 
 
 def _critical_values(config: StudyConfig, source):

@@ -16,11 +16,12 @@ every replicate, mirroring what was done to the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
 
-from .classical import batch_statistic
+from .classical import batch_statistic, check_test_id
 from .numerics import normal_cdf
 from .statistic import Sample, UnitSample
 
@@ -193,34 +194,31 @@ def bootstrap_pvalue(
     transformed sample, then repeats estimate-transform-evaluate on B
     samples drawn from the fitted member. The p-value uses the add-one
     convention (1 + exceedances) / (B + 1), which is valid at any finite B.
-    Replicates whose estimation degenerates are dropped; more than 1% of
-    them failing aborts the run.
+    ``kind`` and ``B`` are checked before the fit. Only replicates whose
+    transform degenerates are dropped, so an infinite statistic counts as
+    an exceedance; more than 1% of them failing aborts the run.
     """
     family = FAMILIES.get(tag)
     if family is None:
         raise ValueError(f"unknown composite family {tag!r}")
-    if B < 99:
-        raise ValueError("B must be at least 99 for a meaningful p-value")
+    check_test_id(kind)
+    if not isinstance(B, Integral) or B < 99:
+        raise ValueError(f"B must be an integer of at least 99 for a meaningful p-value, got {B}")
 
     v = _values(x)
     check_sample_size(family.tag, v.size)
     params = family.estimator(v)
     observed = float(batch_statistic(kind, family.transform(v))[0])
 
-    draws = family.sample_fitted(params, (int(B), v.size), rng)
-    U = family.transform_rows(draws)
-    row_ok = np.all(np.isfinite(U), axis=1)
-    stats_boot = np.full(B, np.nan)
-    if np.any(row_ok):
-        stats_boot[row_ok] = batch_statistic(kind, U[row_ok])
-    valid = np.isfinite(stats_boot)
+    U = family.transform_rows(family.sample_fitted(params, (B, v.size), rng))
+    valid = np.all(np.isfinite(U), axis=1)
     n_valid = int(valid.sum())
     if B - n_valid > 0.01 * B:
         raise RuntimeError(
             f"{B - n_valid} of {B} bootstrap replicates failed estimation; "
             "the fitted model looks degenerate"
         )
-    exceed = int(np.sum(stats_boot[valid] >= observed))
+    exceed = int(np.sum(batch_statistic(kind, U[valid]) >= observed))
     return BootstrapResult(
         p_value=(1.0 + exceed) / (n_valid + 1.0),
         replications=n_valid,

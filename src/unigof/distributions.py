@@ -4,8 +4,8 @@ Each family is declared once, in ``_TABLE``: its arity, its closed support
 ``(lo, hi)``, its parameter rule, and its sampler, distribution function and
 density. The seventeen families are shapes on the unit interval, lifetime
 laws on [0, inf) and real-line laws for the composite studies. ``FAMILIES``,
-spec validation, the support tests the studies run, the clip of every CDF to
-its support and the zero density outside it all derive from the table.
+spec validation, the one support check of studies and nulls, the clip of every
+CDF to its support and the zero density outside it all derive from the table.
 Sampling is pure given an explicit numpy Generator.
 
 On top of the table, a mixture composes two specs with a per-draw Bernoulli
@@ -32,8 +32,8 @@ __all__ = [
     "cdf",
     "pdf",
     "parse_spec",
-    "supports_unit_interval",
-    "supports_above_one",
+    "support",
+    "check_support",
 ]
 
 Params = tuple[float, ...]
@@ -282,26 +282,26 @@ class AlternativeSpec:
         return core + ("+1" if self.translate_by_one else "")
 
 
-def _support(spec: AlternativeSpec) -> tuple[float, float]:
+def support(spec: AlternativeSpec) -> tuple[float, float]:
     """Closed interval holding every draw: the hull of a mixture's drawn components, shifted for +1."""
     if spec.family == "mixture":
         w, a, b = spec.mixture
-        hulls = [_support(part) for part, share in ((a, w), (b, 1.0 - w)) if share > 0.0]
+        hulls = [support(part) for part, share in ((a, w), (b, 1.0 - w)) if share > 0.0]
         lo, hi = min(h[0] for h in hulls), max(h[1] for h in hulls)
     else:
         lo, hi = _TABLE[spec.family].support
     return (lo + 1.0, hi + 1.0) if spec.translate_by_one else (lo, hi)
 
 
-def supports_unit_interval(spec: AlternativeSpec) -> bool:
-    """True when every draw from the spec lands in [0, 1]."""
-    lo, hi = _support(spec)
-    return lo >= 0.0 and hi <= 1.0
-
-
-def supports_above_one(spec: AlternativeSpec) -> bool:
-    """True when every draw from the spec lands in [1, inf), the Pareto null's support."""
-    return _support(spec)[0] >= 1.0
+def check_support(spec: AlternativeSpec, family: str) -> None:
+    """Raise unless every draw from the spec lies in the closed support of the null ``family``."""
+    lo, hi = support(spec)
+    null_lo, null_hi = _TABLE[family].support
+    if lo < null_lo or hi > null_hi:
+        raise ValueError(
+            f"alternative {spec.label()} can draw values outside [{null_lo:g}, {null_hi:g}], "
+            f"the support of the {family} null"
+        )
 
 
 def _draw(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:

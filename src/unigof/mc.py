@@ -29,9 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import TEST_IDS, batch_statistic
+from .classical import batch_statistic, check_test_id
 from .composite import FAMILIES as COMPOSITE_FAMILIES, check_sample_size
-from .distributions import AlternativeSpec, pdf, sample, supports_above_one, supports_unit_interval
+from .distributions import AlternativeSpec, check_support, pdf, sample
 from .null_limit import cumulants_exact, pearson_fit, pearson_quantile
 from .numerics import gauss_legendre
 from .power_theory import (
@@ -115,8 +115,7 @@ class StudyConfig:
         for name in ("replications", "master_seed", "workers"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for t in self.tests:
-            if t not in TEST_IDS:
-                raise ValueError(f"unknown test id {t!r}; expected one of {', '.join(TEST_IDS)}")
+            check_test_id(t)
         if not self.tests:
             raise ValueError("at least one test id is required")
         if self.family not in NULL_FAMILIES:
@@ -152,17 +151,7 @@ class StudyConfig:
             if len(self.alphas) != 1:
                 raise ValueError("power_curve mode takes exactly one alpha")
         for alt in self.alternatives:
-            if self.family == "uniform" and not supports_unit_interval(alt):
-                raise ValueError(
-                    f"alternative {alt.label()} is not supported on the unit interval; "
-                    "uniformity studies need unit-interval alternatives"
-                )
-            if self.family == "pareto" and not supports_above_one(alt):
-                raise ValueError(
-                    f"alternative {alt.label()} can draw values below one; "
-                    "Pareto studies need alternatives supported on [1, inf), "
-                    "e.g. a positive law translated with +1"
-                )
+            check_support(alt, self.family)
 
 
 @dataclass(frozen=True)
@@ -337,10 +326,7 @@ def theory_spec_for(alt: AlternativeSpec) -> AlternativeTheorySpec:
     closed_form = {s.name: s for s in (uniform_theory_spec(), *builtin_beta_specs())}
     if alt.label() in closed_form:
         return closed_form[alt.label()]
-    if not supports_unit_interval(alt):
-        raise ValueError(
-            f"no fixed-alternative theory for {alt.label()}: support is not the unit interval"
-        )
+    check_support(alt, "uniform")
     return spec_from_density(alt.label(), lambda x: np.asarray(pdf(alt, x)), gauss_legendre(128))
 
 

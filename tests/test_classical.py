@@ -143,6 +143,12 @@ def test_batch_unknown_kind():
         batch_statistic("lilliefors", np.full((1, 3), 0.5))
 
 
+def test_batch_unknown_kind_lists_every_test_id():
+    with pytest.raises(ValueError) as excinfo:
+        batch_statistic("nope", np.full((1, 3), 0.5))
+    assert str(excinfo.value) == "unknown test id 'nope'; expected one of " + ", ".join(TEST_IDS)
+
+
 def test_batch_validates_range():
     with pytest.raises(ValueError, match="probability transform"):
         batch_statistic("ks", np.array([[0.1, 1.7]]))

@@ -89,6 +89,30 @@ class TestTestCommand:
         assert code == 2
         assert "1.7" in err
 
+    @pytest.mark.parametrize(
+        "null, values, named",
+        [("beta(2,2)", "0.3\n1.5\n0.6\n", ("1.5", "beta(2,2)", "[0, 1]")),
+         ("gamma(2)", "0.8\n-0.25\n2.1\n", ("-0.25", "gamma(2)", "[0, inf]"))],
+        ids=["beta-above-one", "gamma-negative"],
+    )
+    def test_simple_null_data_outside_the_support(self, tmp_path, capsys, null, values, named):
+        # the CDF would clip these values to F = 0 or 1 and the test would go on
+        path = tmp_path / "outside.txt"
+        path.write_text(values)
+        code = main(["test", str(path), "--null", null, "--tests", "tm,ad", "--critvals", "mc",
+                     "--reps", "200"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert all(part in captured.err for part in named), captured.err
+
+    def test_simple_null_accepts_the_support_endpoints(self, tmp_path, capsys):
+        path = tmp_path / "ends.txt"
+        path.write_text("0\n0.2\n0.45\n0.7\n1\n")
+        code = main(["test", str(path), "--null", "beta(2,2)", "--tests", "tm", "--critvals", "pearson"])
+        assert code in (0, 1)
+        assert "statistic" in capsys.readouterr().out
+
     def test_unknown_null_spec_prints_grammar(self, uniform_file, capsys):
         code = main(["test", uniform_file, "--null", "frobnitz(2)"])
         err = capsys.readouterr().err
@@ -259,7 +283,7 @@ class TestPowerCommand:
         )
         err = capsys.readouterr().err
         assert code == 2
-        assert "unit interval" in err
+        assert "gamma(1) can draw values outside [0, 1]" in err
 
     def test_composite_family_power(self, tmp_path, capsys):
         out = tmp_path / "p.csv"

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from unigof import (
+    TEST_IDS,
     Sample,
+    UnitSample,
     batch_statistic,
     bootstrap_pvalue,
     estimate_normal,
@@ -12,6 +14,7 @@ from unigof import (
     transform_normal,
     transform_pareto,
 )
+from unigof import composite
 from unigof.composite import FAMILIES
 from unigof.numerics import normal_cdf
 
@@ -227,3 +230,35 @@ class TestBootstrap:
     def test_unknown_family(self, rng):
         with pytest.raises(ValueError):
             bootstrap_pvalue("lognormal", "tm", rng.normal(size=20), B=199, rng=rng)
+
+    @pytest.mark.parametrize(
+        "kind, B, match",
+        [
+            ("tm", 1e4, r"B must be an integer of at least 99 .*, got 10000\.0$"),
+            ("tm", 50, "B must be an integer of at least 99 .*, got 50$"),
+            ("nope", 199, "^unknown test id 'nope'; expected one of " + ", ".join(TEST_IDS) + "$"),
+        ],
+        ids=["float-B", "small-B", "unknown-kind"],
+    )
+    def test_arguments_are_checked_before_the_fit(self, kind, B, match, rng):
+        # data the Pareto fit refuses: the argument error must come first
+        with pytest.raises(ValueError, match=match):
+            bootstrap_pvalue("pareto", kind, np.array([0.5, 2.0, 3.0]), B=B, rng=rng)
+
+    def test_an_infinite_statistic_counts_as_an_exceedance(self, monkeypatch):
+        # only a degenerate transform drops a replicate, as in the Monte Carlo engine
+        real = composite.batch_statistic
+
+        def one_infinite(kind, U):
+            if isinstance(U, UnitSample):  # the observed sample
+                return real(kind, U)
+            out = np.zeros(U.shape[0])
+            out[0] = np.inf
+            return out
+
+        monkeypatch.setattr(composite, "batch_statistic", one_infinite)
+        x = np.random.default_rng(42).normal(size=50)
+        out = bootstrap_pvalue("normal", "tm", x, B=199, rng=np.random.default_rng(1))
+        assert out.observed_statistic > 0.0
+        assert out.replications == 199
+        assert out.p_value == 2.0 / 200.0

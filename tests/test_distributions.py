@@ -12,13 +12,13 @@ from scipy import stats
 from unigof import (
     AlternativeSpec,
     cdf,
+    check_support,
     parse_spec,
     pdf,
     sample,
-    supports_above_one,
-    supports_unit_interval,
+    support,
 )
-from unigof.distributions import _ALIASES, FAMILIES, GRAMMAR_HELP, _support
+from unigof.distributions import _ALIASES, FAMILIES, GRAMMAR_HELP
 
 # one representative per family, plus decorated composites
 CATALOG = [
@@ -92,7 +92,7 @@ def test_table_cases_cover_every_family():
 @pytest.mark.parametrize("text", TABLE_CASES + ["gamma(0.8)+1", "mix(0.5,s3(0.5),eg(0.3)+1)"])
 def test_laws_respect_the_declared_support(text, rng):
     spec = spec_of(text)
-    lo, hi = _support(spec)
+    lo, hi = support(spec)
     draws = sample(spec, 5000, rng).values
     assert np.all((draws >= lo) & (draws <= hi))
     outside = []
@@ -261,39 +261,63 @@ class TestSpecValidation:
             AlternativeSpec("beta", (2.0, 3.0), mixture=(0.5, u, u))
 
 
+def inside(text, family):
+    """Whether ``check_support`` accepts the spec for the null ``family``."""
+    try:
+        check_support(spec_of(text), family)
+    except ValueError as exc:
+        assert spec_of(text).label() in str(exc)
+        assert f"the support of the {family} null" in str(exc)
+        return False
+    return True
+
+
 class TestSupportsUnitInterval:
+    """``check_support`` against the uniform null, whose support is [0, 1]."""
+
     def test_unit_families(self):
         for text in ("uniform", "beta(2,3)", "tn(0,1)", "kum(2,2)", "s1(0.7)"):
-            assert supports_unit_interval(spec_of(text)), text
+            assert inside(text, "uniform"), text
 
     def test_real_line_families(self):
         for text in ("gamma(1)", "normal(0,1)", "pareto(2)", "t(5)"):
-            assert not supports_unit_interval(spec_of(text)), text
+            assert not inside(text, "uniform"), text
 
     def test_translation_leaves_unit_interval(self):
-        assert not supports_unit_interval(spec_of("beta(2,3)+1"))
+        assert not inside("beta(2,3)+1", "uniform")
 
     def test_mixture_requires_both_components(self):
-        assert supports_unit_interval(spec_of("mix(0.5,u,beta(2,2))"))
-        assert not supports_unit_interval(spec_of("mix(0.5,u,gamma(1))"))
+        assert inside("mix(0.5,u,beta(2,2))", "uniform")
+        assert not inside("mix(0.5,u,gamma(1))", "uniform")
 
     def test_mixture_ignores_a_component_it_never_draws(self):
-        assert supports_unit_interval(spec_of("mix(0,gamma(1),beta(2,2))"))
-        assert supports_unit_interval(spec_of("mix(1,u,normal(0,1))"))
-        assert supports_above_one(spec_of("mix(1,pareto(2),gamma(1))"))
-        assert not supports_above_one(spec_of("mix(0,pareto(2),gamma(1))"))
+        assert inside("mix(0,gamma(1),beta(2,2))", "uniform")
+        assert inside("mix(1,u,normal(0,1))", "uniform")
+        assert inside("mix(1,pareto(2),gamma(1))", "pareto")
+        assert not inside("mix(0,pareto(2),gamma(1))", "pareto")
+
+    def test_error_names_the_spec_and_the_closed_interval(self):
+        with pytest.raises(ValueError, match=r"gamma\(1\) can draw values outside \[0, 1\]"):
+            check_support(spec_of("gamma(1)"), "uniform")
 
 
 class TestSupportsAboveOne:
+    """``check_support`` against the Pareto null, whose support is [1, inf]."""
+
     def test_pareto_null_support(self):
         for text in ("pareto(2)", "gamma(0.8)+1", "weibull(0.7)+1", "beta(2,3)+1",
                      "mix(0.75,gamma(0.7)+1,pareto(1))", "mix(0.5,gamma(1),chisq(2))+1"):
-            assert supports_above_one(spec_of(text)), text
+            assert inside(text, "pareto"), text
 
     def test_draws_below_one(self):
         for text in ("gamma(1)", "beta(2,3)", "normal(3,9)", "t(5)+1", "sn(1)+1",
                      "mix(0.5,pareto(2),gamma(1))", "mix(0.5,gamma(1),normal(0,1))+1"):
-            assert not supports_above_one(spec_of(text)), text
+            assert not inside(text, "pareto"), text
+
+
+def test_the_normal_null_accepts_every_law():
+    for text in TABLE_CASES + ["gamma(0.8)+1", "mix(0.5,s3(0.5),eg(0.3)+1)"]:
+        assert inside(text, "normal"), text
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ class TestStudyConfig:
             critval_config(family="lognormal")
 
     def test_uniform_studies_need_unit_alternatives(self):
-        with pytest.raises(ValueError, match="unit interval"):
+        with pytest.raises(ValueError, match=r"gamma\(1\) can draw values outside \[0, 1\]"):
             StudyConfig(
                 mode="power",
                 tests=("tm",),
@@ -176,15 +176,16 @@ class TestStudyConfig:
             ),
             (
                 dict(mode="power", family="pareto", alternatives=(parse_spec("gamma(1)"),)),
-                r"gamma\(1\) can draw values below one",
+                r"gamma\(1\) can draw values outside \[1, inf\]",
             ),
-            (
+            pytest.param(
                 dict(
                     mode="power",
                     family="pareto",
                     alternatives=(parse_spec("mix(0.5,pareto(2),t(3))"),),
                 ),
-                "below one",
+                r"mix\(0.5,pareto\(2\),t\(3\)\) can draw values outside \[1, inf\]",
+                id="fields7-mixture-pareto",
             ),
         ],
     )
@@ -722,7 +723,7 @@ class TestTheorySpecFor:
         assert spec.sigma2 > 0.0
 
     def test_real_line_alternative_rejected(self):
-        with pytest.raises(ValueError, match="unit interval"):
+        with pytest.raises(ValueError, match=r"gamma\(1\) can draw values outside \[0, 1\]"):
             theory_spec_for(parse_spec("gamma(1)"))
 
 
