@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .statistic import TestOutcome, UnitRows, tm_statistic_batch
+from .statistic import TestOutcome, UnitRows, by_blocks, tm_statistic_batch
 
 __all__ = [
     "CLASSICAL_KINDS",
@@ -101,7 +101,7 @@ def batch_statistic(kind: str, U) -> np.ndarray:
     rows = U if isinstance(U, UnitRows) else UnitRows(U)
     if kind == "tm":
         return tm_statistic_batch(rows)
-    return _batch_sorted(kind, rows.values)
+    return by_blocks(lambda V: _batch_sorted(kind, V), rows.values)
 
 
 def classical_battery(u) -> list[TestOutcome]:

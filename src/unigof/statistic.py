@@ -35,6 +35,8 @@ __all__ = [
     "empirical_process",
 ]
 
+_BLOCK_VALUES = 1 << 15  # values per row block of a batch kernel: 256 KB per float64 temporary
+
 
 @dataclass
 class Sample:
@@ -91,6 +93,32 @@ class TestOutcome:
     statistic: float
 
 
+def by_blocks(kernel, V: np.ndarray) -> np.ndarray:
+    """Apply ``kernel``, which must treat each row on its own, to cache-sized blocks of the rows of ``V``."""
+    step = max(1, _BLOCK_VALUES // V.shape[1])
+    if V.shape[0] <= step:
+        return kernel(V)
+    return np.concatenate([kernel(V[i:i + step]) for i in range(0, V.shape[0], step)])
+
+
+def _tm_rows(V: np.ndarray) -> np.ndarray:
+    n = V.shape[1]
+    A = 2.0 * V - 1.0
+    Q = np.cumsum(A, axis=1)
+    np.subtract(Q[:, -1:], Q, out=Q)  # Q_k = sum_{j>k} A_j
+    Q *= 2.0
+    Q += A
+    Q *= 3.0 / n
+    T = 2.0 - A  # 3 - 2V
+    T *= V
+    Q -= T
+    Q *= A
+    Q *= V
+    # a sum over each row, not einsum: einsum splits rows longer than its
+    # 8192-value buffer, and then a row's bits depend on the rows beside it
+    return np.maximum(Q.sum(axis=1) / 3.0 + n / 30.0, 0.0)
+
+
 def tm_statistic_batch(U) -> np.ndarray:
     """Closed-form statistic for each row of a batch of unit samples.
 
@@ -109,18 +137,15 @@ def tm_statistic_batch(U) -> np.ndarray:
     Notes
     -----
     The closed form is a double sum of ``(4 U_j U_k - 2 (U_j + U_k) + 1)
-    min(U_j, U_k)`` plus single-sum corrections. Since the quartic factor
-    is ``(2 U_j - 1)(2 U_k - 1)``, sorting each row turns the double sum
-    into prefix sums, so a row costs O(n log n) instead of O(n^2).
+    min(U_j, U_k)`` minus single-sum corrections, plus ``n / 30``. The
+    quartic factor is ``A_j A_k`` with ``A = 2 U - 1``, so on a sorted row
+    the double sum is ``sum_k A_k U_k (A_k + 2 Q_k) / n`` with the suffix
+    sums ``Q_k = sum_{j>k} A_j``: one prefix sum, O(n) per sorted row. The
+    single sums ``A_k U_k^2 (3 - 2 U_k) / 3`` share the factor ``A_k U_k``
+    and fold into the same row sum. Rows are taken in blocks of
+    about 256 KB per temporary (:func:`by_blocks`).
     """
-    V = (U if isinstance(U, UnitRows) else UnitRows(U)).values
-    n = V.shape[1]
-    A = 2.0 * V - 1.0
-    P = np.cumsum(A * V, axis=1)
-    Q = np.sum(A, axis=1, keepdims=True) - np.cumsum(A, axis=1)
-    pair = np.sum(A * (P + V * Q), axis=1) / n
-    single = np.sum(A * V * V * (3.0 - 2.0 * V), axis=1) / 3.0
-    return np.maximum(pair - single + n / 30.0, 0.0)
+    return by_blocks(_tm_rows, (U if isinstance(U, UnitRows) else UnitRows(U)).values)
 
 
 def tm_statistic(u) -> float:

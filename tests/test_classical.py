@@ -169,6 +169,17 @@ def test_checked_rows_give_bit_identical_statistics(rng, n):
         np.testing.assert_array_equal(got, batch_statistic(kind, U[:, ::-1]), kind)
 
 
+def test_row_blocks_are_bit_identical(block_rows):
+    rows, picks = block_rows
+    V = rows.values
+    for kind in CLASSICAL_KINDS:
+        got = batch_statistic(kind, rows)
+        # the whole matrix in one pass, and single rows on either side of each block edge
+        np.testing.assert_array_equal(got, classical._batch_sorted(kind, V), kind)
+        for i in picks:
+            np.testing.assert_array_equal(got[i], batch_statistic(kind, UnitRows(V[i]))[0], f"{kind} row {i}")
+
+
 # ---------------------------------------------------------------------------
 # battery
 

@@ -6,7 +6,7 @@ byte-level CSV output across runs and worker counts.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from unigof import (
@@ -287,6 +287,8 @@ def _mass_outside_support(family, alt):
 
 
 @given(family=st.sampled_from(NULL_FAMILIES), alt=alternative_specs())
+# a normal component two shifts deep: its mass below one, 7.7e-13, is tiny but positive
+@example(family="pareto", alt=parse_spec("mix(0,chisq(1),mix(0,chisq(1),normal(3,0.5)+1)+1)+1"))
 @settings(max_examples=300, deadline=None)
 def test_config_accepts_exactly_the_alternatives_inside_the_null_support(family, alt):
     outside = _mass_outside_support(family, alt)
@@ -295,7 +297,7 @@ def test_config_accepts_exactly_the_alternatives_inside_the_null_support(family,
                     alphas=(0.05,), replications=100, master_seed=0)
     except ValueError as exc:
         assert alt.label() in str(exc)
-        assert outside > 1e-12
+        assert outside > 0.0
         return
     # sums of mixture weights may miss one by an ulp
     assert outside < 1e-12

@@ -84,6 +84,29 @@ def test_batch_matches_single_rows(rng):
     np.testing.assert_allclose(batch, singles, rtol=1e-13)
 
 
+def _tm_two_prefix_sums(V):
+    """The batch kernel as it was before row blocks: two prefix sums over the whole matrix."""
+    n = V.shape[1]
+    A = 2.0 * V - 1.0
+    P = np.cumsum(A * V, axis=1)
+    Q = np.sum(A, axis=1, keepdims=True) - np.cumsum(A, axis=1)
+    pair = np.sum(A * (P + V * Q), axis=1) / n
+    single = np.sum(A * V * V * (3.0 - 2.0 * V), axis=1) / 3.0
+    return np.maximum(pair - single + n / 30.0, 0.0)
+
+
+def test_row_blocks_match_the_two_prefix_sum_kernel(block_rows):
+    rows, picks = block_rows
+    V = rows.values
+    n = V.shape[1]
+    got = tm_statistic_batch(rows)
+    # both forms cancel terms of size n / 30 down to a value of order one,
+    # so their rounding grows with n: 1.8e-14 at n = 200, 2e-11 near n = 33000
+    np.testing.assert_allclose(got, _tm_two_prefix_sums(V), rtol=0.0, atol=1e-12 * max(1.0, n / 1000))
+    for i in picks:
+        assert tm_statistic(V[i]) == got[i], f"row {i}"
+
+
 def test_batch_requires_matrix():
     with pytest.raises(ValueError):
         tm_statistic_batch(np.array([0.1, 0.2, 0.3]).reshape(1, 1, 3))
