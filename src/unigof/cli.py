@@ -24,7 +24,7 @@ import numpy as np
 
 from .classical import TEST_IDS, batch_statistic
 from .composite import FAMILIES as COMPOSITE_FAMILIES, bootstrap_pvalue
-from .distributions import GRAMMAR_HELP, cdf as spec_cdf, parse_spec, support
+from .distributions import GRAMMAR_HELP, cdf as spec_cdf, covers, parse_spec, support
 from .mc import (
     NULL_FAMILIES,
     StudyConfig,
@@ -99,11 +99,11 @@ def _to_unit(args, data: np.ndarray) -> UnitSample:
         return COMPOSITE_FAMILIES[null].transform(Sample(data))
     spec = parse_spec(null)  # simple null with a fully specified CDF
     x = Sample(data).values
-    lo, hi = support(spec)  # the CDF clips to the support, so data outside it must fail here
-    outside = x[(x < lo) | (x > hi)]
+    outside = x[~covers(spec, x)]  # the CDF is flat off the support, so such data must fail here
     if outside.size:
-        raise ValueError(
-            f"value {float(outside[0])!r} lies outside [{lo:g}, {hi:g}], the support of {spec.label()}")
+        lo, hi = support(spec)
+        raise ValueError(f"value {float(outside[0])!r} lies outside the support of {spec.label()} "
+                         f"(its hull is [{lo:g}, {hi:g}])")
     return UnitSample(spec_cdf(spec, x))
 
 

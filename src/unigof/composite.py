@@ -9,6 +9,10 @@ constructions are pivotal: the transformed sample's distribution does not
 depend on the true parameter, which is what makes fixed critical-value
 tables possible.
 
+Pivotality also makes the standard member the fitted member at standard
+parameters, so each family has one sampler. A degenerate fit is an error
+that names the family; no sample is ever dropped.
+
 P-values come from a parametric bootstrap that re-estimates parameters in
 every replicate, mirroring what was done to the data.
 """
@@ -16,6 +20,7 @@ every replicate, mirroring what was done to the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral
 from typing import Callable
 
@@ -85,30 +90,31 @@ def transform_pareto(x) -> UnitSample:
     return UnitSample(_pareto_rows(v[None, :])[0])
 
 
+def _check_fits(tag: str, degenerate: np.ndarray) -> None:
+    """Raise when any row's fit is degenerate; ``degenerate`` flags the rows."""
+    bad = int(np.count_nonzero(degenerate))
+    if bad:
+        raise ValueError(f"the {tag} fit is degenerate in {bad} of {degenerate.size} samples")
+
+
 def _normal_rows(X: np.ndarray) -> np.ndarray:
     mu = X.mean(axis=1, keepdims=True)
     var = np.mean((X - mu) ** 2, axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        U = normal_cdf((X - mu) / np.sqrt(var))
-    U[np.broadcast_to(var <= 0.0, U.shape)] = np.nan
-    return U
+    _check_fits("normal", ~(var > 0.0))
+    return normal_cdf((X - mu) / np.sqrt(var))
 
 
 def _pareto_rows(X: np.ndarray) -> np.ndarray:
     L = np.log(X)
     total = L.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        U = -np.expm1(-(X.shape[1] / total) * L)
-    bad = (total <= 0.0) | ~np.isfinite(total)
-    U[np.broadcast_to(bad, U.shape)] = np.nan
-    return U
+    _check_fits("pareto", ~((total > 0.0) & np.isfinite(total)))
+    return -np.expm1(-(X.shape[1] / total) * L)
 
 
 @dataclass(frozen=True)
 class CompositeFamily:
-    """Estimator, transform and standard-member sampler for one family."""
+    """Estimator, transforms and samplers; ``sample_standard`` is ``sample_fitted`` at standard parameters."""
 
-    tag: str
     estimator: Callable
     transform: Callable
     transform_rows: Callable[[np.ndarray], np.ndarray]
@@ -116,17 +122,9 @@ class CompositeFamily:
     sample_fitted: Callable
 
 
-def _normal_standard(shape, rng):
-    return rng.standard_normal(shape)
-
-
 def _normal_fitted(params, shape, rng):
     mu, sigma = params
     return mu + sigma * rng.standard_normal(shape)
-
-
-def _pareto_standard(shape, rng):
-    return (1.0 - rng.random(shape)) ** -1.0
 
 
 def _pareto_fitted(params, shape, rng):
@@ -135,20 +133,10 @@ def _pareto_fitted(params, shape, rng):
 
 FAMILIES: dict[str, CompositeFamily] = {
     "normal": CompositeFamily(
-        "normal",
-        estimate_normal,
-        transform_normal,
-        _normal_rows,
-        _normal_standard,
-        _normal_fitted,
+        estimate_normal, transform_normal, _normal_rows, partial(_normal_fitted, (0.0, 1.0)), _normal_fitted
     ),
     "pareto": CompositeFamily(
-        "pareto",
-        estimate_pareto,
-        transform_pareto,
-        _pareto_rows,
-        _pareto_standard,
-        _pareto_fitted,
+        estimate_pareto, transform_pareto, _pareto_rows, partial(_pareto_fitted, 1.0), _pareto_fitted
     ),
 }
 
@@ -194,9 +182,9 @@ def bootstrap_pvalue(
     transformed sample, then repeats estimate-transform-evaluate on B
     samples drawn from the fitted member. The p-value uses the add-one
     convention (1 + exceedances) / (B + 1), which is valid at any finite B.
-    ``kind`` and ``B`` are checked before the fit. Only replicates whose
-    transform degenerates are dropped, so an infinite statistic counts as
-    an exceedance; more than 1% of them failing aborts the run.
+    ``kind`` and ``B`` are checked before the fit. Every replicate counts,
+    so an infinite statistic is an exceedance, and a replicate whose fit is
+    degenerate is the family's error, as it is in a Monte Carlo cell.
     """
     family = FAMILIES.get(tag)
     if family is None:
@@ -206,23 +194,16 @@ def bootstrap_pvalue(
         raise ValueError(f"B must be an integer of at least 99 for a meaningful p-value, got {B}")
 
     v = _values(x)
-    check_sample_size(family.tag, v.size)
+    check_sample_size(tag, v.size)
     params = family.estimator(v)
     observed = float(batch_statistic(kind, family.transform(v))[0])
 
     U = family.transform_rows(family.sample_fitted(params, (B, v.size), rng))
-    valid = np.all(np.isfinite(U), axis=1)
-    n_valid = int(valid.sum())
-    if B - n_valid > 0.01 * B:
-        raise RuntimeError(
-            f"{B - n_valid} of {B} bootstrap replicates failed estimation; "
-            "the fitted model looks degenerate"
-        )
-    exceed = int(np.sum(batch_statistic(kind, U[valid]) >= observed))
+    exceed = int(np.sum(batch_statistic(kind, U) >= observed))
     return BootstrapResult(
-        p_value=(1.0 + exceed) / (n_valid + 1.0),
-        replications=n_valid,
+        p_value=(1.0 + exceed) / (B + 1.0),
+        replications=B,
         observed_statistic=observed,
         test_id=kind,
-        family_tag=family.tag,
+        family_tag=tag,
     )

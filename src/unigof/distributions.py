@@ -33,6 +33,7 @@ __all__ = [
     "pdf",
     "parse_spec",
     "support",
+    "covers",
     "check_support",
 ]
 
@@ -254,6 +255,8 @@ class AlternativeSpec:
         if self.family == "mixture":
             if self.mixture is None:
                 raise ValueError("mixture spec requires the (p, A, B) triple")
+            if self.params:
+                raise ValueError(f"a mixture takes no parameters of its own, got {self.params}")
             p, a, b = self.mixture
             if not 0.0 <= p <= 1.0:
                 raise ValueError("mixture weight must lie in [0, 1]")
@@ -291,6 +294,18 @@ def support(spec: AlternativeSpec) -> tuple[float, float]:
     else:
         lo, hi = _TABLE[spec.family].support
     return (lo + 1.0, hi + 1.0) if spec.translate_by_one else (lo, hi)
+
+
+def covers(spec: AlternativeSpec, x) -> np.ndarray:
+    """Where x lies in the closed support of the spec: for a mixture, in that of a drawn component."""
+    x = np.asarray(x, dtype=float)
+    if spec.translate_by_one:
+        x = x - 1.0
+    if spec.family == "mixture":
+        w, a, b = spec.mixture
+        return np.logical_or.reduce([covers(part, x) for part, share in ((a, w), (b, 1.0 - w)) if share > 0.0])
+    lo, hi = _TABLE[spec.family].support
+    return (x >= lo) & (x <= hi)
 
 
 def check_support(spec: AlternativeSpec, family: str) -> None:

@@ -14,10 +14,6 @@ def rng():
     return np.random.default_rng(20260816)
 
 
-def random_unit_matrix(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
-    return rng.random((rows, n))
-
-
 def _block_shapes():
     # row counts of one block, one block and a row, two blocks and a row, at
     # each n; 10000 puts rows longer than numpy's 8192-value buffer three to

@@ -106,6 +106,17 @@ class TestTestCommand:
         assert captured.out == ""
         assert all(part in captured.err for part in named), captured.err
 
+    def test_simple_null_data_in_a_mixture_gap(self, tmp_path, capsys):
+        # the null puts its mass on [0, 1] and [2, 3]; 1.5 lies in the hull only
+        path = tmp_path / "gap.txt"
+        path.write_text("1.5\n1.6\n0.2\n")
+        code = main(["test", str(path), "--null", "mix(0.5,u,mix(0.5,u+1,u+1)+1)", "--tests", "tm",
+                     "--critvals", "pearson"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "value 1.5 lies outside the support of mix(0.5,uniform,mix(0.5,uniform+1,uniform+1)+1)" in captured.err
+
     def test_simple_null_accepts_the_support_endpoints(self, tmp_path, capsys):
         path = tmp_path / "ends.txt"
         path.write_text("0\n0.2\n0.45\n0.7\n1\n")
@@ -295,6 +306,15 @@ class TestPowerCommand:
         assert code == 0
         assert out.exists()
 
+    def test_degenerate_composite_fit_names_the_family(self, capsys):
+        code = main(
+            ["power", "--family", "pareto", "--alt", "gamma(0.001)+1", "--n", "5",
+             "--reps", "200", "--critval-reps", "200", "--tests", "tm"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: the pareto fit is degenerate in 170 of 200 samples\n"
+
 
 class TestCurveCommand:
     def test_writes_curve_csv(self, tmp_path, capsys):
@@ -335,6 +355,15 @@ class TestBootstrapCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "0.5" in err
+
+    def test_degenerate_replicates_are_an_error(self, tmp_path, capsys):
+        path = tmp_path / "near.txt"
+        path.write_text("".join(f"{1.0 + v * 1e-15!r}\n" for v in (0, 1, 2, 0, 1)))
+        code = main(["bootstrap", str(path), "--family", "normal", "-B", "199"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "the normal fit is degenerate in" in captured.err
 
 
 class TestSpectrumCommand:

@@ -164,6 +164,34 @@ def test_pivotality_across_parameters(tag, sampler_params, rng):
     assert spread < 0.012, q95  # ~3 MC standard errors at these settings
 
 
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("shape", [(4096, 3), (4096, 50)], ids=["n3", "n50"])
+def test_standard_draw_is_the_standard_member_bit_for_bit(seed, shape):
+    # each family's standard sampler is its fitted sampler at (0, 1) or 1,
+    # and draws what the textbook standard member draws, sign of zero included
+    expected = {
+        "normal": lambda rng: rng.standard_normal(shape),
+        "pareto": lambda rng: (1.0 - rng.random(shape)) ** -1.0,
+    }
+    for tag, draw in expected.items():
+        got = FAMILIES[tag].sample_standard(shape, np.random.default_rng(seed))
+        want = draw(np.random.default_rng(seed))
+        assert np.array_equal(got, want), tag
+        assert np.array_equal(np.signbit(got), np.signbit(want)), tag
+
+
+@pytest.mark.parametrize(
+    "tag, rows, bad",
+    [
+        ("normal", [[1.0, 2.0, 3.0], [2.0, 2.0, 2.0], [0.5, 0.5, 0.5]], 2),
+        ("pareto", [[2.0, 3.0, 4.0], [1.0, 1.0, 1.0], [2.0, np.inf, 3.0]], 2),
+    ],
+)
+def test_degenerate_rows_are_the_familys_error(tag, rows, bad):
+    with pytest.raises(ValueError, match=rf"^the {tag} fit is degenerate in {bad} of 3 samples$"):
+        FAMILIES[tag].transform_rows(np.array(rows))
+
+
 def test_normal_transform_rows_match_single_transform(rng):
     # row-vectorised transform equals the scalar path
     x = FAMILIES["normal"].sample_standard((4, 12), rng)
@@ -193,29 +221,41 @@ class TestBootstrap:
         a = bootstrap_pvalue("normal", "ks", x, B=299, rng=np.random.default_rng(11))
         b = bootstrap_pvalue("normal", "ks", x, B=299, rng=np.random.default_rng(11))
         assert a.p_value == b.p_value
+        assert a.replications == b.replications == 299
 
     def test_null_data_is_not_rejected(self):
         x = np.random.default_rng(42).normal(size=50)
         out = bootstrap_pvalue("normal", "tm", x, B=999, rng=np.random.default_rng(1))
         assert out.p_value > 0.01
+        assert out.replications == 999
 
     def test_detects_gross_misfit(self):
         # chi-square(1) data is very far from normal
         x = np.random.default_rng(3).chisquare(1.0, size=80)
         out = bootstrap_pvalue("normal", "tm", x, B=999, rng=np.random.default_rng(2))
         assert out.p_value < 0.02
+        assert out.replications == 999
 
     def test_pareto_family(self):
         gen = np.random.default_rng(9)
         x = (1.0 - gen.random(60)) ** (-1.0 / 2.0)
         out = bootstrap_pvalue("pareto", "tm", x, B=499, rng=gen)
         assert out.p_value > 0.01
+        assert out.replications == 499
 
     def test_add_one_convention(self):
         # the smallest reachable p-value is 1/(B+1), never zero
         x = np.random.default_rng(3).chisquare(1.0, size=200)
         out = bootstrap_pvalue("normal", "zc", x, B=99, rng=np.random.default_rng(0))
         assert out.p_value >= 1.0 / 100.0
+        assert out.replications == 99
+
+    def test_a_degenerate_replicate_is_the_familys_error(self):
+        # the fitted sigma is about 8e-16, so some replicates round to a
+        # constant row; the run fails instead of dropping them
+        x = 1.0 + np.array([0.0, 1.0, 2.0, 0.0, 1.0]) * 1e-15
+        with pytest.raises(ValueError, match=r"^the normal fit is degenerate in \d+ of 199 samples$"):
+            bootstrap_pvalue("normal", "tm", x, B=199, rng=np.random.default_rng(0))
 
     def test_minimum_replications(self, rng):
         with pytest.raises(ValueError, match="99"):
@@ -246,7 +286,8 @@ class TestBootstrap:
             bootstrap_pvalue("pareto", kind, np.array([0.5, 2.0, 3.0]), B=B, rng=rng)
 
     def test_an_infinite_statistic_counts_as_an_exceedance(self, monkeypatch):
-        # only a degenerate transform drops a replicate, as in the Monte Carlo engine
+        # every replicate counts, as in the Monte Carlo engine: an infinite
+        # statistic is an exceedance, not a dropped replicate
         real = composite.batch_statistic
 
         def one_infinite(kind, U):

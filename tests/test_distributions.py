@@ -18,7 +18,7 @@ from unigof import (
     sample,
     support,
 )
-from unigof.distributions import _ALIASES, FAMILIES, GRAMMAR_HELP
+from unigof.distributions import _ALIASES, FAMILIES, GRAMMAR_HELP, covers
 
 # one representative per family, plus decorated composites
 CATALOG = [
@@ -95,6 +95,7 @@ def test_laws_respect_the_declared_support(text, rng):
     lo, hi = support(spec)
     draws = sample(spec, 5000, rng).values
     assert np.all((draws >= lo) & (draws <= hi))
+    assert covers(spec, np.r_[draws, [lo, hi]]).all()
     outside = []
     if np.isfinite(lo):
         assert np.all(np.asarray(cdf(spec, [-np.inf, lo - 1.0, np.nextafter(lo, -np.inf), lo])) == 0.0)
@@ -103,6 +104,7 @@ def test_laws_respect_the_declared_support(text, rng):
         assert np.all(np.asarray(cdf(spec, [hi, np.nextafter(hi, np.inf), hi + 1.0, np.inf])) == 1.0)
         outside += [np.nextafter(hi, np.inf), hi + 1.0, np.inf]
     assert np.all(np.asarray(pdf(spec, outside)) == 0.0)
+    assert not covers(spec, outside).any()
     assert np.isnan(pdf(spec, np.nan))
 
 
@@ -255,6 +257,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             AlternativeSpec("mixture")
 
+    def test_mixture_rejects_parameters(self):
+        u = AlternativeSpec("uniform")
+        with pytest.raises(ValueError, match=r"^a mixture takes no parameters of its own, got \(3\.0, 4\.0\)$"):
+            AlternativeSpec("mixture", (3.0, 4.0), mixture=(0.5, u, u))
+
     def test_non_mixture_rejects_triple(self):
         u = AlternativeSpec("uniform")
         with pytest.raises(ValueError):
@@ -313,6 +320,22 @@ class TestSupportsAboveOne:
         for text in ("gamma(1)", "beta(2,3)", "normal(3,9)", "t(5)+1", "sn(1)+1",
                      "mix(0.5,pareto(2),gamma(1))", "mix(0.5,gamma(1),normal(0,1))+1"):
             assert not inside(text, "pareto"), text
+
+
+class TestCovers:
+    """``covers``: membership in the support itself, not in its hull."""
+
+    def test_mixture_gap(self):
+        # mass on [0, 1] and [2, 3]; the hull [0, 3] also holds the gap
+        spec = spec_of("mix(0.5,u,mix(0.5,u+1,u+1)+1)")
+        assert support(spec) == (0.0, 3.0)
+        np.testing.assert_array_equal(
+            covers(spec, [0.0, 1.0, 1.5, 1.6, 2.0, 3.0, 3.5]), [True, True, False, False, True, True, False]
+        )
+
+    def test_component_never_drawn(self):
+        assert not covers(spec_of("mix(0,gamma(1),u+1)"), 0.5)
+        assert covers(spec_of("mix(0,gamma(1),u+1)"), 1.5)
 
 
 def test_the_normal_null_accepts_every_law():

@@ -433,6 +433,15 @@ class TestPower:
             )
             estimate_power(config, small_cv)
 
+    def test_degenerate_fits_are_the_familys_error(self):
+        # gamma(0.001) draws are almost all below 1e-16, so +1 gives rows of
+        # exact ones, on which the Pareto fit is degenerate
+        fields = dict(family="pareto", tests=("tm",), sizes=(5,), alphas=(0.05,), replications=200)
+        cv = estimate_critical_values(critval_config(**fields))
+        config = critval_config(mode="power", alternatives=(parse_spec("gamma(0.001)+1"),), **fields)
+        with pytest.raises(ValueError, match=r"^the pareto fit is degenerate in \d+ of 200 samples$"):
+            estimate_power(config, cv)
+
 
 class TestCriticalValueTable:
     """``estimate_power`` takes only critical values simulated under its own null."""
