@@ -14,7 +14,10 @@ parameters, so each family has one sampler. A degenerate fit is an error
 that names the family; no sample is ever dropped.
 
 P-values come from a parametric bootstrap that re-estimates parameters in
-every replicate, mirroring what was done to the data.
+every replicate, mirroring what was done to the data. The replicates stream
+through cache-sized blocks of rows, drawn in order from one generator, so
+the bootstrap holds O(block) values, not O(B n), and its p-value is the one
+a single (B, n) draw would give.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .classical import batch_statistic, check_test_id
 from .numerics import normal_cdf
-from .statistic import Sample, UnitSample
+from .statistic import _BLOCK_VALUES, Sample, UnitSample
 
 __all__ = [
     "CompositeFamily",
@@ -50,15 +53,15 @@ def _values(x) -> np.ndarray:
 
 
 def estimate_normal(x) -> tuple[float, float]:
-    """Maximum likelihood mean and standard deviation (divisor n)."""
+    """Maximum likelihood mean and standard deviation (divisor n).
+
+    The fit is degenerate, and the family's error, when all values are equal.
+    """
     v = _values(x)
     if v.size < 2:
         raise ValueError("normal estimation needs at least two observations")
-    mu = float(np.mean(v))
-    var = float(np.mean((v - mu) ** 2))
-    if var <= 0.0:
-        raise ValueError("sample variance is zero; the normal fit is degenerate")
-    return mu, float(np.sqrt(var))
+    mu, _, sigma = _normal_fit(v[None, :])
+    return float(mu[0, 0]), float(sigma[0, 0])
 
 
 def transform_normal(x) -> UnitSample:
@@ -97,23 +100,49 @@ def _check_fits(tag: str, degenerate: np.ndarray) -> None:
         raise ValueError(f"the {tag} fit is degenerate in {bad} of {degenerate.size} samples")
 
 
-def _normal_rows(X: np.ndarray) -> np.ndarray:
+def _normal_fit(X: np.ndarray):
+    """Row means, residuals and ML standard deviations; raises when a row's values are all equal.
+
+    The rounded mean of equal values can differ from them, which leaves a
+    standard deviation of up to about n eps |mu| instead of 0, so only rows
+    that close to constant are compared exactly. ``var > 0`` also catches a
+    variance that underflows.
+    """
     mu = X.mean(axis=1, keepdims=True)
-    var = np.mean((X - mu) ** 2, axis=1, keepdims=True)
-    _check_fits("normal", ~(var > 0.0))
-    return normal_cdf((X - mu) / np.sqrt(var))
+    D = X - mu
+    var = np.mean(D**2, axis=1, keepdims=True)
+    sigma = np.sqrt(var)
+    bad = ~(var[:, 0] > 0.0)
+    near = np.flatnonzero(sigma[:, 0] <= X.shape[1] * np.finfo(float).eps * np.abs(mu[:, 0]))
+    bad[near] |= X[near].min(axis=1) == X[near].max(axis=1)
+    _check_fits("normal", bad)
+    return mu, D, sigma
+
+
+def _normal_rows(X: np.ndarray) -> np.ndarray:
+    _, D, sigma = _normal_fit(X)
+    D /= sigma
+    return normal_cdf(D, out=D)
 
 
 def _pareto_rows(X: np.ndarray) -> np.ndarray:
     L = np.log(X)
     total = L.sum(axis=1, keepdims=True)
     _check_fits("pareto", ~((total > 0.0) & np.isfinite(total)))
-    return -np.expm1(-(X.shape[1] / total) * L)
+    L *= -(X.shape[1] / total)
+    np.expm1(L, out=L)
+    return np.negative(L, out=L)
 
 
 @dataclass(frozen=True)
 class CompositeFamily:
-    """Estimator, transforms and samplers; ``sample_standard`` is ``sample_fitted`` at standard parameters."""
+    """Estimator, transforms and samplers; ``sample_standard`` is ``sample_fitted`` at standard parameters.
+
+    ``sample_fitted(params, shape, rng)`` must be stream-sequential: drawing
+    shape (a, n) and then (b, n) from one generator gives the rows of one
+    (a + b, n) draw, as a single call on ``rng`` does. The bootstrap draws
+    its replicates block by block and relies on this for its p-values.
+    """
 
     estimator: Callable
     transform: Callable
@@ -182,9 +211,18 @@ def bootstrap_pvalue(
     transformed sample, then repeats estimate-transform-evaluate on B
     samples drawn from the fitted member. The p-value uses the add-one
     convention (1 + exceedances) / (B + 1), which is valid at any finite B.
-    ``kind`` and ``B`` are checked before the fit. Every replicate counts,
-    so an infinite statistic is an exceedance, and a replicate whose fit is
-    degenerate is the family's error, as it is in a Monte Carlo cell.
+    ``kind`` and ``B`` are checked before the fit.
+
+    The replicates stream in blocks of about 2^15 values (``max(1, 2^15 //
+    n)`` rows): each block is drawn from ``rng``, transformed, scored and
+    reduced to its exceedance count before the next is drawn, so memory is
+    O(block), not O(B n). The fitted samplers are stream-sequential, so
+    the blocks are the rows of one (B, n) draw, and the p-value and the
+    state ``rng`` is left in are those of a single draw. Every replicate
+    counts, so an infinite statistic is an exceedance, and a replicate
+    whose fit is degenerate is the family's error, as it is in a Monte
+    Carlo cell; the error counts the degenerate rows of the first block
+    that has one, out of that block's rows.
     """
     family = FAMILIES.get(tag)
     if family is None:
@@ -194,12 +232,16 @@ def bootstrap_pvalue(
         raise ValueError(f"B must be an integer of at least 99 for a meaningful p-value, got {B}")
 
     v = _values(x)
-    check_sample_size(tag, v.size)
+    n = v.size
+    check_sample_size(tag, n)
     params = family.estimator(v)
     observed = float(batch_statistic(kind, family.transform(v))[0])
 
-    U = family.transform_rows(family.sample_fitted(params, (B, v.size), rng))
-    exceed = int(np.sum(batch_statistic(kind, U) >= observed))
+    step = max(1, _BLOCK_VALUES // n)
+    exceed = 0
+    for start in range(0, B, step):
+        U = family.transform_rows(family.sample_fitted(params, (min(step, B - start), n), rng))
+        exceed += int(np.count_nonzero(batch_statistic(kind, U) >= observed))
     return BootstrapResult(
         p_value=(1.0 + exceed) / (B + 1.0),
         replications=B,

@@ -52,9 +52,9 @@ def gauss_legendre(order: int) -> QuadratureRule:
     return QuadratureRule(nodes=0.5 * (x + 1.0), weights=0.5 * w)
 
 
-def normal_cdf(x):
-    """Standard normal distribution function, accurate to ~1e-16."""
-    return special.ndtr(x)
+def normal_cdf(x, out=None):
+    """Standard normal distribution function, accurate to ~1e-16; ``out`` as for a ufunc."""
+    return special.ndtr(x, out=out)
 
 
 def normal_quantile(p):

@@ -64,6 +64,17 @@ class TestTestCommand:
         assert code == 2
         assert "normal family needs samples of at least 3" in capsys.readouterr().err
 
+    def test_normal_null_rejects_equal_values(self, tmp_path, capsys):
+        # the rounded variance of three 0.1s is 7.7e-34, not 0, and the fit is still degenerate
+        path = tmp_path / "c.txt"
+        path.write_text("0.1\n0.1\n0.1\n")
+        code = main(["test", str(path), "--null", "normal", "--tests", "tm", "--critvals", "mc",
+                     "--reps", "200"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: the normal fit is degenerate in 1 of 1 samples\n"
+
     def test_simple_null_via_spec(self, tmp_path, capsys):
         gen = np.random.default_rng(6)
         path = tmp_path / "g.txt"
@@ -364,6 +375,14 @@ class TestBootstrapCommand:
         assert code == 2
         assert captured.out == ""
         assert "the normal fit is degenerate in" in captured.err
+
+    def test_equal_values_are_a_degenerate_fit(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text("0.1\n0.1\n0.1\n")
+        code = main(["bootstrap", str(path), "--family", "normal", "-B", "199"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: the normal fit is degenerate in 1 of 1 samples\n"
 
 
 class TestSpectrumCommand:

@@ -17,6 +17,7 @@ from unigof import (
 from unigof import composite
 from unigof.composite import FAMILIES
 from unigof.numerics import normal_cdf
+from unigof.statistic import _BLOCK_VALUES
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +43,22 @@ class TestNormalEstimation:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             estimate_normal([2.0, 2.0, 2.0])
+
+    def test_equal_values_are_degenerate_whatever_their_rounded_variance(self):
+        # the rounded mean of three 0.1s is 0.10000000000000002, which
+        # leaves a variance of 7.7e-34 rather than 0
+        x = np.full(3, 0.1)
+        assert np.mean((x - np.mean(x)) ** 2) > 0.0
+        for call in (estimate_normal, transform_normal):
+            with pytest.raises(ValueError, match=r"^the normal fit is degenerate in 1 of 1 samples$"):
+                call(x)
+
+    def test_nearly_equal_values_are_fitted(self):
+        # values a few ulps apart are not all equal, so the fit stands
+        x = 1.0 + np.array([0.0, 1.0, 2.0, 0.0, 1.0]) * 1e-15
+        _, sigma = estimate_normal(x)
+        assert 0.0 < sigma < 1e-15
+        assert np.unique(transform_normal(x).values).size == 3
 
     def test_accepts_sample_wrapper(self):
         mu, _ = estimate_normal(Sample([0.0, 2.0]))
@@ -192,6 +209,42 @@ def test_degenerate_rows_are_the_familys_error(tag, rows, bad):
         FAMILIES[tag].transform_rows(np.array(rows))
 
 
+@pytest.mark.parametrize("n", [3, 50, 1000])
+def test_every_constant_normal_row_is_degenerate(n):
+    # equal values of any magnitude, whatever variance their rounded mean
+    # leaves; the tiny distinct values underflow to a zero variance
+    constants = [0.1, 1.0 / 3.0, -7.3e5, 2.5e150, 1e-300, 0.0]
+    rows = np.vstack([np.full((len(constants), n), np.array(constants)[:, None]),
+                      [np.arange(1.0, n + 1.0)], [np.arange(1.0, n + 1.0) * 1e-170]])
+    with pytest.raises(ValueError, match=rf"^the normal fit is degenerate in 7 of 8 samples$"):
+        FAMILIES["normal"].transform_rows(rows)
+
+
+def _normal_rows_reference(X):
+    mu = X.mean(axis=1, keepdims=True)
+    var = np.mean((X - mu) ** 2, axis=1, keepdims=True)
+    return normal_cdf((X - mu) / np.sqrt(var))
+
+
+def _pareto_rows_reference(X):
+    L = np.log(X)
+    total = L.sum(axis=1, keepdims=True)
+    return -np.expm1(-(X.shape[1] / total) * L)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (5, 2), (163, 200), (3000, 50), (4096, 200)], ids=str)
+def test_transform_rows_equal_the_plain_expressions_bit_for_bit(shape, rng):
+    # the transforms work in place; the values, and the input, do not change
+    for tag, params, reference in [("normal", (3.0, 2.0), _normal_rows_reference),
+                                   ("pareto", 0.7, _pareto_rows_reference)]:
+        X = FAMILIES[tag].sample_fitted(params, shape, rng)
+        before = X.copy()
+        got, want = FAMILIES[tag].transform_rows(X), reference(X)
+        assert np.array_equal(got, want), tag
+        assert np.array_equal(np.signbit(got), np.signbit(want)), tag
+        assert np.array_equal(X, before), tag
+
+
 def test_normal_transform_rows_match_single_transform(rng):
     # row-vectorised transform equals the scalar path
     x = FAMILIES["normal"].sample_standard((4, 12), rng)
@@ -202,8 +255,51 @@ def test_normal_transform_rows_match_single_transform(rng):
         )
 
 
+@pytest.mark.parametrize("tag, params", [("normal", (3.0, 2.0)), ("pareto", 0.7)])
+@pytest.mark.parametrize("a, b, n", [(1, 1, 1), (3, 5, 7), (163, 21, 200), (4096, 1, 50)])
+def test_fitted_sampler_is_stream_sequential(tag, params, a, b, n):
+    # the bootstrap draws its replicates block by block: (a, n) then (b, n)
+    # from one generator must be the rows of one (a + b, n) draw
+    draw = FAMILIES[tag].sample_fitted
+    split = np.random.default_rng(8)
+    head, tail = draw(params, (a, n), split), draw(params, (b, n), split)
+    whole_rng = np.random.default_rng(8)
+    whole = draw(params, (a + b, n), whole_rng)
+    assert np.array_equal(np.vstack([head, tail]), whole)
+    assert split.random() == whole_rng.random()
+
+
 # ---------------------------------------------------------------------------
 # bootstrap
+
+
+def _bootstrap_reference(tag, kind, x, B, rng):
+    # every replicate in one (B, n) draw: what the streamed bootstrap reproduces
+    family = FAMILIES[tag]
+    params = family.estimator(x)
+    observed = float(batch_statistic(kind, family.transform(x))[0])
+    U = family.transform_rows(family.sample_fitted(params, (B, x.size), rng))
+    return (1.0 + np.count_nonzero(batch_statistic(kind, U) >= observed)) / (B + 1.0), observed
+
+
+@pytest.mark.parametrize(
+    "n, B, blocks",
+    [(200, 999, 7), (_BLOCK_VALUES + 1, 99, 99), (5, 199, 1)],
+    ids=["blocks-and-remainder", "one-row-blocks", "under-one-block"],
+)
+@pytest.mark.parametrize("kind", ["tm", "ad", "zc"])
+@pytest.mark.parametrize("tag", ["normal", "pareto"])
+def test_streamed_bootstrap_equals_one_whole_draw(tag, kind, n, B, blocks):
+    step = max(1, _BLOCK_VALUES // n)
+    assert -(-B // step) == blocks  # the case is what its id says
+    data = np.random.default_rng(n)
+    x = data.normal(3.0, 2.0, n) if tag == "normal" else (1.0 - data.random(n)) ** -0.5
+    streamed_rng, whole_rng = np.random.default_rng(21), np.random.default_rng(21)
+    out = bootstrap_pvalue(tag, kind, x, B, streamed_rng)
+    p_value, observed = _bootstrap_reference(tag, kind, x, B, whole_rng)
+    assert out.p_value == p_value
+    assert out.observed_statistic == observed
+    assert np.array_equal(streamed_rng.random(4), whole_rng.random(4))
 
 
 class TestBootstrap:
@@ -256,6 +352,13 @@ class TestBootstrap:
         x = 1.0 + np.array([0.0, 1.0, 2.0, 0.0, 1.0]) * 1e-15
         with pytest.raises(ValueError, match=r"^the normal fit is degenerate in \d+ of 199 samples$"):
             bootstrap_pvalue("normal", "tm", x, B=199, rng=np.random.default_rng(0))
+
+    def test_a_degenerate_replicate_counts_in_its_block(self):
+        # at n = 5 a block holds 2^15 // 5 = 6553 rows, and the error counts
+        # the degenerate rows of the first block that has one
+        x = 1.0 + np.array([0.0, 1.0, 2.0, 0.0, 1.0]) * 1e-15
+        with pytest.raises(ValueError, match=r"^the normal fit is degenerate in \d+ of 6553 samples$"):
+            bootstrap_pvalue("normal", "tm", x, B=9999, rng=np.random.default_rng(0))
 
     def test_minimum_replications(self, rng):
         with pytest.raises(ValueError, match="99"):

@@ -140,6 +140,15 @@ class TestNystromDiscretize:
         assert errs[1] < errs[0] / 8.0
 
 
+def test_normal_cdf_writes_to_out(rng):
+    x = rng.normal(size=50)
+    out = np.empty_like(x)
+    assert normal_cdf(x, out=out) is out
+    assert np.array_equal(out, normal_cdf(x))
+    assert normal_cdf(x, out=x) is x  # in place
+    assert np.array_equal(x, out)
+
+
 def test_normal_cdf_matches_scipy_distribution(rng):
     x = rng.normal(size=200) * 3.0
     np.testing.assert_allclose(normal_cdf(x), stats.norm.cdf(x), atol=1e-15)
