@@ -53,10 +53,7 @@ def _values(x) -> np.ndarray:
 
 
 def estimate_normal(x) -> tuple[float, float]:
-    """Maximum likelihood mean and standard deviation (divisor n).
-
-    The fit is degenerate, and the family's error, when all values are equal.
-    """
+    """Maximum likelihood mean and standard deviation (divisor n); equal values are a degenerate fit."""
     v = _values(x)
     if v.size < 2:
         raise ValueError("normal estimation needs at least two observations")
@@ -213,16 +210,14 @@ def bootstrap_pvalue(
     convention (1 + exceedances) / (B + 1), which is valid at any finite B.
     ``kind`` and ``B`` are checked before the fit.
 
-    The replicates stream in blocks of about 2^15 values (``max(1, 2^15 //
-    n)`` rows): each block is drawn from ``rng``, transformed, scored and
-    reduced to its exceedance count before the next is drawn, so memory is
-    O(block), not O(B n). The fitted samplers are stream-sequential, so
-    the blocks are the rows of one (B, n) draw, and the p-value and the
-    state ``rng`` is left in are those of a single draw. Every replicate
-    counts, so an infinite statistic is an exceedance, and a replicate
-    whose fit is degenerate is the family's error, as it is in a Monte
-    Carlo cell; the error counts the degenerate rows of the first block
-    that has one, out of that block's rows.
+    The replicates stream in blocks of ``max(1, 2^15 // n)`` rows: each is
+    drawn from ``rng``, transformed, scored and reduced to its exceedance
+    count before the next, so memory is O(block), not O(B n). The fitted
+    samplers are stream-sequential, so the p-value and the final state of
+    ``rng`` are those of one (B, n) draw. Every replicate counts: an
+    infinite statistic is an exceedance, and a degenerate fit is the
+    family's error, as in a Monte Carlo cell, counted over the rows of the
+    block that met it.
     """
     family = FAMILIES.get(tag)
     if family is None:
