@@ -57,7 +57,7 @@ def estimate_normal(x) -> tuple[float, float]:
     v = _values(x)
     if v.size < 2:
         raise ValueError("normal estimation needs at least two observations")
-    mu, _, sigma = _normal_fit(v[None, :])
+    mu, sigma, _ = _normal_fit(v[None, :])
     return float(mu[0, 0]), float(sigma[0, 0])
 
 
@@ -97,29 +97,40 @@ def _check_fits(tag: str, degenerate: np.ndarray) -> None:
         raise ValueError(f"the {tag} fit is degenerate in {bad} of {degenerate.size} samples")
 
 
-def _normal_fit(X: np.ndarray):
-    """Row means, residuals and ML standard deviations; raises when a row's values are all equal.
-
-    The rounded mean of equal values can differ from them, which leaves a
-    standard deviation of up to about n eps |mu| instead of 0, so only rows
-    that close to constant are compared exactly. ``var > 0`` also catches a
-    variance that underflows.
-    """
+def _standardise(X: np.ndarray):
     mu = X.mean(axis=1, keepdims=True)
     D = X - mu
-    var = np.mean(D**2, axis=1, keepdims=True)
-    sigma = np.sqrt(var)
-    bad = ~(var[:, 0] > 0.0)
+    sigma = np.sqrt(np.mean(D**2, axis=1, keepdims=True))
+    D /= sigma
+    return mu, sigma, D
+
+
+def _normal_fit(X: np.ndarray):
+    """Row means, ML standard deviations and standardised residuals; raises when a row's values are all equal.
+
+    Rows whose moments overflow are fitted again on an exact power-of-two
+    rescaling; every other row is computed once. The rounded mean of equal
+    values can differ from them, which leaves a standard deviation of up to
+    about n eps |mu| instead of 0, so only rows that close to constant are
+    compared exactly. ``sigma > 0`` also catches a variance that underflows.
+    """
+    with np.errstate(all="ignore"):  # overflowing rows are redone, degenerate rows raise
+        mu, sigma, Z = _standardise(X)
+        huge = np.flatnonzero(~np.isfinite(sigma[:, 0]))
+        if huge.size:
+            scale = np.ldexp(1.0, np.frexp(np.abs(X[huge]).max(axis=1, keepdims=True))[1] - 1)
+            mu_h, sigma_h, Z[huge] = _standardise(X[huge] / scale)
+            mu[huge], sigma[huge] = mu_h * scale, sigma_h * scale
+    bad = ~(sigma[:, 0] > 0.0)
     near = np.flatnonzero(sigma[:, 0] <= X.shape[1] * np.finfo(float).eps * np.abs(mu[:, 0]))
     bad[near] |= X[near].min(axis=1) == X[near].max(axis=1)
     _check_fits("normal", bad)
-    return mu, D, sigma
+    return mu, sigma, Z
 
 
 def _normal_rows(X: np.ndarray) -> np.ndarray:
-    _, D, sigma = _normal_fit(X)
-    D /= sigma
-    return normal_cdf(D, out=D)
+    Z = _normal_fit(X)[2]
+    return normal_cdf(Z, out=Z)
 
 
 def _pareto_rows(X: np.ndarray) -> np.ndarray:

@@ -78,24 +78,30 @@ def _by_half(u: np.ndarray, lower: Callable, upper: Callable) -> np.ndarray:
 
 
 def _truncnormal(p: Params):
-    """Mean, standard deviation and the normal CDF at both ends of [0, 1]."""
+    """Mean, standard deviation, orientation s, and the normal CDF at s z for the ends z of [0, 1].
+
+    For mu < 0 the interval lies in the normal's upper tail, where the CDF
+    rounds to one at both ends; s = -1 evaluates it through the mirrored
+    lower tail. For mu >= 0, s = 1 and every product with s is exact.
+    """
     mu, sigma = p[0], np.sqrt(p[1])
-    return mu, sigma, normal_cdf(-mu / sigma), normal_cdf((1.0 - mu) / sigma)
+    s = -1.0 if mu < 0.0 else 1.0
+    return mu, sigma, s, normal_cdf(s * (-mu / sigma)), normal_cdf(s * ((1.0 - mu) / sigma))
 
 
 def _truncnormal_draw(p, n, rng):
-    mu, sigma, lo, hi = _truncnormal(p)
-    return mu + sigma * normal_quantile(lo + rng.random(n) * (hi - lo))
+    mu, sigma, s, lo, hi = _truncnormal(p)
+    return mu + sigma * (s * normal_quantile(lo + rng.random(n) * (hi - lo)))
 
 
 def _truncnormal_cdf(p, y):
-    mu, sigma, lo, hi = _truncnormal(p)
-    return (normal_cdf((y - mu) / sigma) - lo) / (hi - lo)
+    mu, sigma, s, lo, hi = _truncnormal(p)
+    return (normal_cdf(s * ((y - mu) / sigma)) - lo) / (hi - lo)
 
 
 def _truncnormal_pdf(p, y):
-    mu, sigma, lo, hi = _truncnormal(p)
-    return np.exp(-0.5 * ((y - mu) / sigma) ** 2) / (sigma * np.sqrt(2.0 * np.pi) * (hi - lo))
+    mu, sigma, s, lo, hi = _truncnormal(p)
+    return np.exp(-0.5 * ((y - mu) / sigma) ** 2) / (sigma * np.sqrt(2.0 * np.pi) * (s * (hi - lo)))
 
 
 def _weibull_pdf(p, y):
@@ -273,6 +279,9 @@ class AlternativeSpec:
             )
         if not family.valid(self.params):
             raise ValueError(f"{self.family} {family.rule}")
+        for v in self.params:
+            if not np.isfinite(v):
+                raise ValueError(f"{self.family} parameters must be finite, got {v!r}")
 
     def label(self) -> str:
         if self.family == "mixture":

@@ -277,6 +277,15 @@ class TestCritvalsFromAnotherNull:
         assert "power study" in captured.err and "unigof critval --out" in captured.err
 
 
+def test_an_infinite_parameter_fails_before_any_simulation(capsys):
+    code = main(["power", "--family", "normal", "--alt", "normal(0,1e400)", "--n", "20",
+                 "--reps", "200", "--critval-reps", "200", "--tests", "tm"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "normal parameters must be finite, got inf" in captured.err
+
+
 class TestRepeatedTests:
     @pytest.mark.parametrize("critvals", ["table", "pearson", "mc"])
     def test_every_route_rejects_a_repeat(self, uniform_file, uniform_cv, critvals, capsys):
@@ -385,14 +394,40 @@ class TestBootstrapCommand:
         assert captured.err == "error: the normal fit is degenerate in 1 of 1 samples\n"
 
 
+# the full output, so that a moved printed digit fails; order 64 prints its
+# own eigenvalues but takes the numeric cumulants from order 128
+SPECTRUM_TAIL = (
+    "trace: 0.133333333333 (mean of limit: 0.133333333333)\n"
+    "cumulants (numeric vs exact): k1 0.1333333333/0.1333333333, "
+    "k2 0.0269145290/0.0269135802, k3 0.0124050140/0.0124044597, "
+    "k4 0.0086123203/0.0086118101\n"
+)
+
+
 class TestSpectrumCommand:
     def test_prints_eigenvalues_and_cumulants(self, capsys):
         code = main(["spectrum", "--order", "128", "--top", "5"])
-        out = capsys.readouterr().out
         assert code == 0
-        assert "leading eigenvalues" in out
-        assert out.count("\n  ") >= 5
-        assert "k4" in out
+        assert capsys.readouterr().out == (
+            "leading eigenvalues (order 128):\n"
+            "    1  0.115735950011\n"
+            "    2  0.006946079010\n"
+            "    3  0.002730377432\n"
+            "    4  0.001979713544\n"
+            "    5  0.001200113426\n"
+        ) + SPECTRUM_TAIL
+
+    def test_low_order_takes_cumulants_from_order_128(self, capsys):
+        code = main(["spectrum", "--order", "64", "--top", "5"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "leading eigenvalues (order 64):\n"
+            "    1  0.115741037849\n"
+            "    2  0.006953193967\n"
+            "    3  0.002736287827\n"
+            "    4  0.001986134852\n"
+            "    5  0.001206664367\n"
+        ) + SPECTRUM_TAIL
 
 
 class TestEveryRequestIsChecked:

@@ -90,6 +90,19 @@ class TestNormalTransform:
         c = transform_normal(3.0 * x - 1.0).values
         np.testing.assert_allclose(c, a, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e307])
+    def test_residuals_whose_squares_overflow_are_fitted(self, scale, rng):
+        # squared residuals overflow past about 1e154, and the mean itself
+        # past 1e308 / n; such rows are refitted on a rescaled copy
+        x = rng.normal(size=50)
+        np.testing.assert_allclose(transform_normal(scale * x).values, transform_normal(x).values, atol=1e-14)
+        mu, sigma = estimate_normal(scale * x)
+        assert (mu / scale, sigma / scale) == pytest.approx(estimate_normal(x), rel=1e-14)
+
+    def test_huge_equal_values_are_still_degenerate(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            estimate_normal([1e308, 1e308, 1e308])
+
 
 # ---------------------------------------------------------------------------
 # Pareto family
@@ -345,6 +358,13 @@ class TestBootstrap:
         out = bootstrap_pvalue("normal", "zc", x, B=99, rng=np.random.default_rng(0))
         assert out.p_value >= 1.0 / 100.0
         assert out.replications == 99
+
+    def test_huge_data_gives_the_p_value_of_its_scaled_copy(self):
+        x = np.array([1.0, -1.0, 0.3, -0.5, 2.2, 0.1])
+        huge = bootstrap_pvalue("normal", "tm", 1e200 * x, B=199, rng=np.random.default_rng(4))
+        plain = bootstrap_pvalue("normal", "tm", x, B=199, rng=np.random.default_rng(4))
+        assert huge.p_value == plain.p_value
+        assert huge.observed_statistic == pytest.approx(plain.observed_statistic, rel=1e-12)
 
     def test_a_degenerate_replicate_is_the_familys_error(self):
         # the fitted sigma is about 8e-16, so some replicates round to a

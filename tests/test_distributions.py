@@ -186,6 +186,26 @@ class TestCdf:
         # and the CDF at the midpoint stays above 1/2 for mu = 0
         assert cdf(spec_of("tn(0,4)"), 0.5) > 0.5
 
+    @pytest.mark.parametrize("text", ["tn(-1,0.01)", "tn(-3,0.25)", "tn(-0.1,0.04)"])
+    def test_truncnormal_in_the_upper_tail(self, text, rng):
+        # mu < 0 puts [0, 1] in the normal's upper tail, where the CDF rounds
+        # to one (tn(-1,0.01) spans 10 to 20 SDs), so these specs are
+        # evaluated through the mirrored lower tail
+        spec = spec_of(text)
+        grid = np.linspace(0.0, 1.0, 201)
+        F = np.asarray(cdf(spec, grid))
+        assert np.all(np.isfinite(F)) and np.all(np.diff(F) >= 0.0)
+        assert F[0] == 0.0 and F[-1] == pytest.approx(1.0, abs=1e-15)
+        # mirror image: TN(mu) at y is one minus TN(1 - mu) at 1 - y
+        mirror = spec_of(f"tn({1.0 - spec.params[0]:g},{spec.params[1]:g})")
+        np.testing.assert_allclose(F, 1.0 - np.asarray(cdf(mirror, 1.0 - grid)), atol=1e-13)
+        # 1e5 draws stay inside the 99.9% Dvoretzky-Kiefer-Wolfowitz band
+        n = 100_000
+        x = np.sort(sample(spec, n, rng).values)
+        Fx = np.asarray(cdf(spec, x))
+        ks = max(np.max(np.arange(1, n + 1) / n - Fx), np.max(Fx - np.arange(n) / n))
+        assert ks < np.sqrt(np.log(2.0 / 0.001) / (2.0 * n))
+
 
 class TestPdf:
     @pytest.mark.parametrize(
@@ -200,6 +220,7 @@ class TestPdf:
             ("pareto(2)", 1.8),
             ("gamma(0.8)+1", 2.1),
             ("mix(0.5,z,n(1,9))", 0.3),
+            ("tn(-1,0.01)", 0.05),
         ],
     )
     def test_pdf_is_cdf_derivative(self, text, x):
@@ -242,6 +263,16 @@ class TestSpecValidation:
     def test_nan_shape_rejected(self, params):
         with pytest.raises(ValueError, match="^beta shapes must be positive$"):
             AlternativeSpec("beta", params)
+
+    @pytest.mark.parametrize("text, message", [
+        ("normal(0,1e400)", "normal parameters must be finite, got inf"),
+        ("n(-1e400,1)", "normal parameters must be finite, got -inf"),
+        ("sn(1e400)", "skewnormal parameters must be finite, got inf"),
+        ("mix(0.5,u,tn(1e309,1))", "truncnormal parameters must be finite, got inf"),
+    ])
+    def test_infinite_parameter_rejected(self, text, message):
+        with pytest.raises(ValueError, match=f": {message}\\. "):
+            parse_spec(text)
 
     def test_expgeometric_parameter_range(self):
         AlternativeSpec("expgeometric", (0.0,))
