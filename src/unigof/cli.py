@@ -39,7 +39,9 @@ from .mc import (
     run_power_curve,
     write_study_csv,
 )
-from .null_limit import cumulants_exact, cumulants_numeric, nystrom_spectrum, pearson_fit, pearson_quantile
+from .null_limit import (
+    _power_sum_cumulants, cumulants_exact, cumulants_numeric, nystrom_spectrum, pearson_fit, pearson_quantile,
+)
 from .statistic import Sample, UnitRows, UnitSample
 
 __all__ = ["main"]
@@ -254,7 +256,7 @@ def _cmd_spectrum(args) -> int:
         raise ValueError(f"--top must be at least 1, got {args.top}")
     spec = nystrom_spectrum(args.order)
     exact = cumulants_exact()
-    numeric = cumulants_numeric(max(args.order, 128))
+    numeric = _power_sum_cumulants(spec.eigenvalues) if args.order >= 128 else cumulants_numeric(128)
     top = spec.eigenvalues[: args.top]
     print(f"leading eigenvalues (order {spec.eigenvalues.size}):")
     for i, lam in enumerate(top, start=1):

@@ -45,9 +45,10 @@ class _Family:
     """One family of alternatives.
 
     ``valid(params)`` is the parameter check, and a spec that fails it is
-    rejected with ``"<family> <rule>"``. ``draw(params, n, rng)`` returns n
-    draws. ``cdf(params, y)`` and ``pdf(params, y)`` are only called with y
-    inside the closed ``support`` or NaN, and must return NaN at NaN.
+    rejected with ``"<family> <rule>"``, unless ``valid`` raises an error of
+    its own that names the spec. ``draw(params, n, rng)`` returns n draws.
+    ``cdf(params, y)`` and ``pdf(params, y)`` are only called with y inside
+    the closed ``support`` or NaN, and must return NaN at NaN.
     """
 
     arity: int
@@ -87,6 +88,17 @@ def _truncnormal(p: Params):
     mu, sigma = p[0], np.sqrt(p[1])
     s = -1.0 if mu < 0.0 else 1.0
     return mu, sigma, s, normal_cdf(s * (-mu / sigma)), normal_cdf(s * ((1.0 - mu) / sigma))
+
+
+def _truncnormal_valid(p: Params) -> bool:
+    """A positive variance; with finite parameters, also a normal (not subnormal) mass on [0, 1]."""
+    if not p[1] > 0.0:
+        return False
+    if np.isfinite(p).all():
+        mu, sigma, s, lo, hi = _truncnormal(p)
+        if not s * (hi - lo) >= np.finfo(float).tiny:
+            raise ValueError(f"truncnormal({p[0]:g},{p[1]:g}): [0, 1] carries no normal mass in double precision")
+    return True
 
 
 def _truncnormal_draw(p, n, rng):
@@ -141,7 +153,7 @@ _TABLE: dict[str, _Family] = {
         cdf=lambda p, y: stats.beta.cdf(y, p[0], p[1]),
         pdf=lambda p, y: stats.beta.pdf(y, p[0], p[1]),
     ),
-    "truncnormal": _Family(2, _UNIT, lambda p: p[1] > 0.0, "variance must be positive",
+    "truncnormal": _Family(2, _UNIT, _truncnormal_valid, "variance must be positive",
         draw=_truncnormal_draw, cdf=_truncnormal_cdf, pdf=_truncnormal_pdf,
     ),
     "kumaraswamy": _Family(2, _UNIT, _positive, "shapes must be positive",

@@ -10,16 +10,18 @@ The cumulants feed a Pearson-system fit whose quantiles supply asymptotic
 critical values. Only Pearson type VI (beta prime) is fitted: the limit is
 a positively weighted sum of chi-square variables, positively skewed, and
 its exact cumulants give Pearson's criterion kappa = 177, well inside the
-type VI region 1 < kappa < inf. An Imhof inversion of the Nystrom spectrum
-(orders 128-1024), measured once outside the package and checked by no test
-yet, puts Pearson's 99% point at 0.78517, below the exact 0.78581, and its
-90% point 4.7e-4 above the exact one.
+type VI region 1 < kappa < inf. Fits are memoised per cumulant set and
+immutable, so a process fits the limit law once. An Imhof inversion of the
+Nystrom spectrum (orders 128-1024), measured once outside the package and
+checked by no test yet, puts Pearson's 99% point at 0.78517, below the
+exact 0.78581, and its 90% point 4.7e-4 above the exact one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import stats
@@ -62,6 +64,9 @@ class CumulantSet:
     k4: float
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"cumulant {name} must be finite, got {value!r}")
         if self.k2 <= 0.0:
             raise ValueError("the second cumulant (variance) must be positive")
 
@@ -95,13 +100,16 @@ def cumulants_numeric(order: int = 512) -> CumulantSet:
     """
     if order < 128:
         raise ValueError("order must be at least 128")
-    lam = nystrom_spectrum(order).eigenvalues
+    return _power_sum_cumulants(nystrom_spectrum(order).eigenvalues)
+
+
+def _power_sum_cumulants(lam: np.ndarray) -> CumulantSet:
     return CumulantSet(*(2.0 ** (j - 1) * math.factorial(j - 1) * float(np.sum(lam**j)) for j in (1, 2, 3, 4)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PearsonFit:
-    """The Pearson type VI (beta prime) member matching four moments.
+    """The Pearson type VI (beta prime) member matching four moments; immutable.
 
     ``source_moments`` is the (mean, variance, skewness, excess kurtosis)
     tuple the fit reproduces.
@@ -115,6 +123,7 @@ class PearsonFit:
         return float(self._dist.cdf(x))
 
 
+@lru_cache(maxsize=16)
 def pearson_fit(c: CumulantSet) -> PearsonFit:
     """Moment-match the Pearson type VI (beta prime) family to four cumulants.
 
@@ -123,7 +132,9 @@ def pearson_fit(c: CumulantSet) -> PearsonFit:
     places positively skewed moments with ``1 < kappa < inf`` in type VI,
     whose Pearson quadratic has two real roots of the same sign. Any other
     region raises ``ValueError`` naming the skewness and kappa. The fitted
-    family reproduces the input mean, variance, skewness and kurtosis.
+    family reproduces the input mean, variance, skewness and kurtosis. Fits
+    are memoised per cumulant set, so equal sets share one immutable fit; a
+    set that cannot be fitted raises on every call.
     """
     mean, var = c.k1, c.k2
     g1, g2 = c.skewness, c.excess_kurtosis

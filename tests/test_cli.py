@@ -286,6 +286,15 @@ def test_an_infinite_parameter_fails_before_any_simulation(capsys):
     assert "normal parameters must be finite, got inf" in captured.err
 
 
+def test_a_truncated_normal_without_mass_fails_before_any_simulation(capsys):
+    code = main(["power", "--alt", "tn(-4,0.01)", "--n", "20", "--reps", "200",
+                 "--critval-reps", "200", "--tests", "tm"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "truncnormal(-4,0.01): [0, 1] carries no normal mass in double precision" in captured.err
+
+
 class TestRepeatedTests:
     @pytest.mark.parametrize("critvals", ["table", "pearson", "mc"])
     def test_every_route_rejects_a_repeat(self, uniform_file, uniform_cv, critvals, capsys):
@@ -428,6 +437,16 @@ class TestSpectrumCommand:
             "    4  0.001986134852\n"
             "    5  0.001206664367\n"
         ) + SPECTRUM_TAIL
+
+    def test_order_256_discretises_once(self, monkeypatch, capsys):
+        from unigof import null_limit
+
+        calls = []
+        inner = null_limit.nystrom_discretize
+        monkeypatch.setattr(null_limit, "nystrom_discretize", lambda *a: calls.append(a) or inner(*a))
+        assert main(["spectrum", "--order", "256", "--top", "3"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.startswith("leading eigenvalues (order 256):\n")
 
 
 class TestEveryRequestIsChecked:

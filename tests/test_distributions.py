@@ -5,6 +5,8 @@ KS distance bound, the CDFs carry closed-form anchors, and densities are
 cross-checked as numerical derivatives of the CDFs.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -273,6 +275,24 @@ class TestSpecValidation:
     def test_infinite_parameter_rejected(self, text, message):
         with pytest.raises(ValueError, match=f": {message}\\. "):
             parse_spec(text)
+
+    @pytest.mark.parametrize("text, label", [
+        ("tn(-4,0.01)", "truncnormal(-4,0.01)"),
+        ("tn(5,0.01)", "truncnormal(5,0.01)"),
+        ("mix(0.5,u,tn(-4,0.01))", "truncnormal(-4,0.01)"),
+    ])
+    def test_truncnormal_without_mass_on_the_interval_rejected(self, text, label):
+        # [0, 1] lies 40 to 50 SDs from the mean, so its normal mass
+        # underflows to zero and the CDF would be 0/0
+        with pytest.raises(ValueError, match=re.escape(f": {label}: [0, 1] carries no normal mass in double precision. ")):
+            parse_spec(text)
+
+    def test_truncnormal_with_a_subnormal_mass_rejected(self):
+        # the mass of tn(-4,0.0113) on [0, 1] is 3.6e-310, a subnormal
+        # double, and its CDF at 0.01 read 1.0 against 0.97 at tn(-4,0.0115)
+        with pytest.raises(ValueError, match="no normal mass"):
+            parse_spec("tn(-4,0.0113)")
+        assert 0.9 < float(cdf(parse_spec("tn(-4,0.0115)"), 0.01)) < 0.99
 
     def test_expgeometric_parameter_range(self):
         AlternativeSpec("expgeometric", (0.0,))

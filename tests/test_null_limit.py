@@ -6,6 +6,7 @@ checked against scipy's beta prime quantiles, and cumulants of every other
 Pearson family must be rejected.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -83,6 +84,13 @@ class TestCumulants:
     def test_variance_must_be_positive(self):
         with pytest.raises(ValueError):
             CumulantSet(k1=0.0, k2=0.0, k3=0.0, k4=0.0)
+
+    @pytest.mark.parametrize("name", ["k1", "k2", "k3", "k4"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cumulant_is_named(self, name, value):
+        given = dict(zip(("k1", "k2", "k3", "k4"), EXACT)) | {name: value}
+        with pytest.raises(ValueError, match=f"^cumulant {name} must be finite, got {value!r}$"):
+            CumulantSet(**given)
 
     def test_numeric_route_agrees_with_exact(self):
         # power sums of the Nystrom eigenvalues converge at second order in
@@ -165,6 +173,41 @@ class TestPearsonFamilies:
     def test_infeasible_moments_rejected(self):
         with pytest.raises(ValueError, match="feasibility"):
             pearson_fit(CumulantSet(0.0, 1.0, 0.0, -2.5))
+
+
+class TestFitCache:
+    """One immutable fit per cumulant set; a failing set fails every time."""
+
+    def test_equal_sets_share_one_fit(self):
+        assert pearson_fit(cumulants_exact()) is pearson_fit(cumulants_exact())
+
+    def test_another_set_gets_another_fit(self):
+        c = cumulants_exact()
+        moved = CumulantSet(c.k1 + 1.0, c.k2, c.k3, c.k4)
+        assert pearson_fit(moved) is not pearson_fit(c)
+        assert pearson_fit(moved).source_moments[0] == c.k1 + 1.0
+
+    def test_fit_is_immutable(self):
+        fit = pearson_fit(cumulants_exact())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fit.source_moments = (0.0, 1.0, 0.0, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fit._dist = None
+
+    def test_shared_fit_is_bit_equal_to_a_fresh_one(self):
+        c = cumulants_exact()
+        shared, fresh = pearson_fit(c), pearson_fit.__wrapped__(c)
+        assert fresh is not shared
+        for p in (0.90, 0.95, 0.99):
+            assert pearson_quantile(shared, p) == pearson_quantile(fresh, p)
+        for x in (0.05, 0.1333, 0.46, 1.2):
+            assert shared.cdf(x) == fresh.cdf(x)
+
+    def test_infeasible_set_raises_on_every_call(self):
+        c = CumulantSet(0.0, 1.0, 0.0, -2.5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="feasibility"):
+                pearson_fit(c)
 
 
 class TestPearsonQuantile:
