@@ -9,6 +9,7 @@ diagnostics of the null limit operator.
 Every request is checked by the ``StudyConfig`` it runs: ``test`` checks
 --tests, --alpha, --reps, --seed and --workers on every ``--critvals`` route.
 argparse splits the list options and names the option when one is malformed.
+``--out`` is checked before any draw, and nothing is written when the study fails.
 
 Exit codes: 0 the null is retained, 1 it is rejected (decided by the
 tail-moment test), 2 usage or input errors.
@@ -17,6 +18,8 @@ tail-moment test), 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 
@@ -109,6 +112,14 @@ def _to_unit(args, data: np.ndarray) -> UnitSample:
     return UnitSample(spec_cdf(spec, x))
 
 
+def _study(args, mode, family, alternatives, sizes, alphas) -> StudyConfig:
+    """The study a subcommand runs: --tests, --reps, --seed and --workers are its
+    tests, replications, master_seed and workers."""
+    return StudyConfig(mode=mode, tests=args.tests, family=family, alternatives=alternatives,
+                       sizes=sizes, alphas=alphas, replications=args.reps,
+                       master_seed=args.seed, workers=args.workers)
+
+
 def _critical_values(config: StudyConfig, source):
     """The critical-value study ``config`` describes.
 
@@ -126,6 +137,15 @@ def _critical_values(config: StudyConfig, source):
     return result
 
 
+def _check_out(path: str) -> None:
+    """Raise the error that writing ``path`` would, before any draw, creating or truncating nothing."""
+    folder = os.path.dirname(os.path.abspath(path))
+    code = (errno.EISDIR if os.path.isdir(path) else errno.ENOENT if not os.path.isdir(folder)
+            else 0 if os.access(path if os.path.exists(path) else folder, os.W_OK) else errno.EACCES)
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
 def _emit(args, result, format_table) -> int:
     """Write the study CSV to ``--out`` and print its table unless only a CSV was asked for."""
     if args.out:
@@ -140,17 +160,8 @@ def _cmd_test(args) -> int:
     rows = UnitRows(_to_unit(args, _read_observations(args.data)))
     n = rows.values.shape[1]
     # the study behind every route checks tests, alpha, reps, seed and workers
-    config = StudyConfig(
-        mode="critical_values",
-        tests=args.tests,
-        family=args.null if args.null in COMPOSITE_FAMILIES else "uniform",
-        alternatives=(),
-        sizes=(n,),
-        alphas=(args.alpha,),
-        replications=args.reps,
-        master_seed=args.seed,
-        workers=args.workers,
-    )
+    family = args.null if args.null in COMPOSITE_FAMILIES else "uniform"
+    config = _study(args, "critical_values", family, (), (n,), (args.alpha,))
     tests = config.tests
     if args.critvals == "pearson":
         if tests != ("tm",):
@@ -175,32 +186,12 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_critval(args) -> int:
-    config = StudyConfig(
-        mode="critical_values",
-        tests=args.tests,
-        family=args.family,
-        alternatives=(),
-        sizes=args.n,
-        alphas=args.alpha,
-        replications=args.reps,
-        master_seed=args.seed,
-        workers=args.workers,
-    )
+    config = _study(args, "critical_values", args.family, (), args.n, args.alpha)
     return _emit(args, estimate_critical_values(config), format_critval_table)
 
 
 def _cmd_power(args) -> int:
-    config = StudyConfig(
-        mode="power",
-        tests=args.tests,
-        family=args.family,
-        alternatives=tuple(parse_spec(s) for s in args.alt),
-        sizes=args.n,
-        alphas=args.alpha,
-        replications=args.reps,
-        master_seed=args.seed,
-        workers=args.workers,
-    )
+    config = _study(args, "power", args.family, tuple(parse_spec(s) for s in args.alt), args.n, args.alpha)
     # every field but the replications has passed as the power study's
     try:
         cv_config = replace(config, mode="critical_values", alternatives=(),
@@ -211,28 +202,15 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    config = StudyConfig(
-        mode="power_curve",
-        tests=("tm",),
-        family="uniform",
-        alternatives=(parse_spec(args.alt),),
-        sizes=args.n_range,
-        alphas=(args.alpha,),
-        replications=args.reps,
-        master_seed=args.seed,
-        workers=args.workers,
-    )
+    config = _study(args, "power_curve", "uniform", (parse_spec(args.alt),), args.n_range, (args.alpha,))
     curve = run_power_curve(config)
     if args.out:
         curve.write_csv(args.out)
         print(f"wrote {len(curve.sample_sizes)} rows to {args.out}")
     else:
         print("n,approx_power,empirical_power,mc_se")
-        for i, n in enumerate(curve.sample_sizes):
-            print(
-                f"{n},{curve.approx_power[i]:.6f},"
-                f"{curve.empirical_power[i]:.6f},{curve.mc_se[i]:.6f}"
-            )
+        for n, *values in zip(curve.sample_sizes, curve.approx_power, curve.empirical_power, curve.mc_se):
+            print(f"{n}," + ",".join(f"{v:.6f}" for v in values))
     return 0
 
 
@@ -243,11 +221,8 @@ def _cmd_bootstrap(args) -> int:
     result = bootstrap_pvalue(
         args.family, args.test, Sample(data), args.B, rng_substream(args.seed, 0)
     )
-    print(
-        f"test {result.test_id}, family {result.family_tag}: "
-        f"statistic {result.observed_statistic:.6f}, "
-        f"p-value {result.p_value:.6g} ({result.replications} bootstrap replications)"
-    )
+    print(f"test {result.test_id}, family {result.family_tag}: statistic {result.observed_statistic:.6f}, "
+          f"p-value {result.p_value:.6g} ({result.replications} bootstrap replications)")
     return 0
 
 
@@ -262,13 +237,8 @@ def _cmd_spectrum(args) -> int:
     for i, lam in enumerate(top, start=1):
         print(f"  {i:3d}  {lam:.12f}")
     print(f"trace: {float(np.sum(spec.eigenvalues)):.12f} (mean of limit: {exact.k1:.12f})")
-    print(
-        "cumulants (numeric vs exact): "
-        + ", ".join(
-            f"k{j} {getattr(numeric, f'k{j}'):.10f}/{getattr(exact, f'k{j}'):.10f}"
-            for j in (1, 2, 3, 4)
-        )
-    )
+    pairs = (f"k{j} {getattr(numeric, f'k{j}'):.10f}/{getattr(exact, f'k{j}'):.10f}" for j in (1, 2, 3, 4))
+    print(f"cumulants (numeric vs exact): {', '.join(pairs)}")
     return 0
 
 
@@ -335,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--seed", type=int, default=0)
     p_curve.add_argument("--workers", type=int, default=1)
     p_curve.add_argument("--out", help="write the curve CSV here")
-    p_curve.set_defaults(func=_cmd_curve)
+    p_curve.set_defaults(func=_cmd_curve, tests=("tm",))
 
     p_boot = sub.add_parser("bootstrap", help="parametric bootstrap p-value for composite nulls")
     p_boot.add_argument("data")
@@ -356,6 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -306,11 +306,16 @@ class AlternativeSpec:
         return core + ("+1" if self.translate_by_one else "")
 
 
+def _drawn(spec: AlternativeSpec) -> list[tuple[float, AlternativeSpec]]:
+    """The (share, component) pairs of a mixture that carry weight; only these are ever drawn."""
+    w, a, b = spec.mixture
+    return [(share, part) for share, part in ((w, a), (1.0 - w, b)) if share > 0.0]
+
+
 def support(spec: AlternativeSpec) -> tuple[float, float]:
     """Closed interval holding every draw: the hull of a mixture's drawn components, shifted for +1."""
     if spec.family == "mixture":
-        w, a, b = spec.mixture
-        hulls = [support(part) for part, share in ((a, w), (b, 1.0 - w)) if share > 0.0]
+        hulls = [support(part) for _, part in _drawn(spec)]
         lo, hi = min(h[0] for h in hulls), max(h[1] for h in hulls)
     else:
         lo, hi = _TABLE[spec.family].support
@@ -323,8 +328,7 @@ def covers(spec: AlternativeSpec, x) -> np.ndarray:
     if spec.translate_by_one:
         x = x - 1.0
     if spec.family == "mixture":
-        w, a, b = spec.mixture
-        return np.logical_or.reduce([covers(part, x) for part, share in ((a, w), (b, 1.0 - w)) if share > 0.0])
+        return np.logical_or.reduce([covers(part, x) for _, part in _drawn(spec)])
     lo, hi = _TABLE[spec.family].support
     return (x >= lo) & (x <= hi)
 
@@ -368,8 +372,7 @@ def cdf(spec: AlternativeSpec, x) -> np.ndarray | float:
     if spec.translate_by_one:
         x = x - 1.0
     if spec.family == "mixture":
-        w, a, b = spec.mixture
-        out = w * np.asarray(cdf(a, x)) + (1.0 - w) * np.asarray(cdf(b, x))
+        out = sum(share * np.asarray(cdf(part, x)) for share, part in _drawn(spec))
     else:
         family = _TABLE[spec.family]
         lo, hi = family.support
@@ -385,8 +388,7 @@ def pdf(spec: AlternativeSpec, x) -> np.ndarray | float:
     if spec.translate_by_one:
         x = x - 1.0
     if spec.family == "mixture":
-        w, a, b = spec.mixture
-        out = w * np.asarray(pdf(a, x)) + (1.0 - w) * np.asarray(pdf(b, x))
+        out = sum(share * np.asarray(pdf(part, x)) for share, part in _drawn(spec))
     else:
         family = _TABLE[spec.family]
         lo, hi = family.support

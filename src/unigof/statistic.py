@@ -154,7 +154,8 @@ def tm_statistic(u) -> float:
 
 
 def tm_statistic_integral(u) -> float:
-    """The statistic by piecewise quadrature of its defining integral.
+    """The statistic by piecewise quadrature of its defining integral, the
+    square of :func:`empirical_process` over (0, 1).
 
     Between consecutive order statistics the integrand is a fixed quartic
     polynomial in t, so a per-segment Gauss-Legendre rule integrates each
@@ -162,19 +163,14 @@ def tm_statistic_integral(u) -> float:
     exact, and the rest is slack against edits that break the polynomial
     form.
     """
-    v = np.sort((u if isinstance(u, UnitSample) else UnitSample(u)).values)
-    n = v.size
-    a = 2.0 * v - 1.0
-    csum = np.concatenate([[0.0], np.cumsum(a)])
-    breaks = np.unique(np.concatenate([[0.0], v, [1.0]]))
+    sample = u if isinstance(u, UnitSample) else UnitSample(u)
+    breaks = np.unique(np.concatenate([[0.0], sample.values, [1.0]]))
     lengths = np.diff(breaks)
-    # On (breaks[i], breaks[i+1]) the indicator sum counts u_j >= breaks[i+1].
-    first = np.searchsorted(v, breaks[1:], side="left")
-    tail = (csum[-1] - csum[first]) / n
     rule = gauss_legendre(64)
     t = breaks[:-1, None] + lengths[:, None] * rule.nodes[None, :]
-    sq = (tail[:, None] - t * (1.0 - t)) ** 2
-    return float(n * np.sum(lengths * (sq @ rule.weights)))
+    # nodes of a segment one ulp wide can round onto 0 or 1, where the process is not defined
+    sq = empirical_process(sample, np.clip(t, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))) ** 2
+    return float(np.sum(lengths * (sq @ rule.weights)))
 
 
 def empirical_process(u: UnitSample, t):

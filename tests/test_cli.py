@@ -512,3 +512,105 @@ class TestEveryRequestIsChecked:
         assert code == 2
         assert captured.out == ""
         assert "master_seed: expected a non-negative integer, got -1" in captured.err
+
+
+class TestOutIsCheckedFirst:
+    @pytest.mark.parametrize("argv, study", [
+        (["critval", "--n", "200", "--reps", "200000", "--tests", "tm"], "estimate_critical_values"),
+        (["power", "--alt", "beta(2,3)", "--n", "20", "--tests", "tm"], "estimate_critical_values"),
+        (["curve", "--alt", "beta(2,3)", "--n-range", "10:20:10"], "run_power_curve"),
+    ], ids=["critval", "power", "curve"])
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/study.csv", "[Errno 2] No such file or directory"),
+        ("", "[Errno 21] Is a directory"),
+    ], ids=["missing-folder", "a-folder"])
+    def test_unwritable_out_fails_before_any_draw(self, argv, study, where, reason, tmp_path,
+                                                  monkeypatch, capsys):
+        from unigof import cli
+
+        calls = []
+        monkeypatch.setattr(cli, study, lambda *a: calls.append(a))
+        out = str(tmp_path / where)
+        code = main(argv + ["--out", out])
+        captured = capsys.readouterr()
+        assert (code, captured.out, calls) == (2, "", [])
+        assert captured.err == f"error: {reason}: {out!r}\n"
+
+    def test_a_failing_study_creates_and_truncates_nothing(self, tmp_path, capsys):
+        kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+        kept.write_text("an earlier study\n")
+        for out in (kept, fresh):
+            code = main(["power", "--alt", "beta(2,3)", "--n", "10", "--tests", "tm", "--reps", "200",
+                         "--critval-reps", "50", "--out", str(out)])
+            assert code == 2
+        assert "--critval-reps: replications must be at least 100" in capsys.readouterr().err
+        assert kept.read_text() == "an earlier study\n"
+        assert not fresh.exists()
+
+
+# stdout of one small fixed-seed run of each study command, byte for byte;
+# {unif} and {norm} stand for the uniform_file and normal_file samples
+PINNED_RUNS = {
+    "test-uniform-mc": (["test", "{unif}", "--critvals", "mc", "--reps", "200", "--seed", "3"], (
+        "n = 50, null = uniform, alpha = 0.05, critical values: mc\n"
+        "      tm  statistic     0.024329  critical     0.384130  -> retain\n"
+        "      ks  statistic     0.107258  critical     0.176061  -> retain\n"
+        "     cvm  statistic     0.082879  critical     0.321621  -> retain\n"
+        "      ad  statistic     0.574598  critical     1.976352  -> retain\n"
+        "  watson  statistic     0.080030  critical     0.158757  -> retain\n"
+        " sherman  statistic     0.461960  critical     0.422655  -> reject\n"
+        "  kuiper  statistic     0.175501  critical     0.223753  -> retain\n"
+        "      qm  statistic     0.070967  critical     0.066981  -> reject\n"
+        "     frs  statistic     0.221288  critical     0.486923  -> retain\n"
+        "      zc  statistic    12.962167  critical    23.982882  -> retain\n"
+    )),
+    "test-normal-mc": (["test", "{norm}", "--null", "normal", "--critvals", "mc", "--reps", "200",
+                        "--tests", "tm,ks,ad"], (
+        "n = 60, null = normal, alpha = 0.05, critical values: mc\n"
+        "      tm  statistic     0.059446  critical     0.074505  -> retain\n"
+        "      ks  statistic     0.073061  critical     0.118334  -> retain\n"
+        "      ad  statistic     0.512329  critical     0.795104  -> retain\n"
+    )),
+    "test-pearson": (["test", "{unif}", "--critvals", "pearson", "--tests", "tm"], (
+        "n = 50, null = uniform, alpha = 0.05, critical values: pearson\n"
+        "      tm  statistic     0.024329  critical     0.462679  -> retain\n"
+    )),
+    "critval": (["critval", "--n", "10,20", "--tests", "tm,ks", "--reps", "200", "--seed", "5"], (
+        "test ks\n"
+        "alpha\\n       10       20\n"
+        "0.1         0.367    0.265\n"
+        "0.05        0.432    0.292\n"
+        "0.01        0.487    0.344\n"
+        "\n"
+        "test tm\n"
+        "alpha\\n       10       20\n"
+        "0.1         0.363    0.291\n"
+        "0.05        0.491    0.453\n"
+        "0.01        0.778    0.606\n"
+    )),
+    "power": (["power", "--alt", "beta(2,3)", "--alt", "mix(0.5,u,beta(0.5,0.5))", "--n", "20",
+               "--tests", "tm,ks", "--reps", "200", "--critval-reps", "200", "--seed", "7"], (
+        "n=20, alpha=0.05, entries in %\n"
+        "alternative                          tm       ks\n"
+        "beta(2,3)                            76       51\n"
+        "mix(0.5,uniform,beta(0.5,0.5))       10        7\n"
+    )),
+    "curve": (["curve", "--alt", "beta(2,3)", "--n-range", "10:30:10", "--reps", "200", "--seed", "2"], (
+        "n,approx_power,empirical_power,mc_se\n"
+        "10,0.230514,0.230000,0.029757\n"
+        "20,0.695058,0.805000,0.028016\n"
+        "30,0.895951,0.950000,0.015411\n"
+    )),
+    "bootstrap": (["bootstrap", "{norm}", "--family", "normal", "-B", "99", "--seed", "1"], (
+        "test tm, family normal: statistic 0.059446, p-value 0.1 (99 bootstrap replications)\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_RUNS))
+def test_stdout_is_pinned(name, uniform_file, normal_file, capsys):
+    argv, expected = PINNED_RUNS[name]
+    code = main([arg.format(unif=uniform_file, norm=normal_file) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == expected

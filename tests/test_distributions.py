@@ -236,6 +236,14 @@ class TestPdf:
         assert pdf(spec_of("gamma(1)+1"), 0.5) == 0.0
         assert pdf(spec_of("beta(2,3)"), -0.2) == 0.0
 
+    @pytest.mark.parametrize("text", ["mix(0,beta(0.5,0.5),u)", "mix(1,u,beta(0.5,0.5))"])
+    def test_a_component_never_drawn_adds_nothing(self, text):
+        # 0 times the infinite beta(0.5,0.5) density at 0 and 1 would be NaN
+        x = np.array([0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(pdf(spec_of(text), x), [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(cdf(spec_of(text), x), x)
+        assert pdf(spec_of(text), 0.0) == 1.0
+
     def test_skewnormal_integrates_to_one(self):
         x = np.linspace(-10.0, 10.0, 20001)
         total = np.trapezoid(pdf(spec_of("sn(2.5)"), x), x)

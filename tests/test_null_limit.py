@@ -23,6 +23,7 @@ from unigof import (
     nystrom_spectrum,
     pearson_fit,
     pearson_quantile,
+    tm_statistic_batch,
 )
 
 EXACT = (
@@ -123,6 +124,47 @@ class TestCumulants:
     def test_numeric_rejects_low_order(self):
         with pytest.raises(ValueError):
             cumulants_numeric(order=64)
+
+
+# ---------------------------------------------------------------------------
+# finite-n null moments: E T_n is the limit's k1 at every n, and
+# Var T_n = 109/4050 - 49/(8100 n) reaches the limit's k2 from below
+
+
+def _variance_at(n):
+    return EXACT[1] - 49.0 / (8100.0 * n)
+
+
+class TestFiniteSampleMoments:
+    def test_exact_at_one_observation(self):
+        # T_1 is a polynomial in U of low degree, so Gauss-Legendre 32 integrates T and T^2 exactly
+        rule = gauss_legendre(32)
+        t = tm_statistic_batch(rule.nodes[:, None])
+        mean = rule.weights @ t
+        assert mean == pytest.approx(EXACT[0], abs=1e-15)
+        assert rule.weights @ t**2 - mean**2 == pytest.approx(_variance_at(1), abs=1e-15)
+
+    def test_exact_at_two_observations(self):
+        # on u1 < u2, T_2 is a polynomial; u1 = x y, u2 = x maps the square onto that
+        # triangle with Jacobian x, and the ordered pair has density 2 there
+        rule = gauss_legendre(32)
+        x, y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
+        weight = (2.0 * np.outer(rule.weights, rule.weights) * x).ravel()
+        t = tm_statistic_batch(np.column_stack([(x * y).ravel(), x.ravel()]))
+        mean = weight @ t
+        assert mean == pytest.approx(EXACT[0], abs=1e-15)
+        assert weight @ t**2 - mean**2 == pytest.approx(_variance_at(2), abs=1e-15)
+
+    @pytest.mark.parametrize("n", [10, 50])
+    def test_monte_carlo_within_four_standard_errors(self, n, rng):
+        t = np.concatenate([tm_statistic_batch(rng.random((20_000, n))) for _ in range(10)])
+        mean = t.mean()
+        centred = t - mean
+        variance = np.mean(centred**2)
+        # the standard error of a sample variance comes from the fourth central moment
+        variance_se = math.sqrt((np.mean(centred**4) - variance**2) / t.size)
+        assert abs(mean - EXACT[0]) < 4.0 * math.sqrt(variance / t.size)
+        assert abs(variance - _variance_at(n)) < 4.0 * variance_se
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,12 @@ def test_integral_route_handles_ties_and_endpoints():
     assert abs(tm_statistic(u) - tm_statistic_integral(u)) < 1e-12
 
 
+def test_integral_route_handles_segments_one_ulp_wide():
+    # the quadrature nodes of (1 - 2^-53, 1) and (0, 5e-324) round onto the ends
+    u = [np.nextafter(0.0, 1.0), 0.3, np.nextafter(1.0, 0.0)]
+    assert abs(tm_statistic(u) - tm_statistic_integral(u)) < 1e-12
+
+
 @given(unit_lists)
 @settings(max_examples=150)
 def test_dual_route_property(values):
