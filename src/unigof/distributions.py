@@ -6,7 +6,9 @@ density. The seventeen families are shapes on the unit interval, lifetime
 laws on [0, inf) and real-line laws for the composite studies. ``FAMILIES``,
 spec validation, the one support check of studies and nulls, the clip of every
 CDF to its support and the zero density outside it all derive from the table.
-Sampling is pure given an explicit numpy Generator.
+Sampling is pure given an explicit numpy Generator. The beta, gamma, t and
+chi-square laws are evaluated with the ``scipy.special`` functions that
+``scipy.stats`` uses for them, so the package does not import ``scipy.stats``.
 
 On top of the table, a mixture composes two specs with a per-draw Bernoulli
 choice, and any spec can be translated by one to move positive support onto
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .numerics import normal_cdf, normal_quantile
 from .statistic import Sample
@@ -48,7 +50,7 @@ class _Family:
     rejected with ``"<family> <rule>"``, unless ``valid`` raises an error of
     its own that names the spec. ``draw(params, n, rng)`` returns n draws.
     ``cdf(params, y)`` and ``pdf(params, y)`` are only called with y inside
-    the closed ``support`` or NaN, and must return NaN at NaN.
+    the closed ``support`` (finite, for ``pdf``) or NaN, and must return NaN at NaN.
     """
 
     arity: int
@@ -150,8 +152,10 @@ _TABLE: dict[str, _Family] = {
     ),
     "beta": _Family(2, _UNIT, _positive, "shapes must be positive",
         draw=lambda p, n, rng: rng.beta(p[0], p[1], n),
-        cdf=lambda p, y: stats.beta.cdf(y, p[0], p[1]),
-        pdf=lambda p, y: stats.beta.pdf(y, p[0], p[1]),
+        cdf=lambda p, y: special.betainc(p[0], p[1], y),
+        pdf=lambda p, y: np.exp(
+            special.xlogy(p[0] - 1.0, y) + special.xlog1py(p[1] - 1.0, -y) - special.betaln(p[0], p[1])
+        ),
     ),
     "truncnormal": _Family(2, _UNIT, _truncnormal_valid, "variance must be positive",
         draw=_truncnormal_draw, cdf=_truncnormal_cdf, pdf=_truncnormal_pdf,
@@ -200,8 +204,8 @@ _TABLE: dict[str, _Family] = {
     ),
     "gamma": _Family(1, _HALF_LINE, _positive, "parameter must be positive",
         draw=lambda p, n, rng: rng.gamma(p[0], 1.0, n),
-        cdf=lambda p, y: stats.gamma.cdf(y, p[0]),
-        pdf=lambda p, y: stats.gamma.pdf(y, p[0]),
+        cdf=lambda p, y: special.gammainc(p[0], y),
+        pdf=lambda p, y: np.exp(special.xlogy(p[0] - 1.0, y) - y - special.gammaln(p[0])),
     ),
     "skewnormal": _Family(1, _LINE, lambda p: True, "",
         draw=_skewnormal_draw,
@@ -222,13 +226,18 @@ _TABLE: dict[str, _Family] = {
     ),
     "t": _Family(1, _LINE, _positive, "parameter must be positive",
         draw=lambda p, n, rng: rng.standard_t(p[0], n),
-        cdf=lambda p, y: stats.t.cdf(y, p[0]),
-        pdf=lambda p, y: stats.t.pdf(y, p[0]),
+        cdf=lambda p, y: special.stdtr(p[0], y),
+        pdf=lambda p, y: np.exp(
+            np.log(special.poch(0.5 * p[0], 0.5)) - 0.5 * (np.log(p[0]) + np.log(np.pi))
+            - (p[0] + 1) / 2 * np.log1p(y * y / p[0])
+        ),
     ),
     "chisq": _Family(1, _HALF_LINE, _positive, "parameter must be positive",
         draw=lambda p, n, rng: rng.chisquare(p[0], n),
-        cdf=lambda p, y: stats.chi2.cdf(y, p[0]),
-        pdf=lambda p, y: stats.chi2.pdf(y, p[0]),
+        cdf=lambda p, y: special.chdtr(p[0], y),
+        pdf=lambda p, y: np.exp(
+            special.xlogy(p[0] / 2.0 - 1, y) - y / 2.0 - special.gammaln(p[0] / 2.0) - (np.log(2) * p[0]) / 2.0
+        ),
     ),
     "halfnormal": _Family(1, _HALF_LINE, _positive, "parameter must be positive",
         draw=lambda p, n, rng: p[0] * np.abs(rng.standard_normal(n)),
@@ -383,7 +392,7 @@ def cdf(spec: AlternativeSpec, x) -> np.ndarray | float:
 
 
 def pdf(spec: AlternativeSpec, x) -> np.ndarray | float:
-    """Density of the spec, vectorised over x. Zero outside the support, NaN at NaN."""
+    """Density of the spec, vectorised over x. Zero outside the support and at +-inf, NaN at NaN."""
     x = np.asarray(x, dtype=float)
     if spec.translate_by_one:
         x = x - 1.0
@@ -392,12 +401,14 @@ def pdf(spec: AlternativeSpec, x) -> np.ndarray | float:
     else:
         family = _TABLE[spec.family]
         lo, hi = family.support
-        outside = (x < lo) | (x > hi)
+        # every density vanishes at an infinite end, where the formulas can
+        # meet inf - inf (gamma, chisq) or 0 * inf (weibull, lfr)
+        outside = (x < lo) | (x > hi) | np.isinf(x)
         if outside.any():
             # the formula sees an inner point where x is outside: a quarter of
             # the way in (stephens3 with k < 1 is infinite at the middle), or one
-            # unit in from a finite lower end; in-support grids are not copied
-            x = np.where(outside, lo + 0.25 * (hi - lo) if hi < np.inf else lo + 1.0, x)
+            # unit in from a finite lower end or from 0; in-support grids are not copied
+            x = np.where(outside, lo + 0.25 * (hi - lo) if hi < np.inf else max(lo, 0.0) + 1.0, x)
         out = np.where(outside, 0.0, family.pdf(spec.params, x))
     return float(out) if out.ndim == 0 else out
 

@@ -10,21 +10,23 @@ The cumulants feed a Pearson-system fit whose quantiles supply asymptotic
 critical values. Only Pearson type VI (beta prime) is fitted: the limit is
 a positively weighted sum of chi-square variables, positively skewed, and
 its exact cumulants give Pearson's criterion kappa = 177, well inside the
-type VI region 1 < kappa < inf. Fits are memoised per cumulant set and
-immutable, so a process fits the limit law once. An Imhof inversion of the
-Nystrom spectrum (orders 128-1024), measured once outside the package and
-checked by no test yet, puts Pearson's 99% point at 0.78517, below the
-exact 0.78581, and its 90% point 4.7e-4 above the exact one.
+type VI region 1 < kappa < inf. A fit is evaluated with the incomplete beta
+functions of ``scipy.special`` that ``scipy.stats.betaprime`` calls, without
+importing ``scipy.stats``. Fits are memoised per cumulant set and immutable,
+so a process fits the limit law once. An Imhof inversion of the Nystrom
+spectrum (orders 128-1024), measured once outside the package and checked by
+no test yet, puts Pearson's 99% point at 0.78517, below the exact 0.78581,
+and its 90% point 4.7e-4 above the exact one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .numerics import gauss_legendre, nystrom_discretize
 
@@ -112,15 +114,25 @@ class PearsonFit:
     """The Pearson type VI (beta prime) member matching four moments; immutable.
 
     ``source_moments`` is the (mean, variance, skewness, excess kurtosis)
-    tuple the fit reproduces.
+    tuple the fit reproduces. The law is that of ``loc + scale X``, with X
+    beta prime of shapes ``alpha`` and ``beta``.
     """
 
     source_moments: tuple[float, float, float, float]
-    _dist: object = field(repr=False)
+    alpha: float
+    beta: float
+    loc: float
+    scale: float
 
     def cdf(self, x: float) -> float:
         """Distribution function of the fitted family at a point."""
-        return float(self._dist.cdf(x))
+        z = (x - self.loc) / self.scale
+        if z <= 0.0:
+            return 0.0
+        # z / (1 + z) rounds to one for large z, so that side uses the complement
+        if z > 1.0:
+            return float(special.betaincc(self.beta, self.alpha, 1.0 / (1.0 + z)))
+        return float(special.betainc(self.alpha, self.beta, z / (1.0 + z)))
 
 
 @lru_cache(maxsize=16)
@@ -162,13 +174,29 @@ def pearson_fit(c: CumulantSet) -> PearsonFit:
     expo_b = -(a + r2) / (c2 * (r2 - r1))
     alpha = expo_b + 1.0
     beta = -expo_a - expo_b - 1.0
-    fit = PearsonFit((mean, var, g1, g2), stats.betaprime(alpha, beta, loc=mean + r2, scale=r2 - r1))
+    fit = PearsonFit((mean, var, g1, g2), alpha, beta, loc=mean + r2, scale=r2 - r1)
     _verify_fit_moments(fit)
     return fit
 
 
+def _fit_moments(fit: PearsonFit) -> tuple[float, float, float, float]:
+    """Mean, variance, skewness and excess kurtosis of the fit; inf or NaN where one does not exist."""
+    a, b = fit.alpha, fit.beta
+    # raw moments of beta prime: E X^k = prod_{i<=k} (a+i-1)/(b-i), infinite unless b > k
+    m1, m2, m3, m4 = (
+        np.float64(math.prod((a + i - 1.0) / (b - i) for i in range(1, k + 1)) if b > k else math.inf)
+        for k in (1, 2, 3, 4)
+    )
+    with np.errstate(all="ignore"):
+        mu2 = m2 - m1 * m1
+        mu3 = (-m1 * m1 - 3.0 * mu2) * m1 + m3
+        mu4 = ((-m1 * m1 - 6.0 * mu2) * m1 - 4.0 * mu3) * m1 + m4
+        moments = (m1 * fit.scale + fit.loc, mu2 * fit.scale * fit.scale, mu3 / mu2**1.5, mu4 / mu2**2 - 3.0)
+    return tuple(float(m) for m in moments)
+
+
 def _verify_fit_moments(fit: PearsonFit) -> None:
-    got = tuple(float(m) for m in fit._dist.stats(moments="mvsk"))
+    got = _fit_moments(fit)
     # relative check with an absolute floor for near-zero targets
     for name, want, have in zip(("mean", "variance", "skewness", "kurtosis"), fit.source_moments, got):
         tol = 1e-8 * max(1.0, abs(want))
@@ -180,10 +208,13 @@ def _verify_fit_moments(fit: PearsonFit) -> None:
 
 
 def pearson_quantile(fit: PearsonFit, p: float) -> float:
-    """Quantile of the fitted family, by scipy's inverse of its distribution function."""
+    """Quantile of the fitted family, ``loc + scale r / (1 - r)`` for the beta quantile r of p."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
-    return float(fit._dist.ppf(p))
+    r = float(special.betaincinv(fit.alpha, fit.beta, p))
+    # r / (1 - r) loses its digits as r nears one, so there the complement is inverted
+    x = 1.0 / float(special.betainccinv(fit.beta, fit.alpha, p)) - 1.0 if r > 0.9999 else r / (1.0 - r)
+    return x * fit.scale + fit.loc
 
 
 @dataclass(frozen=True)

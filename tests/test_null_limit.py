@@ -2,8 +2,9 @@
 
 The exact rational cumulants are cross-validated against power sums of
 the discretised kernel's Nystrom spectrum. The Pearson type VI fit is
-checked against scipy's beta prime quantiles, and cumulants of every other
-Pearson family must be rejected.
+checked against ``scipy.stats.betaprime`` (its distribution function and
+quantiles bit for bit, its moments in closed form), and cumulants of every
+other Pearson family must be rejected.
 """
 
 import dataclasses
@@ -25,6 +26,7 @@ from unigof import (
     pearson_quantile,
     tm_statistic_batch,
 )
+from unigof.null_limit import PearsonFit, _fit_moments, _verify_fit_moments
 
 EXACT = (
     2.0 / 15.0,
@@ -217,6 +219,65 @@ class TestPearsonFamilies:
             pearson_fit(CumulantSet(0.0, 1.0, 0.0, -2.5))
 
 
+def assert_bit_equal(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    np.testing.assert_array_equal(got, want)
+    assert np.array_equal(np.signbit(got[~np.isnan(got)]), np.signbit(want[~np.isnan(want)]))
+
+
+def _oracle(fit):
+    return stats.betaprime(fit.alpha, fit.beta, loc=fit.loc, scale=fit.scale)
+
+
+# the limit law's fit; a fit with beta < 4 whose upper quantiles reach the
+# complement branch (beta quantile r > 0.9999), built directly since its
+# moments do not exist
+ROUTE_FITS = {
+    "limit": pearson_fit(cumulants_exact()),
+    "heavy-tail": PearsonFit((0.0, 1.0, 0.0, 0.0), alpha=50.0, beta=0.3, loc=-0.5, scale=2.0),
+}
+
+
+class TestPearsonRoute:
+    """The fit's own distribution function, quantile and moments against scipy.stats.betaprime."""
+
+    @pytest.mark.parametrize("name", sorted(ROUTE_FITS))
+    def test_cdf_is_bit_equal_to_scipy(self, name):
+        fit = ROUTE_FITS[name]
+        # below and at loc, both branches either side of z = 1, the far tail, inf and NaN
+        z = np.concatenate([[-np.inf, -3.0, -1e-300, 0.0, 5e-324], np.linspace(1e-3, 1.0, 200), [1.0 + 1e-15],
+                            np.geomspace(1.001, 1e12, 200), [1e300, np.inf, np.nan]])
+        x = fit.loc + fit.scale * z
+        assert_bit_equal([fit.cdf(v) for v in x], _oracle(fit).cdf(x))
+
+    @pytest.mark.parametrize("name", sorted(ROUTE_FITS))
+    def test_quantile_is_bit_equal_to_scipy(self, name):
+        fit = ROUTE_FITS[name]
+        p = np.concatenate([[1e-300, 1e-12], np.linspace(1e-4, 1.0 - 1e-4, 400), [1.0 - 1e-12, 1.0 - 2**-53]])
+        assert_bit_equal([pearson_quantile(fit, v) for v in p], _oracle(fit).ppf(p))
+        near_one = stats.beta.ppf(p, fit.alpha, fit.beta) > 0.9999
+        assert near_one.any() == (name == "heavy-tail")
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 4.5), (3.0, 9.0), (0.51, 363.0), (20.0, 6.0)])
+    def test_closed_form_moments_match_scipy(self, alpha, beta):
+        fit = PearsonFit((0.0, 1.0, 0.0, 0.0), alpha, beta, loc=0.25, scale=1.5)
+        want = [float(m) for m in _oracle(fit).stats(moments="mvsk")]
+        np.testing.assert_allclose(_fit_moments(fit), want, rtol=1e-12, atol=0.0)
+
+    def test_perturbed_fit_is_refused(self):
+        fit = pearson_fit(cumulants_exact())
+        _verify_fit_moments(fit)
+        with pytest.raises(ValueError, match="failed to reproduce"):
+            _verify_fit_moments(dataclasses.replace(fit, beta=1.01 * fit.beta))
+
+    def test_moments_that_do_not_exist_are_refused(self):
+        # with beta <= 4 the kurtosis is infinite, with beta <= 2 the variance
+        for beta in (3.5, 1.5):
+            fit = PearsonFit((0.0, 1.0, 0.0, 0.0), 2.0, beta, loc=0.0, scale=1.0)
+            with pytest.raises(ValueError, match="failed to reproduce"):
+                _verify_fit_moments(fit)
+
+
 class TestFitCache:
     """One immutable fit per cumulant set; a failing set fails every time."""
 
@@ -234,7 +295,7 @@ class TestFitCache:
         with pytest.raises(dataclasses.FrozenInstanceError):
             fit.source_moments = (0.0, 1.0, 0.0, 0.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            fit._dist = None
+            fit.alpha = 1.0
 
     def test_shared_fit_is_bit_equal_to_a_fresh_one(self):
         c = cumulants_exact()
