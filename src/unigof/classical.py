@@ -11,13 +11,20 @@ Everything is batch-first: the workhorses take a
 :class:`~unigof.statistic.UnitRows`, the checked and sorted rows of a
 batch of samples, and return one statistic per row; a single sample is a
 batch of one.
+
+Statistics built from the same row work share one pass. A kernel table
+maps each test id to a group kernel and a column: ``_extremes`` gives ks and
+kuiper from one D+ and one D- per row, ``_centred`` cvm, watson and frs from
+one matrix of deviations from the plotting positions, ``_gaps`` sherman and
+qm from one matrix of spacings; ad and zc are groups of one. Each group's
+pass is kept on the ``UnitRows`` (:meth:`~unigof.statistic.UnitRows.reduced`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .statistic import TestOutcome, UnitRows, by_blocks, tm_statistic_batch
+from .statistic import TestOutcome, UnitRows, tm_statistic_batch
 
 __all__ = [
     "CLASSICAL_KINDS",
@@ -39,54 +46,68 @@ def check_test_id(kind: str) -> None:
         raise ValueError(f"unknown test id {kind!r}; expected one of {', '.join(TEST_IDS)}")
 
 
-def _spacings(V: np.ndarray) -> np.ndarray:
-    # n + 1 gaps per row after augmenting with the interval endpoints
-    R = V.shape[0]
-    zeros = np.zeros((R, 1))
-    ones = np.ones((R, 1))
-    return np.diff(np.hstack([zeros, V, ones]), axis=1)
-
-
-def _batch_sorted(kind: str, V: np.ndarray) -> np.ndarray:
-    R, n = V.shape
+def _extremes(V: np.ndarray) -> np.ndarray:
+    # ks and kuiper from one D+ = max(j/n - V) and one D- = max(V - (j-1)/n) per row
+    n = V.shape[1]
     j = np.arange(1, n + 1, dtype=float)
+    tmp = np.subtract(j / n, V)
+    d_plus = tmp.max(axis=1)
+    np.subtract(V, (j - 1.0) / n, out=tmp)
+    d_minus = tmp.max(axis=1)
+    return np.column_stack([np.maximum(d_plus, d_minus), d_plus + d_minus])
 
-    if kind == "ks":
-        d_plus = np.max(j / n - V, axis=1)
-        d_minus = np.max(V - (j - 1.0) / n, axis=1)
-        return np.maximum(d_plus, d_minus)
 
-    if kind == "kuiper":
-        return np.max(j / n - V, axis=1) + np.max(V - (j - 1.0) / n, axis=1)
+def _centred(V: np.ndarray) -> np.ndarray:
+    # cvm, watson and frs from one matrix V - (2j-1)/(2n); (j-0.5)/n rounds to the same centres
+    n = V.shape[1]
+    j = np.arange(1, n + 1, dtype=float)
+    C = np.subtract(V, (2.0 * j - 1.0) / (2.0 * n))
+    frs = np.sum(np.abs(C, out=C), axis=1) / np.sqrt(n)
+    w2 = 1.0 / (12.0 * n) + np.sum(np.multiply(C, C, out=C), axis=1)
+    return np.column_stack([w2, w2 - n * (np.mean(V, axis=1) - 0.5) ** 2, frs])
 
-    if kind == "cvm":
-        return 1.0 / (12.0 * n) + np.sum((V - (2.0 * j - 1.0) / (2.0 * n)) ** 2, axis=1)
 
-    if kind == "watson":
-        w2 = 1.0 / (12.0 * n) + np.sum((V - (2.0 * j - 1.0) / (2.0 * n)) ** 2, axis=1)
-        return w2 - n * (np.mean(V, axis=1) - 0.5) ** 2
+def _gaps(V: np.ndarray) -> np.ndarray:
+    # sherman and qm from the n + 1 gaps per row after augmenting with the interval endpoints
+    R, n = V.shape
+    G = np.empty((R, n + 1))
+    G[:, 0] = V[:, 0]
+    np.subtract(V[:, 1:], V[:, :-1], out=G[:, 1:n])
+    np.subtract(1.0, V[:, -1], out=G[:, n])
+    # squared-gap sum runs over all n + 1 gaps, the cross term over the
+    # first n adjacent pairs only
+    qm = np.sum(G * G, axis=1) + np.sum(G[:, :-1] * G[:, 1:], axis=1)
+    np.subtract(G, 1.0 / (n + 1.0), out=G)
+    sherman = 0.5 * np.sum(np.abs(G, out=G), axis=1)
+    return np.column_stack([sherman, qm])
 
-    if kind == "ad":
-        with np.errstate(divide="ignore"):
-            logs = np.log(V) + np.log1p(-V[:, ::-1])
-        return -n - np.sum((2.0 * j - 1.0) * logs, axis=1) / n
 
-    if kind == "sherman":
-        return 0.5 * np.sum(np.abs(_spacings(V) - 1.0 / (n + 1.0)), axis=1)
+def _ad(V: np.ndarray) -> np.ndarray:
+    n = V.shape[1]
+    j = np.arange(1, n + 1, dtype=float)
+    L = np.negative(V[:, ::-1])
+    with np.errstate(divide="ignore"):
+        np.log1p(L, out=L)
+        L += np.log(V)
+    L *= 2.0 * j - 1.0
+    return (-n - np.sum(L, axis=1) / n)[:, None]
 
-    if kind == "qm":
-        gaps = _spacings(V)
-        # squared-gap sum runs over all n + 1 gaps, the cross term over the
-        # first n adjacent pairs only
-        return np.sum(gaps * gaps, axis=1) + np.sum(gaps[:, :-1] * gaps[:, 1:], axis=1)
 
-    if kind == "frs":
-        return np.sum(np.abs(V - (j - 0.5) / n), axis=1) / np.sqrt(n)
-
-    # zc, the last id batch_statistic lets through
+def _zc(V: np.ndarray) -> np.ndarray:
+    n = V.shape[1]
+    j = np.arange(1, n + 1, dtype=float)
     W = np.clip(V, _ZC_CLAMP, 1.0 - _ZC_CLAMP)
-    ratio = (1.0 / W - 1.0) / ((n - 0.5) / (j - 0.75) - 1.0)
-    return np.sum(np.log(ratio) ** 2, axis=1)
+    np.divide(1.0, W, out=W)
+    W -= 1.0
+    W /= (n - 0.5) / (j - 0.75) - 1.0
+    np.log(W, out=W)
+    return np.sum(np.multiply(W, W, out=W), axis=1)[:, None]
+
+
+# test id -> (group kernel, column): a group kernel maps a block of sorted rows
+# to one column per member, and UnitRows keeps each group's columns once computed
+_KERNELS = {"ks": (_extremes, 0), "kuiper": (_extremes, 1), "cvm": (_centred, 0), "watson": (_centred, 1),
+            "frs": (_centred, 2), "sherman": (_gaps, 0), "qm": (_gaps, 1), "ad": (_ad, 0), "zc": (_zc, 0)}
 
 
 def batch_statistic(kind: str, U) -> np.ndarray:
@@ -95,13 +116,15 @@ def batch_statistic(kind: str, U) -> np.ndarray:
     A :class:`~unigof.statistic.UnitRows` is used as it is; any other input
     (a matrix, a ``UnitSample`` or a 1-D array) is checked and sorted into
     one first. A caller that evaluates several statistics on one batch
-    builds the ``UnitRows`` once and passes it to every call.
+    builds the ``UnitRows`` once and passes it to every call, so the tests
+    of one group share a pass; each call returns an array of its own.
     """
     check_test_id(kind)
     rows = U if isinstance(U, UnitRows) else UnitRows(U)
     if kind == "tm":
         return tm_statistic_batch(rows)
-    return by_blocks(lambda V: _batch_sorted(kind, V), rows.values)
+    kernel, column = _KERNELS[kind]
+    return rows.reduced(kernel)[:, column].copy()
 
 
 def classical_battery(u) -> list[TestOutcome]:

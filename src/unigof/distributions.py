@@ -119,9 +119,17 @@ def _truncnormal_pdf(p, y):
 
 
 def _weibull_pdf(p, y):
-    # zero at the origin, where shapes below one have an infinite density
-    z = np.where(y == 0.0, 1.0, y)
-    return np.where(y == 0.0, 0.0, p[0] * z ** (p[0] - 1.0) * np.exp(-(z ** p[0])))
+    # zero at the origin, where shapes below one have an infinite density, and
+    # where y ** k overflows, where the formula would meet inf * 0
+    zero = (y == 0.0) | (y ** p[0] == np.inf)
+    z = np.where(zero, 1.0, y)
+    return np.where(zero, 0.0, p[0] * z ** (p[0] - 1.0) * np.exp(-(z ** p[0])))
+
+
+def _lfr_pdf(p, y):
+    # the hazard 1 + t y overflows only where the survival factor is 0, and inf * 0 is NaN
+    hazard = 1.0 + p[0] * y
+    return np.multiply(hazard, np.exp(-y - 0.5 * p[0] * y * y), out=np.zeros_like(hazard), where=hazard != np.inf)
 
 
 def _skewnormal_draw(p, n, rng):
@@ -217,7 +225,7 @@ _TABLE: dict[str, _Family] = {
     "lfr": _Family(1, _HALF_LINE, lambda p: p[0] >= 0.0, "slope must be nonnegative",
         draw=_lfr_draw,
         cdf=lambda p, y: -np.expm1(-y - 0.5 * p[0] * y * y),
-        pdf=lambda p, y: (1.0 + p[0] * y) * np.exp(-y - 0.5 * p[0] * y * y),
+        pdf=_lfr_pdf,
     ),
     "expgeometric": _Family(1, _HALF_LINE, lambda p: 0.0 <= p[0] < 1.0, "parameter must lie in [0, 1)",
         draw=_expgeometric_draw,
@@ -386,7 +394,9 @@ def cdf(spec: AlternativeSpec, x) -> np.ndarray | float:
         family = _TABLE[spec.family]
         lo, hi = family.support
         # unlike np.clip, np.maximum turns -0.0 into 0.0, so no CDF value is -0.0
-        out = family.cdf(spec.params, np.minimum(np.maximum(x, lo), hi))
+        # far in a tail a formula can overflow on its way to the limit 0 or 1
+        with np.errstate(over="ignore"):
+            out = family.cdf(spec.params, np.minimum(np.maximum(x, lo), hi))
     out = np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -409,7 +419,9 @@ def pdf(spec: AlternativeSpec, x) -> np.ndarray | float:
             # the way in (stephens3 with k < 1 is infinite at the middle), or one
             # unit in from a finite lower end or from 0; in-support grids are not copied
             x = np.where(outside, lo + 0.25 * (hi - lo) if hi < np.inf else max(lo, 0.0) + 1.0, x)
-        out = np.where(outside, 0.0, family.pdf(spec.params, x))
+        # far in a tail a formula can overflow on its way to the limit 0
+        with np.errstate(over="ignore"):
+            out = np.where(outside, 0.0, family.pdf(spec.params, x))
     return float(out) if out.ndim == 0 else out
 
 

@@ -18,7 +18,7 @@ serve as mutual oracles in the test-suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,18 +71,30 @@ class UnitRows:
     """Unit samples of one size, one per row, checked once and kept sorted in ``values``.
 
     Built from an ``(R, n)`` matrix, or from a :class:`UnitSample` or a 1-D
-    array as one row; every value is checked through :class:`UnitSample`.
+    array as one row. Sorting puts -inf first and NaN and +inf last, so the
+    two end columns decide the range check; only when they fail is every
+    value checked through :class:`UnitSample`, which names the first bad
+    value in input order. :meth:`reduced` keeps each row kernel's result,
+    so ``values`` must not change after construction.
     """
 
     values: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         u = self.values
         mat = np.atleast_2d(np.asarray(u.values if isinstance(u, UnitSample) else u, dtype=float))
         if mat.ndim != 2 or mat.size == 0:
             raise ValueError("expected one sample per row with at least one observation")
-        UnitSample(mat.ravel())
         self.values = np.sort(mat, axis=1)
+        if not (np.all(self.values[:, 0] >= 0.0) and np.all(self.values[:, -1] <= 1.0)):
+            UnitSample(mat.ravel())
+
+    def reduced(self, kernel) -> np.ndarray:
+        """``by_blocks(kernel, values)``, computed on the first call for each kernel and kept."""
+        if kernel not in self._memo:
+            self._memo[kernel] = by_blocks(kernel, self.values)
+        return self._memo[kernel]
 
 
 @dataclass

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize, special, stats
 
 from unigof import (
     CLASSICAL_KINDS,
     TEST_IDS,
+    StudyConfig,
     UnitSample,
     batch_statistic,
     classical_battery,
+    estimate_critical_values,
     tm_statistic,
 )
 from unigof import classical
@@ -60,6 +62,61 @@ def naive(kind: str, u: np.ndarray) -> float:
     if kind == "qm":
         return np.sum(spacings**2) + np.sum(spacings[:-1] * spacings[1:])
     raise AssertionError(kind)
+
+
+def _spacings(V: np.ndarray) -> np.ndarray:
+    # n + 1 gaps per row after augmenting with the interval endpoints
+    R = V.shape[0]
+    zeros = np.zeros((R, 1))
+    ones = np.ones((R, 1))
+    return np.diff(np.hstack([zeros, V, ones]), axis=1)
+
+
+def oracle_sorted(kind: str, V: np.ndarray) -> np.ndarray:
+    """Each statistic on its own, one expression per test, on sorted rows ``V``.
+
+    These are the formulas the grouped kernels in ``classical`` must
+    reproduce bit for bit; they share no code with them.
+    """
+    R, n = V.shape
+    j = np.arange(1, n + 1, dtype=float)
+
+    if kind == "ks":
+        d_plus = np.max(j / n - V, axis=1)
+        d_minus = np.max(V - (j - 1.0) / n, axis=1)
+        return np.maximum(d_plus, d_minus)
+
+    if kind == "kuiper":
+        return np.max(j / n - V, axis=1) + np.max(V - (j - 1.0) / n, axis=1)
+
+    if kind == "cvm":
+        return 1.0 / (12.0 * n) + np.sum((V - (2.0 * j - 1.0) / (2.0 * n)) ** 2, axis=1)
+
+    if kind == "watson":
+        w2 = 1.0 / (12.0 * n) + np.sum((V - (2.0 * j - 1.0) / (2.0 * n)) ** 2, axis=1)
+        return w2 - n * (np.mean(V, axis=1) - 0.5) ** 2
+
+    if kind == "ad":
+        with np.errstate(divide="ignore"):
+            logs = np.log(V) + np.log1p(-V[:, ::-1])
+        return -n - np.sum((2.0 * j - 1.0) * logs, axis=1) / n
+
+    if kind == "sherman":
+        return 0.5 * np.sum(np.abs(_spacings(V) - 1.0 / (n + 1.0)), axis=1)
+
+    if kind == "qm":
+        gaps = _spacings(V)
+        # squared-gap sum runs over all n + 1 gaps, the cross term over the
+        # first n adjacent pairs only
+        return np.sum(gaps * gaps, axis=1) + np.sum(gaps[:, :-1] * gaps[:, 1:], axis=1)
+
+    if kind == "frs":
+        return np.sum(np.abs(V - (j - 0.5) / n), axis=1) / np.sqrt(n)
+
+    assert kind == "zc", kind
+    W = np.clip(V, 1e-12, 1.0 - 1e-12)
+    ratio = (1.0 / W - 1.0) / ((n - 0.5) / (j - 0.75) - 1.0)
+    return np.sum(np.log(ratio) ** 2, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +232,59 @@ def test_row_blocks_are_bit_identical(block_rows):
     for kind in CLASSICAL_KINDS:
         got = batch_statistic(kind, rows)
         # the whole matrix in one pass, and single rows on either side of each block edge
-        np.testing.assert_array_equal(got, classical._batch_sorted(kind, V), kind)
+        np.testing.assert_array_equal(got, oracle_sorted(kind, V), kind)
         for i in picks:
             np.testing.assert_array_equal(got[i], batch_statistic(kind, UnitRows(V[i]))[0], f"{kind} row {i}")
+
+
+def test_shared_passes_hand_out_copies(rng):
+    # ks and kuiper come from one kept pass over the rows; what a caller
+    # does to its array must not reach the other member, or the same test again
+    rows = UnitRows(rng.random((300, 17)))
+    ks = batch_statistic("ks", rows)
+    ks[:] = -1.0
+    for kind in ("ks", "kuiper"):
+        np.testing.assert_array_equal(batch_statistic(kind, rows), oracle_sorted(kind, rows.values), kind)
+
+
+def test_rows_from_one_matrix_keep_their_own_passes(rng):
+    U = rng.random((50, 9))
+    first, second = UnitRows(U), UnitRows(U)
+    want = {kind: batch_statistic(kind, first) for kind in CLASSICAL_KINDS}
+    assert second._memo == {}
+    for kind in CLASSICAL_KINDS:
+        np.testing.assert_array_equal(batch_statistic(kind, second), want[kind], kind)
+    assert second._memo is not first._memo
+    assert all(second._memo[k] is not first._memo[k] for k in first._memo)
+
+
+def _kuiper_limit_sf(x: float) -> float:
+    # P(sqrt(n) V > x) in the limit: 2 sum_k (4 k^2 x^2 - 1) exp(-2 k^2 x^2)
+    k = np.arange(1, 101)
+    return float(2.0 * np.sum((4.0 * k**2 * x**2 - 1.0) * np.exp(-2.0 * k**2 * x**2)))
+
+
+def test_ks_and_kuiper_critical_values_match_stephens_limits():
+    # the engine's Monte Carlo points at n = 200 against the limit laws, through
+    # Stephens' modified forms D (sqrt(n) + 0.12 + 0.11/sqrt(n)) and
+    # V (sqrt(n) + 0.155 + 0.24/sqrt(n)); the band is 4 Monte Carlo SE plus
+    # 0.5% for the modification's own error (Kuiper's 10% point reads
+    # 0.25-0.36% low, 3.2-4.5 SE, at seeds 1, 2, 3, 11 and 12)
+    n = 200
+    result = estimate_critical_values(StudyConfig(
+        mode="critical_values", tests=("ks", "kuiper"), family="uniform", alternatives=(), sizes=(n,),
+        alphas=(0.10, 0.05, 0.01), replications=200_000, master_seed=1,
+    ))
+    root = np.sqrt(n)
+    factor = {"ks": root + 0.12 + 0.11 / root, "kuiper": root + 0.155 + 0.24 / root}
+    assert len(result.rows) == 6
+    for row in result.rows:
+        if row.test == "ks":
+            limit = special.kolmogi(row.alpha)
+        else:
+            limit = optimize.brentq(lambda x: _kuiper_limit_sf(x) - row.alpha, 0.5, 3.0)
+        got, se = row.estimate * factor[row.test], row.mc_se * factor[row.test]
+        assert abs(got - limit) <= 4.0 * se + 0.005 * limit, (row.test, row.alpha, got, limit, se)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +304,10 @@ class TestBattery:
         assert outcomes[0].statistic == pytest.approx(tm_statistic(u))
 
     def test_a_failing_statistic_raises(self, rng, monkeypatch):
-        def broken(kind, V):
-            raise RuntimeError(f"{kind} failed")
+        def broken(V):
+            raise RuntimeError("ks failed")
 
-        monkeypatch.setattr(classical, "_batch_sorted", broken)
+        monkeypatch.setitem(classical._KERNELS, "ks", (broken, 0))
         with pytest.raises(RuntimeError, match="ks failed"):
             classical_battery(UnitSample(rng.random(30)))
 

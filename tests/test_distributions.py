@@ -6,6 +6,7 @@ cross-checked as numerical derivatives of the CDFs.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,27 @@ def test_pdf_is_zero_at_an_infinite_end(text):
     ends = np.array([v for v in (lo, hi) if np.isinf(v)])
     assert_bit_equal(pdf(spec_of(text), ends), np.zeros(ends.size))
 
+
+FAR = [-1.7e308, -1e300, -1e160, 1e160, 1e300, 1.7e308]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["t(5)", "t(30)", "z", "normal(1,9)", "hn(1)", "hn(0.01)", "sn(2.5)", "sn(-2.5)", "lfr(0.5)", "lfr(3)",
+     "weibull(1.5)", "weibull(5)", "weibull(100)", "mix(0.5,w(3),lfr(2))", "mix(0.5,z,t(5))"],
+)
+def test_far_tails_give_the_limits_without_warnings(text):
+    # the formulas overflow on the way (y * y, y ** k, the lfr hazard), and
+    # weibull and lfr would meet inf * 0; the values themselves are exact
+    spec = spec_of(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalars = [(pdf(spec, x), cdf(spec, x)) for x in FAR]
+        arrays = pdf(spec, np.array(FAR)), cdf(spec, np.array(FAR))
+    limits = [1.0 if x > 0 else 0.0 for x in FAR]
+    assert scalars == [(0.0, limit) for limit in limits]
+    assert_bit_equal(arrays[0], np.zeros(len(FAR)))
+    assert_bit_equal(arrays[1], limits)
 
 # ---------------------------------------------------------------------------
 # validation

@@ -134,6 +134,36 @@ class TestUnitRows:
         with pytest.raises(ValueError, match=match):
             UnitRows(values)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([np.nan], "sample values must be finite"),
+            ([np.inf], "sample values must be finite"),
+            ([-np.inf], "sample values must be finite"),
+            ([np.nan, 1.7], "sample values must be finite"),
+            ([1.7, np.nan], "sample values must be finite"),
+            # the first offender in input order, not the smallest or largest
+            ([-0.2, -0.5], "found -0.2"),
+            ([1.7, 2.5], "found 1.7"),
+            ([1.7, -0.2], "found 1.7"),
+        ],
+    )
+    def test_names_the_first_bad_value_of_a_middle_row(self, rng, bad, message):
+        # the sorted end columns flag the matrix; the message comes from a
+        # scan of every value in input order, as for a single sample
+        U = rng.random((5, 7))
+        U[2, 3:3 + len(bad)] = bad
+        with pytest.raises(ValueError) as excinfo:
+            UnitRows(U)
+        assert message in str(excinfo.value)
+        if message.startswith("found"):
+            assert str(excinfo.value) == (f"unit sample values must lie in [0, 1]; {message} "
+                                          "(apply the probability transform first)")
+
+    def test_accepts_the_closed_interval(self):
+        U = np.array([[0.5, 1.0, -0.0], [0.0, 0.25, 1.0]])
+        np.testing.assert_array_equal(UnitRows(U).values, [[-0.0, 0.5, 1.0], [0.0, 0.25, 1.0]])
+
     def test_rows_are_sorted_copies(self):
         U = np.array([[0.9, 0.1, 0.5], [1.0, 0.0, 0.0]])
         rows = UnitRows(U)
