@@ -68,13 +68,17 @@ def transform_normal(x) -> UnitSample:
     return UnitSample(_normal_rows(v[None, :])[0])
 
 
-def estimate_pareto(x) -> float:
-    """Maximum likelihood shape for the unit-scale Pareto family."""
+def _pareto_data(x) -> np.ndarray:
+    """Raw data as one row, refused if a value lies below 1, the end of the Pareto support."""
     v = _values(x)
-    if np.any(v <= 1.0):
-        bad = float(v[v <= 1.0][0])
-        raise ValueError(f"Pareto data must exceed 1; found {bad!r}")
-    return float(v.size / np.sum(np.log(v)))
+    if np.any(v < 1.0):
+        raise ValueError(f"Pareto data must be at least 1; found {float(v[v < 1.0][0])!r}")
+    return v[None, :]
+
+
+def estimate_pareto(x) -> float:
+    """Maximum likelihood shape for the unit-scale Pareto family; all-ones data is a degenerate fit."""
+    return float(_pareto_fit(_pareto_data(x))[0][0, 0])
 
 
 def transform_pareto(x) -> UnitSample:
@@ -85,9 +89,7 @@ def transform_pareto(x) -> UnitSample:
     further estimation. The result is invariant to powering the data,
     which is the family's group structure.
     """
-    v = _values(x)
-    estimate_pareto(v)  # raises unless every value exceeds 1
-    return UnitSample(_pareto_rows(v[None, :])[0])
+    return UnitSample(_pareto_rows(_pareto_data(x))[0])
 
 
 def _check_fits(tag: str, degenerate: np.ndarray) -> None:
@@ -133,11 +135,17 @@ def _normal_rows(X: np.ndarray) -> np.ndarray:
     return normal_cdf(Z, out=Z)
 
 
-def _pareto_rows(X: np.ndarray) -> np.ndarray:
+def _pareto_fit(X: np.ndarray):
+    """Row ML shapes and the log values; raises when a row's logs do not sum to a positive finite total."""
     L = np.log(X)
     total = L.sum(axis=1, keepdims=True)
     _check_fits("pareto", ~((total > 0.0) & np.isfinite(total)))
-    L *= -(X.shape[1] / total)
+    return X.shape[1] / total, L
+
+
+def _pareto_rows(X: np.ndarray) -> np.ndarray:
+    shape, L = _pareto_fit(X)
+    L *= -shape
     np.expm1(L, out=L)
     return np.negative(L, out=L)
 

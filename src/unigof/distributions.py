@@ -6,14 +6,19 @@ density. The seventeen families are shapes on the unit interval, lifetime
 laws on [0, inf) and real-line laws for the composite studies. ``FAMILIES``,
 spec validation, the one support check of studies and nulls, the clip of every
 CDF to its support and the zero density outside it all derive from the table.
-Sampling is pure given an explicit numpy Generator. The beta, gamma, t and
-chi-square laws are evaluated with the ``scipy.special`` functions that
-``scipy.stats`` uses for them, so the package does not import ``scipy.stats``.
+Sampling is pure given an explicit numpy Generator. A Stephens law is stated
+by its base b(y): its density is k b(y)^(k - 1), its CDF a function of y and
+b(y)^k, and its quantile function is that CDF with k replaced by 1/k, so that
+formula is also its sampler. The beta, gamma, t and chi-square laws are
+evaluated with the ``scipy.special`` functions that ``scipy.stats`` uses for
+them, so the package does not import ``scipy.stats``.
 
 On top of the table, a mixture composes two specs with a per-draw Bernoulli
 choice, and any spec can be translated by one to move positive support onto
-(1, inf) for the Pareto studies. The text form (``beta(2,3)``,
-``mix(0.5,z,n(1,9))``, ``gamma(1)+1``) is what the command line accepts.
+(1, inf) for the Pareto studies. ``cdf`` and ``pdf`` walk these decorations
+in one place, ``_mixed``; a density is inf at an end where it diverges. The
+text form (``beta(2,3)``, ``mix(0.5,z,n(1,9))``, ``gamma(1)+1``) is what the
+command line accepts.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ class _Family:
     its own that names the spec. ``draw(params, n, rng)`` returns n draws.
     ``cdf(params, y)`` and ``pdf(params, y)`` are only called with y inside
     the closed ``support`` (finite, for ``pdf``) or NaN, and must return NaN at NaN.
+    Overflow on the way to a limit, and division by zero at a divergent end, are silent.
     """
 
     arity: int
@@ -71,13 +77,19 @@ def _positive(p: Params) -> bool:
     return all(v > 0.0 for v in p)
 
 
-def _by_half(u: np.ndarray, lower: Callable, upper: Callable) -> np.ndarray:
-    """``lower(u)`` where u <= 1/2 and ``upper(u)`` elsewhere."""
-    low = u <= 0.5
-    out = np.empty(u.size)
-    out[low] = lower(u[low])
-    out[~low] = upper(u[~low])
-    return out
+def _stephens(base: Callable, cdf: Callable) -> _Family:
+    """A Stephens family of shape k: density k base(y)^(k - 1) and CDF ``cdf(y, base(y)^k)``.
+
+    Its quantile function is its CDF with k replaced by 1/k, so that is also its sampler.
+    """
+    def at(k, y):
+        return cdf(y, base(y) ** k)
+
+    return _Family(1, _UNIT, _positive, "parameter must be positive",
+        draw=lambda p, n, rng: at(1.0 / p[0], rng.random(n)),
+        cdf=lambda p, y: at(p[0], y),
+        pdf=lambda p, y: p[0] * base(y) ** (p[0] - 1.0),
+    )
 
 
 def _truncnormal(p: Params):
@@ -119,10 +131,9 @@ def _truncnormal_pdf(p, y):
 
 
 def _weibull_pdf(p, y):
-    # zero at the origin, where shapes below one have an infinite density, and
-    # where y ** k overflows, where the formula would meet inf * 0
-    zero = (y == 0.0) | (y ** p[0] == np.inf)
-    z = np.where(zero, 1.0, y)
+    # 0 where y ** k overflows (the formula would meet inf * 0); abs keeps a density of -0.0 out
+    zero = y ** p[0] == np.inf
+    z = np.where(zero, 1.0, np.abs(y))
     return np.where(zero, 0.0, p[0] * z ** (p[0] - 1.0) * np.exp(-(z ** p[0])))
 
 
@@ -173,37 +184,14 @@ _TABLE: dict[str, _Family] = {
         cdf=lambda p, y: 1.0 - (1.0 - y ** p[0]) ** p[1],
         pdf=lambda p, y: p[0] * p[1] * y ** (p[0] - 1.0) * (1.0 - y ** p[0]) ** (p[1] - 1.0),
     ),
-    "stephens1": _Family(1, _UNIT, _positive, "parameter must be positive",
-        draw=lambda p, n, rng: 1.0 - (1.0 - rng.random(n)) ** (1.0 / p[0]),
-        cdf=lambda p, y: 1.0 - (1.0 - y) ** p[0],
-        pdf=lambda p, y: p[0] * (1.0 - y) ** (p[0] - 1.0),
+    "stephens1": _stephens(base=lambda y: 1.0 - y, cdf=lambda y, t: 1.0 - t),
+    # min(y, 1 - y) is y up to 1/2 and the exact 1 - y above it
+    "stephens2": _stephens(
+        base=lambda y: 2.0 * np.minimum(y, 1.0 - y), cdf=lambda y, t: np.where(y <= 0.5, 0.5 * t, 1.0 - 0.5 * t)
     ),
-    "stephens2": _Family(1, _UNIT, _positive, "parameter must be positive",
-        draw=lambda p, n, rng: _by_half(
-            rng.random(n),
-            lambda u: 0.5 * (2.0 * u) ** (1.0 / p[0]),
-            lambda u: 1.0 - 0.5 * (2.0 * (1.0 - u)) ** (1.0 / p[0]),
-        ),
-        cdf=lambda p, y: np.where(
-            y <= 0.5, 0.5 * (2.0 * y) ** p[0], 1.0 - 0.5 * (2.0 * (1.0 - y)) ** p[0]
-        ),
-        pdf=lambda p, y: np.where(
-            y <= 0.5, p[0] * (2.0 * y) ** (p[0] - 1.0), p[0] * (2.0 * (1.0 - y)) ** (p[0] - 1.0)
-        ),
-    ),
-    "stephens3": _Family(1, _UNIT, _positive, "parameter must be positive",
-        draw=lambda p, n, rng: _by_half(
-            rng.random(n),
-            lambda u: 0.5 * (1.0 - (1.0 - 2.0 * u) ** (1.0 / p[0])),
-            lambda u: 0.5 * (1.0 + (2.0 * u - 1.0) ** (1.0 / p[0])),
-        ),
-        # |1 - 2y| keeps fractional powers off negative bases on both halves
-        cdf=lambda p, y: np.where(
-            y <= 0.5,
-            0.5 * (1.0 - np.abs(1.0 - 2.0 * y) ** p[0]),
-            0.5 * (1.0 + np.abs(1.0 - 2.0 * y) ** p[0]),
-        ),
-        pdf=lambda p, y: p[0] * np.abs(1.0 - 2.0 * y) ** (p[0] - 1.0),
+    # |1 - 2y| keeps fractional powers off negative bases; the sign of 2y - 1 picks the half
+    "stephens3": _stephens(
+        base=lambda y: np.abs(1.0 - 2.0 * y), cdf=lambda y, t: 0.5 * (1.0 + np.sign(2.0 * y - 1.0) * t)
     ),
     "weibull": _Family(1, _HALF_LINE, _positive, "parameter must be positive",
         draw=lambda p, n, rng: (-np.log1p(-rng.random(n))) ** (1.0 / p[0]),
@@ -383,46 +371,41 @@ def sample(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> Sample:
     return Sample(_draw(spec, int(n), rng))
 
 
-def cdf(spec: AlternativeSpec, x) -> np.ndarray | float:
-    """Distribution function of the spec, vectorised over x."""
+def _mixed(spec: AlternativeSpec, x, leaf: Callable) -> np.ndarray:
+    """``leaf(family, params, y)`` with y = x - 1 under ``+1``; a mixture sums its drawn components by share."""
     x = np.asarray(x, dtype=float)
     if spec.translate_by_one:
         x = x - 1.0
     if spec.family == "mixture":
-        out = sum(share * np.asarray(cdf(part, x)) for share, part in _drawn(spec))
-    else:
-        family = _TABLE[spec.family]
-        lo, hi = family.support
-        # unlike np.clip, np.maximum turns -0.0 into 0.0, so no CDF value is -0.0
-        # far in a tail a formula can overflow on its way to the limit 0 or 1
-        with np.errstate(over="ignore"):
-            out = family.cdf(spec.params, np.minimum(np.maximum(x, lo), hi))
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+        return sum(share * _mixed(part, x, leaf) for share, part in _drawn(spec))
+    with np.errstate(over="ignore", divide="ignore"):
+        return leaf(_TABLE[spec.family], spec.params, x)
+
+
+def cdf(spec: AlternativeSpec, x) -> np.ndarray | float:
+    """Distribution function of the spec, vectorised over x."""
+    # unlike np.clip, np.maximum turns -0.0 into 0.0, so no CDF value is -0.0
+    out = _mixed(spec, x, lambda family, p, y: np.clip(
+        family.cdf(p, np.minimum(np.maximum(y, family.support[0]), family.support[1])), 0.0, 1.0))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def pdf(spec: AlternativeSpec, x) -> np.ndarray | float:
     """Density of the spec, vectorised over x. Zero outside the support and at +-inf, NaN at NaN."""
-    x = np.asarray(x, dtype=float)
-    if spec.translate_by_one:
-        x = x - 1.0
-    if spec.family == "mixture":
-        out = sum(share * np.asarray(pdf(part, x)) for share, part in _drawn(spec))
-    else:
-        family = _TABLE[spec.family]
+    def leaf(family, p, y):
         lo, hi = family.support
         # every density vanishes at an infinite end, where the formulas can
         # meet inf - inf (gamma, chisq) or 0 * inf (weibull, lfr)
-        outside = (x < lo) | (x > hi) | np.isinf(x)
+        outside = (y < lo) | (y > hi) | np.isinf(y)
         if outside.any():
-            # the formula sees an inner point where x is outside: a quarter of
+            # the formula sees an inner point where y is outside: a quarter of
             # the way in (stephens3 with k < 1 is infinite at the middle), or one
             # unit in from a finite lower end or from 0; in-support grids are not copied
-            x = np.where(outside, lo + 0.25 * (hi - lo) if hi < np.inf else max(lo, 0.0) + 1.0, x)
-        # far in a tail a formula can overflow on its way to the limit 0
-        with np.errstate(over="ignore"):
-            out = np.where(outside, 0.0, family.pdf(spec.params, x))
-    return float(out) if out.ndim == 0 else out
+            y = np.where(outside, lo + 0.25 * (hi - lo) if hi < np.inf else max(lo, 0.0) + 1.0, y)
+        return np.where(outside, 0.0, family.pdf(p, y))
+
+    out = _mixed(spec, x, leaf)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------

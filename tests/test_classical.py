@@ -264,26 +264,53 @@ def _kuiper_limit_sf(x: float) -> float:
     return float(2.0 * np.sum((4.0 * k**2 * x**2 - 1.0) * np.exp(-2.0 * k**2 * x**2)))
 
 
-def test_ks_and_kuiper_critical_values_match_stephens_limits():
+def _watson_limit_sf(x: float) -> float:
+    # P(U^2 > x) in the limit: 2 sum_k (-1)^(k-1) exp(-2 k^2 pi^2 x)
+    k = np.arange(1, 101)
+    return float(2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * k**2 * np.pi**2 * x)))
+
+
+def _cvm_limit_sf(x: float) -> float:
+    # Anderson and Darling (1952): P(W^2 <= x) = (pi sqrt(x))^-1 sum_j Gamma(j + 1/2) / (Gamma(1/2) j!)
+    # sqrt(4j + 1) exp(-z_j) K_{1/4}(z_j), with z_j = (4j + 1)^2 / (16 x)
+    j = np.arange(20)
+    z = (4.0 * j + 1.0) ** 2 / (16.0 * x)
+    c = np.exp(special.gammaln(j + 0.5) - special.gammaln(0.5) - special.gammaln(j + 1.0))
+    return 1.0 - float(np.sum(c * np.sqrt(4.0 * j + 1.0) * np.exp(-z) * special.kv(0.25, z)) / (np.pi * np.sqrt(x)))
+
+
+def test_edf_critical_values_match_stephens_limits():
     # the engine's Monte Carlo points at n = 200 against the limit laws, through
-    # Stephens' modified forms D (sqrt(n) + 0.12 + 0.11/sqrt(n)) and
-    # V (sqrt(n) + 0.155 + 0.24/sqrt(n)); the band is 4 Monte Carlo SE plus
-    # 0.5% for the modification's own error (Kuiper's 10% point reads
-    # 0.25-0.36% low, 3.2-4.5 SE, at seeds 1, 2, 3, 11 and 12)
+    # Stephens' modified forms D (sqrt(n) + 0.12 + 0.11/sqrt(n)),
+    # V (sqrt(n) + 0.155 + 0.24/sqrt(n)), W* = (W^2 - 0.4/n + 0.6/n^2)(1 + 1/n)
+    # and U* = (U^2 - 0.1/n + 0.1/n^2)(1 + 0.8/n); the band is 4 Monte Carlo SE
+    # plus 0.5% for the modification's own error (Kuiper's 10% point reads
+    # 0.25-0.36% low, 3.2-4.5 SE, at seeds 1, 2, 3, 11 and 12; the largest
+    # cvm or watson gap at those seeds is 2.1 SE)
     n = 200
+    tests = ("ks", "kuiper", "cvm", "watson")
     result = estimate_critical_values(StudyConfig(
-        mode="critical_values", tests=("ks", "kuiper"), family="uniform", alternatives=(), sizes=(n,),
+        mode="critical_values", tests=tests, family="uniform", alternatives=(), sizes=(n,),
         alphas=(0.10, 0.05, 0.01), replications=200_000, master_seed=1,
     ))
     root = np.sqrt(n)
-    factor = {"ks": root + 0.12 + 0.11 / root, "kuiper": root + 0.155 + 0.24 / root}
-    assert len(result.rows) == 6
+    modified = {  # (shift, factor): the modified form is (statistic + shift) * factor
+        "ks": (0.0, root + 0.12 + 0.11 / root),
+        "kuiper": (0.0, root + 0.155 + 0.24 / root),
+        "cvm": (-0.4 / n + 0.6 / n**2, 1.0 + 1.0 / n),
+        "watson": (-0.1 / n + 0.1 / n**2, 1.0 + 0.8 / n),
+    }
+    limit_sf = {"kuiper": (_kuiper_limit_sf, 0.5, 3.0), "cvm": (_cvm_limit_sf, 0.05, 3.0),
+                "watson": (_watson_limit_sf, 0.02, 1.0)}
+    assert len(result.rows) == 12
     for row in result.rows:
         if row.test == "ks":
             limit = special.kolmogi(row.alpha)
         else:
-            limit = optimize.brentq(lambda x: _kuiper_limit_sf(x) - row.alpha, 0.5, 3.0)
-        got, se = row.estimate * factor[row.test], row.mc_se * factor[row.test]
+            sf, lo, hi = limit_sf[row.test]
+            limit = optimize.brentq(lambda x: sf(x) - row.alpha, lo, hi)
+        shift, factor = modified[row.test]
+        got, se = (row.estimate + shift) * factor, row.mc_se * factor
         assert abs(got - limit) <= 4.0 * se + 0.005 * limit, (row.test, row.alpha, got, limit, se)
 
 

@@ -385,6 +385,23 @@ class TestBootstrapCommand:
         assert code == 2
         assert "0.5" in err
 
+    def test_pareto_data_at_the_end_of_the_support(self, tmp_path, capsys):
+        # 1 is in the closed support [1, inf) that "pareto(2)" already accepts
+        path = tmp_path / "ones.txt"
+        path.write_text("1.0\n1.7\n2.4\n1.0\n5.1\n1.3\n")
+        assert main(["test", str(path), "--null", "pareto", "--tests", "tm", "--reps", "200"]) in (0, 1)
+        assert "statistic" in capsys.readouterr().out
+        assert main(["bootstrap", str(path), "--family", "pareto", "-B", "199"]) == 0
+        assert "p-value" in capsys.readouterr().out
+
+    def test_all_ones_pareto_data_is_a_degenerate_fit(self, tmp_path, capsys):
+        path = tmp_path / "ones.txt"
+        path.write_text("1\n1\n1\n")
+        for argv in (["test", str(path), "--null", "pareto", "--tests", "tm", "--reps", "200"],
+                     ["bootstrap", str(path), "--family", "pareto", "-B", "199"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: the pareto fit is degenerate in 1 of 1 samples\n"
+
     def test_degenerate_replicates_are_an_error(self, tmp_path, capsys):
         path = tmp_path / "near.txt"
         path.write_text("".join(f"{1.0 + v * 1e-15!r}\n" for v in (0, 1, 2, 0, 1)))

@@ -114,11 +114,17 @@ class TestParetoEstimation:
         u = transform_pareto([np.e]).values
         assert u[0] == pytest.approx(1.0 - 1.0 / np.e, rel=1e-14)
 
-    def test_rejects_values_at_or_below_one(self):
-        with pytest.raises(ValueError, match="must exceed 1"):
-            estimate_pareto([2.0, 1.0])
+    def test_rejects_values_below_one_and_accepts_one(self):
+        # 1 is the closed end of the support, which the family table and the engine admit
+        assert estimate_pareto([2.0, 1.0]) == 2.0 / np.log(2.0)
+        assert transform_pareto([2.0, 1.0]).values[1] == 0.0
         with pytest.raises(ValueError, match="0.5"):
             estimate_pareto([2.0, 0.5])
+        ones = [1.0, 1.0, 1.0, 1.0]
+        for call, data in ((estimate_pareto, ones), (transform_pareto, ones),
+                           (FAMILIES["pareto"].transform_rows, np.array([ones]))):
+            with pytest.raises(ValueError, match="^the pareto fit is degenerate in 1 of 1 samples$"):
+                call(data)
 
     def test_reestimated_shape_is_one(self, rng):
         # the defining property of the power transform

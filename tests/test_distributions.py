@@ -131,6 +131,44 @@ def test_sample_rejects_empty(rng):
         sample(spec_of("uniform"), 0, rng)
 
 
+# hand inversions of the stephens1-3 CDFs: the reference that the table's
+# samplers, each its own CDF at shape 1/k, must equal bit for bit
+
+
+def _by_half(u: np.ndarray, lower, upper) -> np.ndarray:
+    """``lower(u)`` where u <= 1/2 and ``upper(u)`` elsewhere."""
+    low = u <= 0.5
+    out = np.empty(u.size)
+    out[low] = lower(u[low])
+    out[~low] = upper(u[~low])
+    return out
+
+
+INVERTED_DRAWS = {
+    "stephens1": lambda p, n, rng: 1.0 - (1.0 - rng.random(n)) ** (1.0 / p[0]),
+    "stephens2": lambda p, n, rng: _by_half(
+        rng.random(n),
+        lambda u: 0.5 * (2.0 * u) ** (1.0 / p[0]),
+        lambda u: 1.0 - 0.5 * (2.0 * (1.0 - u)) ** (1.0 / p[0]),
+    ),
+    "stephens3": lambda p, n, rng: _by_half(
+        rng.random(n),
+        lambda u: 0.5 * (1.0 - (1.0 - 2.0 * u) ** (1.0 / p[0])),
+        lambda u: 0.5 * (1.0 + (2.0 * u - 1.0) ** (1.0 / p[0])),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(INVERTED_DRAWS))
+@pytest.mark.parametrize("k", [0.3, 1.0, 2.5])
+def test_stephens_samplers_equal_the_hand_inversions_bit_for_bit(family, k):
+    for seed in range(6):
+        got = sample(AlternativeSpec(family, (k,)), 4097, np.random.default_rng(seed)).values
+        want = INVERTED_DRAWS[family]((k,), 4097, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 # ---------------------------------------------------------------------------
 # CDF anchors and identities
 
@@ -244,6 +282,36 @@ class TestPdf:
         np.testing.assert_array_equal(pdf(spec_of(text), x), [1.0, 1.0, 1.0])
         np.testing.assert_array_equal(cdf(spec_of(text), x), x)
         assert pdf(spec_of(text), 0.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "text, x, density",
+        [
+            ("s1(0.3)", 1.0, np.inf),
+            ("s2(0.4)", 0.0, np.inf),
+            ("s3(0.5)", 0.5, np.inf),
+            ("kum(0.5,2)", 0.0, np.inf),
+            ("kum(2,0.5)", 1.0, np.inf),
+            ("beta(0.5,0.5)", 0.0, np.inf),
+            ("weibull(0.5)", 0.0, np.inf),
+            ("weibull(1)", 0.0, 1.0),  # the unit exponential
+            ("weibull(1)+1", 1.0, 1.0),
+            ("weibull(2)", 0.0, 0.0),
+            ("weibull(2)", -0.0, 0.0),
+        ],
+    )
+    def test_density_at_a_divergent_end_is_one_value_without_warning(self, text, x, density):
+        spec = spec_of(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar, array = pdf(spec, x), pdf(spec, np.array([x, x]))
+        assert scalar == density and not np.signbit(scalar)
+        assert_bit_equal(array, [density, density])
+
+    def test_a_mixture_is_the_share_weighted_sum_of_its_shifted_components(self):
+        x = np.concatenate([np.linspace(0.5, 2.5, 801), [1.0, 1.5, 2.0, -np.inf, np.inf, np.nan]])
+        mixed, a, b = spec_of("mix(0.3,s3(0.5),s2(2))+1"), spec_of("s3(0.5)"), spec_of("s2(2)")
+        for f in (cdf, pdf):
+            assert_bit_equal(f(mixed, x), 0.3 * f(a, x - 1.0) + (1.0 - 0.3) * f(b, x - 1.0))
 
     def test_skewnormal_integrates_to_one(self):
         x = np.linspace(-10.0, 10.0, 20001)
@@ -489,6 +557,8 @@ class TestCovers:
     def test_component_never_drawn(self):
         assert not covers(spec_of("mix(0,gamma(1),u+1)"), 0.5)
         assert covers(spec_of("mix(0,gamma(1),u+1)"), 1.5)
+        # u+1 is drawn with probability 1e-400, which no double holds, but is drawn
+        assert covers(spec_of("mix(1e-200,mix(1e-200,u+1,u),u)"), 1.5)
 
 
 def test_the_normal_null_accepts_every_law():
