@@ -25,7 +25,6 @@ from .distributions import (
     cdf,
     check_support,
     parse_spec,
-    pdf,
     sample,
     support,
 )
@@ -134,7 +133,6 @@ __all__ = [
     "nystrom_discretize",
     "nystrom_spectrum",
     "parse_spec",
-    "pdf",
     "pearson_fit",
     "pearson_quantile",
     "power_curve",

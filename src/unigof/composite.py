@@ -52,20 +52,23 @@ def _values(x) -> np.ndarray:
     return (x if isinstance(x, Sample) else Sample(x)).values
 
 
-def estimate_normal(x) -> tuple[float, float]:
-    """Maximum likelihood mean and standard deviation (divisor n); equal values are a degenerate fit."""
+def _normal_data(x) -> np.ndarray:
+    """Raw data as one row, refused if it holds fewer than two observations."""
     v = _values(x)
     if v.size < 2:
         raise ValueError("normal estimation needs at least two observations")
-    mu, sigma, _ = _normal_fit(v[None, :])
+    return v[None, :]
+
+
+def estimate_normal(x) -> tuple[float, float]:
+    """Maximum likelihood mean and standard deviation (divisor n); equal values are a degenerate fit."""
+    mu, sigma, _ = _normal_fit(_normal_data(x))
     return float(mu[0, 0]), float(sigma[0, 0])
 
 
 def transform_normal(x) -> UnitSample:
     """Probability transform of the scaled residuals."""
-    v = _values(x)
-    estimate_normal(v)  # raises on a degenerate fit
-    return UnitSample(_normal_rows(v[None, :])[0])
+    return UnitSample(_normal_rows(_normal_data(x))[0])
 
 
 def _pareto_data(x) -> np.ndarray:

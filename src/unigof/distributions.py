@@ -1,22 +1,23 @@
 """Alternative distributions for the power studies, plus a tiny spec grammar.
 
 Each family is declared once, in ``_TABLE``: its arity, its closed support
-``(lo, hi)``, its parameter rule, and its sampler, distribution function and
-density. The seventeen families are shapes on the unit interval, lifetime
-laws on [0, inf) and real-line laws for the composite studies. ``FAMILIES``,
-spec validation, the one support check of studies and nulls, the clip of every
-CDF to its support and the zero density outside it all derive from the table.
-Sampling is pure given an explicit numpy Generator. A Stephens law is stated
-by its base b(y): its density is k b(y)^(k - 1), its CDF a function of y and
-b(y)^k, and its quantile function is that CDF with k replaced by 1/k, so that
-formula is also its sampler. The beta, gamma, t and chi-square laws are
-evaluated with the ``scipy.special`` functions that ``scipy.stats`` uses for
-them, so the package does not import ``scipy.stats``.
+``(lo, hi)``, its parameter rule, its sampler and its distribution function.
+The seventeen families are shapes on the unit interval, lifetime laws on
+[0, inf) and real-line laws for the composite studies. ``FAMILIES``, spec
+validation, the one support check of studies and nulls, and the clip of every
+CDF to its support all derive from the table. No density is stated: the
+fixed-alternative constants come from ``cdf`` (``power_theory``), to 1e-13
+for smooth laws and about 1e-6 for a density infinite at an end. Sampling
+is pure given an explicit numpy Generator. A Stephens law is stated by its
+base b(y): its CDF is a function of y and b(y)^k, and its quantile function
+is that CDF with k replaced by 1/k, so that formula is also its sampler.
+The beta, gamma, t and chi-square laws are evaluated with the
+``scipy.special`` functions that ``scipy.stats`` uses for them, so the
+package does not import ``scipy.stats``.
 
 On top of the table, a mixture composes two specs with a per-draw Bernoulli
 choice, and any spec can be translated by one to move positive support onto
-(1, inf) for the Pareto studies. ``cdf`` and ``pdf`` walk these decorations
-in one place, ``_mixed``; a density is inf at an end where it diverges. The
+(1, inf) for the Pareto studies; ``cdf`` walks these decorations. The
 text form (``beta(2,3)``, ``mix(0.5,z,n(1,9))``, ``gamma(1)+1``) is what the
 command line accepts.
 """
@@ -37,7 +38,6 @@ __all__ = [
     "FAMILIES",
     "sample",
     "cdf",
-    "pdf",
     "parse_spec",
     "support",
     "covers",
@@ -54,9 +54,9 @@ class _Family:
     ``valid(params)`` is the parameter check, and a spec that fails it is
     rejected with ``"<family> <rule>"``, unless ``valid`` raises an error of
     its own that names the spec. ``draw(params, n, rng)`` returns n draws.
-    ``cdf(params, y)`` and ``pdf(params, y)`` are only called with y inside
-    the closed ``support`` (finite, for ``pdf``) or NaN, and must return NaN at NaN.
-    Overflow on the way to a limit, and division by zero at a divergent end, are silent.
+    ``cdf(params, y)`` is only called with y inside the closed ``support`` or
+    NaN, must return NaN at NaN, and may overflow silently on the way to a
+    limit; the fixed-alternative theory is built from it, so no density is needed.
     """
 
     arity: int
@@ -65,7 +65,6 @@ class _Family:
     rule: str
     draw: Callable[[Params, int, np.random.Generator], np.ndarray]
     cdf: Callable[[Params, np.ndarray], np.ndarray]
-    pdf: Callable[[Params, np.ndarray], np.ndarray]
 
 
 _UNIT = (0.0, 1.0)
@@ -78,7 +77,7 @@ def _positive(p: Params) -> bool:
 
 
 def _stephens(base: Callable, cdf: Callable) -> _Family:
-    """A Stephens family of shape k: density k base(y)^(k - 1) and CDF ``cdf(y, base(y)^k)``.
+    """A Stephens family of shape k: CDF ``cdf(y, base(y)^k)``.
 
     Its quantile function is its CDF with k replaced by 1/k, so that is also its sampler.
     """
@@ -88,7 +87,6 @@ def _stephens(base: Callable, cdf: Callable) -> _Family:
     return _Family(1, _UNIT, _positive, "parameter must be positive",
         draw=lambda p, n, rng: at(1.0 / p[0], rng.random(n)),
         cdf=lambda p, y: at(p[0], y),
-        pdf=lambda p, y: p[0] * base(y) ** (p[0] - 1.0),
     )
 
 
@@ -125,24 +123,6 @@ def _truncnormal_cdf(p, y):
     return (normal_cdf(s * ((y - mu) / sigma)) - lo) / (hi - lo)
 
 
-def _truncnormal_pdf(p, y):
-    mu, sigma, s, lo, hi = _truncnormal(p)
-    return np.exp(-0.5 * ((y - mu) / sigma) ** 2) / (sigma * np.sqrt(2.0 * np.pi) * (s * (hi - lo)))
-
-
-def _weibull_pdf(p, y):
-    # 0 where y ** k overflows (the formula would meet inf * 0); abs keeps a density of -0.0 out
-    zero = y ** p[0] == np.inf
-    z = np.where(zero, 1.0, np.abs(y))
-    return np.where(zero, 0.0, p[0] * z ** (p[0] - 1.0) * np.exp(-(z ** p[0])))
-
-
-def _lfr_pdf(p, y):
-    # the hazard 1 + t y overflows only where the survival factor is 0, and inf * 0 is NaN
-    hazard = 1.0 + p[0] * y
-    return np.multiply(hazard, np.exp(-y - 0.5 * p[0] * y * y), out=np.zeros_like(hazard), where=hazard != np.inf)
-
-
 def _skewnormal_draw(p, n, rng):
     delta = p[0] / np.sqrt(1.0 + p[0] ** 2)
     z1 = np.abs(rng.standard_normal(n))
@@ -167,22 +147,17 @@ _TABLE: dict[str, _Family] = {
     "uniform": _Family(0, _UNIT, lambda p: True, "",
         draw=lambda p, n, rng: rng.random(n),
         cdf=lambda p, y: y,
-        pdf=lambda p, y: 0.0 * y + 1.0,  # NaN stays NaN
     ),
     "beta": _Family(2, _UNIT, _positive, "shapes must be positive",
         draw=lambda p, n, rng: rng.beta(p[0], p[1], n),
         cdf=lambda p, y: special.betainc(p[0], p[1], y),
-        pdf=lambda p, y: np.exp(
-            special.xlogy(p[0] - 1.0, y) + special.xlog1py(p[1] - 1.0, -y) - special.betaln(p[0], p[1])
-        ),
     ),
     "truncnormal": _Family(2, _UNIT, _truncnormal_valid, "variance must be positive",
-        draw=_truncnormal_draw, cdf=_truncnormal_cdf, pdf=_truncnormal_pdf,
+        draw=_truncnormal_draw, cdf=_truncnormal_cdf,
     ),
     "kumaraswamy": _Family(2, _UNIT, _positive, "shapes must be positive",
         draw=lambda p, n, rng: (1.0 - (1.0 - rng.random(n)) ** (1.0 / p[1])) ** (1.0 / p[0]),
         cdf=lambda p, y: 1.0 - (1.0 - y ** p[0]) ** p[1],
-        pdf=lambda p, y: p[0] * p[1] * y ** (p[0] - 1.0) * (1.0 - y ** p[0]) ** (p[1] - 1.0),
     ),
     "stephens1": _stephens(base=lambda y: 1.0 - y, cdf=lambda y, t: 1.0 - t),
     # min(y, 1 - y) is y up to 1/2 and the exact 1 - y above it
@@ -196,59 +171,43 @@ _TABLE: dict[str, _Family] = {
     "weibull": _Family(1, _HALF_LINE, _positive, "parameter must be positive",
         draw=lambda p, n, rng: (-np.log1p(-rng.random(n))) ** (1.0 / p[0]),
         cdf=lambda p, y: -np.expm1(-(y ** p[0])),
-        pdf=_weibull_pdf,
     ),
     "gamma": _Family(1, _HALF_LINE, _positive, "parameter must be positive",
         draw=lambda p, n, rng: rng.gamma(p[0], 1.0, n),
         cdf=lambda p, y: special.gammainc(p[0], y),
-        pdf=lambda p, y: np.exp(special.xlogy(p[0] - 1.0, y) - y - special.gammaln(p[0])),
     ),
     "skewnormal": _Family(1, _LINE, lambda p: True, "",
         draw=_skewnormal_draw,
         cdf=lambda p, y: normal_cdf(y) - 2.0 * special.owens_t(y, p[0]),
-        # displayed with a positive exponent in some sources; the density
-        # only integrates to one with exp(-x^2/2)
-        pdf=lambda p, y: np.sqrt(2.0 / np.pi) * np.exp(-0.5 * y * y) * normal_cdf(p[0] * y),
     ),
     "lfr": _Family(1, _HALF_LINE, lambda p: p[0] >= 0.0, "slope must be nonnegative",
         draw=_lfr_draw,
-        cdf=lambda p, y: -np.expm1(-y - 0.5 * p[0] * y * y),
-        pdf=_lfr_pdf,
+        # slope 0 drops the quadratic term, whose 0 * inf would be NaN at y = inf
+        cdf=lambda p, y: -np.expm1(-y - 0.5 * p[0] * y * y) if p[0] else -np.expm1(-y),
     ),
     "expgeometric": _Family(1, _HALF_LINE, lambda p: 0.0 <= p[0] < 1.0, "parameter must lie in [0, 1)",
         draw=_expgeometric_draw,
         cdf=lambda p, y: (1.0 - np.exp(-y)) / (1.0 - p[0] * np.exp(-y)),
-        pdf=lambda p, y: (1.0 - p[0]) * np.exp(-y) / (1.0 - p[0] * np.exp(-y)) ** 2,
     ),
     "t": _Family(1, _LINE, _positive, "parameter must be positive",
         draw=lambda p, n, rng: rng.standard_t(p[0], n),
         cdf=lambda p, y: special.stdtr(p[0], y),
-        pdf=lambda p, y: np.exp(
-            np.log(special.poch(0.5 * p[0], 0.5)) - 0.5 * (np.log(p[0]) + np.log(np.pi))
-            - (p[0] + 1) / 2 * np.log1p(y * y / p[0])
-        ),
     ),
     "chisq": _Family(1, _HALF_LINE, _positive, "parameter must be positive",
         draw=lambda p, n, rng: rng.chisquare(p[0], n),
         cdf=lambda p, y: special.chdtr(p[0], y),
-        pdf=lambda p, y: np.exp(
-            special.xlogy(p[0] / 2.0 - 1, y) - y / 2.0 - special.gammaln(p[0] / 2.0) - (np.log(2) * p[0]) / 2.0
-        ),
     ),
     "halfnormal": _Family(1, _HALF_LINE, _positive, "parameter must be positive",
         draw=lambda p, n, rng: p[0] * np.abs(rng.standard_normal(n)),
         cdf=lambda p, y: 2.0 * normal_cdf(y / p[0]) - 1.0,
-        pdf=lambda p, y: np.sqrt(2.0 / (np.pi * p[0] ** 2)) * np.exp(-y * y / (2.0 * p[0] ** 2)),
     ),
     "normal": _Family(2, _LINE, lambda p: p[1] > 0.0, "variance must be positive",
         draw=lambda p, n, rng: p[0] + np.sqrt(p[1]) * rng.standard_normal(n),
         cdf=lambda p, y: normal_cdf((y - p[0]) / np.sqrt(p[1])),
-        pdf=lambda p, y: np.exp(-0.5 * (y - p[0]) ** 2 / p[1]) / np.sqrt(2.0 * np.pi * p[1]),
     ),
     "pareto": _Family(1, (1.0, np.inf), _positive, "parameter must be positive",
         draw=lambda p, n, rng: (1.0 - rng.random(n)) ** (-1.0 / p[0]),
         cdf=lambda p, y: 1.0 - y ** (-p[0]),
-        pdf=lambda p, y: p[0] * y ** (-p[0] - 1.0),
     ),
 }
 
@@ -371,40 +330,19 @@ def sample(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> Sample:
     return Sample(_draw(spec, int(n), rng))
 
 
-def _mixed(spec: AlternativeSpec, x, leaf: Callable) -> np.ndarray:
-    """``leaf(family, params, y)`` with y = x - 1 under ``+1``; a mixture sums its drawn components by share."""
+def cdf(spec: AlternativeSpec, x) -> np.ndarray | float:
+    """Distribution function of the spec, vectorised over x; a mixture sums its drawn components by share."""
     x = np.asarray(x, dtype=float)
     if spec.translate_by_one:
         x = x - 1.0
     if spec.family == "mixture":
-        return sum(share * _mixed(part, x, leaf) for share, part in _drawn(spec))
-    with np.errstate(over="ignore", divide="ignore"):
-        return leaf(_TABLE[spec.family], spec.params, x)
-
-
-def cdf(spec: AlternativeSpec, x) -> np.ndarray | float:
-    """Distribution function of the spec, vectorised over x."""
-    # unlike np.clip, np.maximum turns -0.0 into 0.0, so no CDF value is -0.0
-    out = _mixed(spec, x, lambda family, p, y: np.clip(
-        family.cdf(p, np.minimum(np.maximum(y, family.support[0]), family.support[1])), 0.0, 1.0))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def pdf(spec: AlternativeSpec, x) -> np.ndarray | float:
-    """Density of the spec, vectorised over x. Zero outside the support and at +-inf, NaN at NaN."""
-    def leaf(family, p, y):
+        out = sum(share * cdf(part, x) for share, part in _drawn(spec))
+    else:
+        family = _TABLE[spec.family]
         lo, hi = family.support
-        # every density vanishes at an infinite end, where the formulas can
-        # meet inf - inf (gamma, chisq) or 0 * inf (weibull, lfr)
-        outside = (y < lo) | (y > hi) | np.isinf(y)
-        if outside.any():
-            # the formula sees an inner point where y is outside: a quarter of
-            # the way in (stephens3 with k < 1 is infinite at the middle), or one
-            # unit in from a finite lower end or from 0; in-support grids are not copied
-            y = np.where(outside, lo + 0.25 * (hi - lo) if hi < np.inf else max(lo, 0.0) + 1.0, y)
-        return np.where(outside, 0.0, family.pdf(p, y))
-
-    out = _mixed(spec, x, leaf)
+        # unlike np.clip, np.maximum turns -0.0 into 0.0, so no CDF value is -0.0
+        with np.errstate(over="ignore"):
+            out = np.clip(family.cdf(spec.params, np.minimum(np.maximum(x, lo), hi)), 0.0, 1.0)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .classical import batch_statistic, check_test_id
 from .composite import FAMILIES as COMPOSITE_FAMILIES, check_sample_size
-from .distributions import AlternativeSpec, check_support, pdf, sample
+from .distributions import AlternativeSpec, cdf, check_support, sample
 from .null_limit import cumulants_exact, pearson_fit, pearson_quantile
 from .numerics import gauss_legendre
 from .power_theory import (
@@ -327,7 +327,7 @@ def theory_spec_for(alt: AlternativeSpec) -> AlternativeTheorySpec:
     if alt.label() in closed_form:
         return closed_form[alt.label()]
     check_support(alt, "uniform")
-    return spec_from_density(alt.label(), lambda x: np.asarray(pdf(alt, x)), gauss_legendre(128))
+    return spec_from_density(alt.label(), lambda x: cdf(alt, x), gauss_legendre(128))
 
 
 def run_power_curve(config: StudyConfig) -> PowerCurve:

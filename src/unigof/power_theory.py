@@ -8,8 +8,9 @@ psi from its uniform counterpart) and an asymptotic variance ``sigma2``.
 Together they yield a one-line normal approximation to the power of the
 test at any sample size.
 
-Closed forms are registered for four Beta alternatives; any other
-unit-interval density can be wrapped through :func:`spec_from_density`.
+Closed forms are registered for four Beta alternatives; any other law on
+the unit interval is built by :func:`spec_from_density` from its CDF, to
+1e-13 for smooth laws and about 1e-6 for a density infinite at an end.
 """
 
 from __future__ import annotations
@@ -188,24 +189,30 @@ def builtin_beta_specs() -> list[AlternativeTheorySpec]:
 
 
 def spec_from_density(
-    name: str, pdf: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule
+    name: str, cdf: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule
 ) -> AlternativeTheorySpec:
-    """Wrap an arbitrary unit-interval density as a theory spec.
+    """Wrap a law on the unit interval, given by its vectorised CDF, as a theory spec.
 
-    The tail moments are evaluated on demand by mapping the quadrature
-    rule onto (t, 1) for each requested t, and the discrepancy and
-    variance constants are filled in numerically with the same rule.
-    ``pdf`` must be vectorised. Accuracy tracks the smoothness of the
-    density; endpoint singularities cost several digits.
+    The tail moments are integrated by parts against S = 1 - F, so no
+    density is evaluated where it may be infinite:
+    ``psi(t) = (2t - 1) S(t) + 2 int_t^1 S(u) du`` and
+    ``m2(t) = (2t - 1)^2 S(t) + 4 int_t^1 (2u - 1) S(u) du``, each integral
+    by the rule mapped onto (t, 1); the same rule fills in delta and sigma2.
+    At Gauss-Legendre 128 both are within 1e-13 relative for a smooth law,
+    and within 1.2e-6 for beta(1,0.5) and beta(0.5,0.5), whose densities are
+    infinite at an end. A density infinite inside the interval puts a kink
+    in S between nodes: stephens3(0.5) reads both about 3e-5 off.
     """
     xi, w = rule.nodes, rule.weights
 
     def tail_moment(t: np.ndarray, power: int) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        flat = t.ravel()[:, None]
-        u = flat + (1.0 - flat) * xi[None, :]
-        vals = (2.0 * u - 1.0) ** power * pdf(u)
-        out = (1.0 - flat[:, 0]) * (vals @ w)
+        flat = t.ravel()
+        u = flat[:, None] + (1.0 - flat[:, None]) * xi[None, :]
+        integrand = 1.0 - cdf(u)
+        if power == 2:
+            integrand *= 2.0 * u - 1.0
+        out = (2.0 * flat - 1.0) ** power * (1.0 - cdf(flat)) + 2.0 * power * (1.0 - flat) * (integrand @ w)
         return out.reshape(t.shape)
 
     def psi(t):

@@ -1,8 +1,7 @@
 """Alternative distribution catalog: samplers, CDFs, and the spec grammar.
 
 Every sampler is validated against its own distribution function with a
-KS distance bound, the CDFs carry closed-form anchors, and densities are
-cross-checked as numerical derivatives of the CDFs.
+KS distance bound, and the CDFs carry closed-form anchors.
 """
 
 import re
@@ -17,7 +16,6 @@ from unigof import (
     cdf,
     check_support,
     parse_spec,
-    pdf,
     sample,
     support,
 )
@@ -35,6 +33,7 @@ CATALOG = [
     "weibull(0.8)",
     "gamma(0.7)",
     "sn(2.5)",
+    "sn(-1.5)",
     "lfr(0.5)",
     "eg(0.3)",
     "t(5)",
@@ -106,9 +105,8 @@ def test_laws_respect_the_declared_support(text, rng):
     if np.isfinite(hi):
         assert np.all(np.asarray(cdf(spec, [hi, np.nextafter(hi, np.inf), hi + 1.0, np.inf])) == 1.0)
         outside += [np.nextafter(hi, np.inf), hi + 1.0, np.inf]
-    assert np.all(np.asarray(pdf(spec, outside)) == 0.0)
     assert not covers(spec, outside).any()
-    assert np.isnan(pdf(spec, np.nan))
+    assert np.isnan(cdf(spec, np.nan))
 
 
 def test_grammar_help_names_every_family():
@@ -248,75 +246,16 @@ class TestCdf:
         assert ks < np.sqrt(np.log(2.0 / 0.001) / (2.0 * n))
 
 
-class TestPdf:
-    @pytest.mark.parametrize(
-        "text, x",
-        [
-            ("weibull(0.8)", 1.3),
-            ("lfr(0.5)", 0.7),
-            ("eg(0.3)", 0.9),
-            ("sn(2.5)", 0.4),
-            ("sn(-1.5)", -0.2),
-            ("kum(1.5,2.5)", 0.6),
-            ("pareto(2)", 1.8),
-            ("gamma(0.8)+1", 2.1),
-            ("mix(0.5,z,n(1,9))", 0.3),
-            ("tn(-1,0.01)", 0.05),
-        ],
-    )
-    def test_pdf_is_cdf_derivative(self, text, x):
-        spec = spec_of(text)
-        h = 1e-6
-        slope = (cdf(spec, x + h) - cdf(spec, x - h)) / (2.0 * h)
-        assert pdf(spec, x) == pytest.approx(slope, rel=1e-5, abs=1e-8)
-
-    def test_pdf_zero_outside_support(self):
-        assert pdf(spec_of("pareto(2)"), 0.5) == 0.0
-        assert pdf(spec_of("gamma(1)+1"), 0.5) == 0.0
-        assert pdf(spec_of("beta(2,3)"), -0.2) == 0.0
-
+class TestMixtureCdf:
     @pytest.mark.parametrize("text", ["mix(0,beta(0.5,0.5),u)", "mix(1,u,beta(0.5,0.5))"])
     def test_a_component_never_drawn_adds_nothing(self, text):
-        # 0 times the infinite beta(0.5,0.5) density at 0 and 1 would be NaN
         x = np.array([0.0, 0.5, 1.0])
-        np.testing.assert_array_equal(pdf(spec_of(text), x), [1.0, 1.0, 1.0])
         np.testing.assert_array_equal(cdf(spec_of(text), x), x)
-        assert pdf(spec_of(text), 0.0) == 1.0
-
-    @pytest.mark.parametrize(
-        "text, x, density",
-        [
-            ("s1(0.3)", 1.0, np.inf),
-            ("s2(0.4)", 0.0, np.inf),
-            ("s3(0.5)", 0.5, np.inf),
-            ("kum(0.5,2)", 0.0, np.inf),
-            ("kum(2,0.5)", 1.0, np.inf),
-            ("beta(0.5,0.5)", 0.0, np.inf),
-            ("weibull(0.5)", 0.0, np.inf),
-            ("weibull(1)", 0.0, 1.0),  # the unit exponential
-            ("weibull(1)+1", 1.0, 1.0),
-            ("weibull(2)", 0.0, 0.0),
-            ("weibull(2)", -0.0, 0.0),
-        ],
-    )
-    def test_density_at_a_divergent_end_is_one_value_without_warning(self, text, x, density):
-        spec = spec_of(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            scalar, array = pdf(spec, x), pdf(spec, np.array([x, x]))
-        assert scalar == density and not np.signbit(scalar)
-        assert_bit_equal(array, [density, density])
 
     def test_a_mixture_is_the_share_weighted_sum_of_its_shifted_components(self):
         x = np.concatenate([np.linspace(0.5, 2.5, 801), [1.0, 1.5, 2.0, -np.inf, np.inf, np.nan]])
         mixed, a, b = spec_of("mix(0.3,s3(0.5),s2(2))+1"), spec_of("s3(0.5)"), spec_of("s2(2)")
-        for f in (cdf, pdf):
-            assert_bit_equal(f(mixed, x), 0.3 * f(a, x - 1.0) + (1.0 - 0.3) * f(b, x - 1.0))
-
-    def test_skewnormal_integrates_to_one(self):
-        x = np.linspace(-10.0, 10.0, 20001)
-        total = np.trapezoid(pdf(spec_of("sn(2.5)"), x), x)
-        assert total == pytest.approx(1.0, abs=1e-10)
+        assert_bit_equal(cdf(mixed, x), 0.3 * cdf(a, x - 1.0) + (1.0 - 0.3) * cdf(b, x - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +276,7 @@ ORACLE_SPECS = [
 
 
 def _oracle_grid(spec):
-    """Support end points, an interior spread and NaN.
-
-    On the unit interval the spread stays where the beta log-density is
-    moderate: the log-space form loses about |log pdf| ulps, 2.7e-14 relative
-    for beta(0.5,0.5) at 1e-300.
-    """
+    """Support end points, an interior spread and NaN."""
     lo, hi = support(spec)
     if hi == 1.0:
         inner = np.linspace(0.0, 1.0, 101)[1:-1]
@@ -366,51 +300,25 @@ def test_cdf_is_bit_equal_to_scipy_stats(text):
     assert_bit_equal(cdf(spec, x), ORACLES[spec.family](spec.params).cdf(x))
 
 
-@pytest.mark.parametrize("text", ORACLE_SPECS)
-def test_pdf_matches_scipy_stats(text):
-    # scipy's beta pdf is a Boost routine, the package's the log-space form
-    # of its logpdf, so they agree to rounding; the other three are bit-equal
-    spec = spec_of(text)
-    x = _oracle_grid(spec)
-    finite = np.isfinite(x) | np.isnan(x)
-    got, want = pdf(spec, x[finite]), ORACLES[spec.family](spec.params).pdf(x[finite])
-    if spec.family == "beta":
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-    else:
-        assert_bit_equal(got, want)
-    # at an infinite end the density is 0; scipy gives NaN and warns where
-    # its log-density meets inf - inf (gamma and chisq with shape above one)
-    assert_bit_equal(pdf(spec, x[~finite]), np.zeros(int((~finite).sum())))
-
-
-@pytest.mark.parametrize("text", ["weibull(1.5)", "lfr(0.5)", "gamma(2)+1", "normal(1,9)", "pareto(2)"])
-def test_pdf_is_zero_at_an_infinite_end(text):
-    # the families outside the oracle set; weibull and lfr met 0 * inf there
-    lo, hi = support(spec_of(text))
-    ends = np.array([v for v in (lo, hi) if np.isinf(v)])
-    assert_bit_equal(pdf(spec_of(text), ends), np.zeros(ends.size))
-
-
-FAR = [-1.7e308, -1e300, -1e160, 1e160, 1e300, 1.7e308]
+FAR = [-np.inf, -1.7e308, -1e300, -1e160, 1e160, 1e300, 1.7e308, np.inf]
 
 
 @pytest.mark.parametrize(
     "text",
-    ["t(5)", "t(30)", "z", "normal(1,9)", "hn(1)", "hn(0.01)", "sn(2.5)", "sn(-2.5)", "lfr(0.5)", "lfr(3)",
-     "weibull(1.5)", "weibull(5)", "weibull(100)", "mix(0.5,w(3),lfr(2))", "mix(0.5,z,t(5))"],
+    ["t(5)", "t(30)", "z", "normal(1,9)", "hn(1)", "hn(0.01)", "sn(2.5)", "sn(-2.5)", "lfr(0)", "lfr(0.5)",
+     "lfr(3)", "weibull(1.5)", "weibull(5)", "weibull(100)", "mix(0.5,w(3),lfr(2))", "mix(0.5,z,t(5))"],
 )
 def test_far_tails_give_the_limits_without_warnings(text):
-    # the formulas overflow on the way (y * y, y ** k, the lfr hazard), and
-    # weibull and lfr would meet inf * 0; the values themselves are exact
+    # the formulas overflow on the way (y * y, y ** k, y / scale), and lfr(0)
+    # would meet 0 * inf at +inf; the values themselves are exact
     spec = spec_of(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scalars = [(pdf(spec, x), cdf(spec, x)) for x in FAR]
-        arrays = pdf(spec, np.array(FAR)), cdf(spec, np.array(FAR))
+        scalars = [cdf(spec, x) for x in FAR]
+        array = cdf(spec, np.array(FAR))
     limits = [1.0 if x > 0 else 0.0 for x in FAR]
-    assert scalars == [(0.0, limit) for limit in limits]
-    assert_bit_equal(arrays[0], np.zeros(len(FAR)))
-    assert_bit_equal(arrays[1], limits)
+    assert scalars == limits
+    assert_bit_equal(array, limits)
 
 # ---------------------------------------------------------------------------
 # validation

@@ -15,6 +15,7 @@ from unigof import (
     AlternativeSpec,
     StudyConfig,
     batch_statistic,
+    builtin_beta_specs,
     cdf,
     critical_value_map,
     cumulants_exact,
@@ -732,6 +733,13 @@ class TestTheorySpecFor:
         assert spec.name == "kumaraswamy(1.5,2.5)"
         assert spec.delta > 0.0
         assert spec.sigma2 > 0.0
+
+    def test_a_density_infinite_at_an_end_keeps_its_closed_form(self):
+        # kumaraswamy(1, b) is beta(1, b); its density is infinite at 1 for b < 1
+        spec = theory_spec_for(parse_spec("kum(1,0.5)"))
+        exact = {s.name: s for s in builtin_beta_specs()}["beta(1,0.5)"]
+        assert spec.delta == pytest.approx(exact.delta, rel=1e-5)
+        assert spec.sigma2 == pytest.approx(exact.sigma2, rel=1e-5)
 
     def test_real_line_alternative_rejected(self):
         with pytest.raises(ValueError, match=r"gamma\(1\) can draw values outside \[0, 1\]"):

@@ -2,7 +2,7 @@
 
 The four built-in Beta alternatives carry hand-derived closed-form
 constants; everything here checks those against fresh quadrature and
-against a purely numerical rebuild from the densities.
+against a purely numerical rebuild from the distribution functions.
 """
 
 import numpy as np
@@ -15,9 +15,11 @@ from unigof import (
     approximate_power,
     asymptotic_variance,
     builtin_beta_specs,
+    cdf,
     discrepancy,
     gauss_legendre,
     null_kernel,
+    parse_spec,
     power_curve,
     spec_from_density,
     uniform_theory_spec,
@@ -187,14 +189,14 @@ class TestAltKernel:
 
 
 # ---------------------------------------------------------------------------
-# numerical rebuild from the density
+# numerical rebuild from the distribution function
 
 
 @pytest.mark.parametrize("name", ["beta(2,2)", "beta(2,3)"])
 def test_spec_from_density_matches_closed_forms(name):
     a, b = BETA_PARAMS[name]
     builtin = by_name()[name]
-    numeric = spec_from_density(name, stats.beta(a, b).pdf, gauss_legendre(192))
+    numeric = spec_from_density(name, stats.beta(a, b).cdf, gauss_legendre(192))
     t = np.linspace(0.02, 0.98, 25)
     np.testing.assert_allclose(numeric.psi(t), builtin.psi(t), atol=1e-12)
     np.testing.assert_allclose(
@@ -204,8 +206,22 @@ def test_spec_from_density_matches_closed_forms(name):
     assert numeric.sigma2 == pytest.approx(builtin.sigma2, abs=1e-10)
 
 
+@pytest.mark.parametrize("name", sorted(BETA_PARAMS))
+def test_spec_from_density_at_order_128_holds_every_closed_form(name):
+    # the half-integer shapes have a density that is infinite at an end;
+    # integrating against the survival function keeps them to about 1e-6
+    law = parse_spec(name)
+    builtin = by_name()[name]
+    numeric = spec_from_density(name, lambda x: cdf(law, x), RULE)
+    t = np.linspace(0.02, 0.98, 25)
+    np.testing.assert_allclose(numeric.psi(t), builtin.psi(t), rtol=0.0, atol=1e-6)
+    np.testing.assert_allclose(numeric.second_moment_tail(t), builtin.second_moment_tail(t), rtol=0.0, atol=1e-6)
+    assert numeric.delta == pytest.approx(builtin.delta, rel=1e-5)
+    assert numeric.sigma2 == pytest.approx(builtin.sigma2, rel=1e-5)
+
+
 def test_spec_from_density_handles_matrix_arguments():
-    numeric = spec_from_density("beta(2,2)", stats.beta(2, 2).pdf, RULE)
+    numeric = spec_from_density("beta(2,2)", stats.beta(2, 2).cdf, RULE)
     t = np.linspace(0.1, 0.9, 6).reshape(2, 3)
     assert numeric.psi(t).shape == (2, 3)
     assert numeric.second_moment_tail(t).shape == (2, 3)
@@ -274,7 +290,7 @@ class TestPowerCurve:
         assert len(lines) == 3
 
     def test_power_curve_fills_missing_constants(self):
-        numeric = spec_from_density("beta(2,3)", stats.beta(2, 3).pdf, RULE)
+        numeric = spec_from_density("beta(2,3)", stats.beta(2, 3).cdf, RULE)
         bare = type(numeric)(
             name=numeric.name,
             psi=numeric.psi,
