@@ -10,7 +10,7 @@ test at any sample size.
 
 Closed forms are registered for four Beta alternatives; any other law on
 the unit interval is built by :func:`spec_from_density` from its CDF, to
-1e-13 for smooth laws and about 1e-6 for a density infinite at an end.
+1e-13 for smooth laws and under 1e-6 for a density infinite at an end.
 """
 
 from __future__ import annotations
@@ -197,11 +197,12 @@ def spec_from_density(
     density is evaluated where it may be infinite:
     ``psi(t) = (2t - 1) S(t) + 2 int_t^1 S(u) du`` and
     ``m2(t) = (2t - 1)^2 S(t) + 4 int_t^1 (2u - 1) S(u) du``, each integral
-    by the rule mapped onto (t, 1); the same rule fills in delta and sigma2.
-    At Gauss-Legendre 128 both are within 1e-13 relative for a smooth law,
-    and within 1.2e-6 for beta(1,0.5) and beta(0.5,0.5), whose densities are
-    infinite at an end. A density infinite inside the interval puts a kink
-    in S between nodes: stephens3(0.5) reads both about 3e-5 off.
+    by the rule mapped onto (t, 1). sigma2 needs ``C(t) = int_0^t (psi(s) - s(1 - s)) ds``
+    at the nodes, by parts ``(2t^2 - t) F(t) - int_0^t (4u - 1) F(u) du + t psi(t) - t^2/2 + t^3/3``
+    with the rule mapped onto (0, t): three CDF grids of order^2 points in all.
+    At Gauss-Legendre 128 delta and sigma2 are within 1e-13 relative for a smooth law and
+    8.2e-7 for beta(1,0.5) and beta(0.5,0.5), whose densities are infinite at an end; a kink
+    in S inside the interval (stephens3(0.5)) leaves delta 3.1e-5 and sigma2 1.5e-6 off.
     """
     xi, w = rule.nodes, rule.weights
 
@@ -221,14 +222,13 @@ def spec_from_density(
     def m2t(t):
         return tail_moment(t, 2)
 
-    bare = AlternativeTheorySpec(name, psi, m2t)
-    return AlternativeTheorySpec(
-        name,
-        psi,
-        m2t,
-        delta=discrepancy(bare, rule),
-        sigma2=asymptotic_variance(bare, rule),
-    )
+    psi_x, m2_x = psi(xi), m2t(xi)
+    z = psi_x - xi * (1.0 - xi)
+    u = xi[:, None] * xi[None, :]
+    lower = ((4.0 * u - 1.0) * cdf(u)) @ w
+    c = (2.0 * xi * xi - xi) * cdf(xi) - xi * lower + xi * psi_x - xi * xi / 2.0 + xi**3 / 3.0
+    sigma2 = 4.0 * (2.0 * float(np.dot(w, m2_x * z * c)) - float(np.dot(w, psi_x * z)) ** 2)
+    return AlternativeTheorySpec(name, psi, m2t, delta=float(np.dot(w, z * z)), sigma2=sigma2)
 
 
 @dataclass

@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 from unigof import (
+    AlternativeTheorySpec,
     PowerCurve,
     alt_kernel,
     approximate_power,
@@ -218,6 +219,34 @@ def test_spec_from_density_at_order_128_holds_every_closed_form(name):
     np.testing.assert_allclose(numeric.second_moment_tail(t), builtin.second_moment_tail(t), rtol=0.0, atol=1e-6)
     assert numeric.delta == pytest.approx(builtin.delta, rel=1e-5)
     assert numeric.sigma2 == pytest.approx(builtin.sigma2, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "name", ["beta(2,2)", "beta(2,3)", "kumaraswamy(1.5,2.5)", "truncnormal(0.5,0.25)"]
+)
+def test_spec_from_density_agrees_with_the_grid_route(name):
+    # sigma2 by parts against F and by the generic product grid are two
+    # quadratures of one integral; delta comes from the same node values
+    law = parse_spec(name)
+    spec = spec_from_density(name, lambda x: cdf(law, x), RULE)
+    bare = AlternativeTheorySpec(name, spec.psi, spec.second_moment_tail)
+    assert spec.sigma2 == pytest.approx(asymptotic_variance(bare, RULE), rel=1e-12, abs=0.0)
+    assert spec.delta == discrepancy(bare, RULE)
+
+
+def test_spec_from_density_evaluates_the_cdf_on_a_few_grids():
+    # psi and m2 at the nodes each map the rule onto (t, 1), and the inner
+    # integral of sigma2 maps it onto (0, t): three 128 x 128 grids, where
+    # psi on the whole product grid would take about 2.1M points
+    law = parse_spec("beta(0.7,1.3)")
+    points = []
+
+    def counted(x):
+        points.append(np.size(x))
+        return cdf(law, x)
+
+    spec_from_density("beta(0.7,1.3)", counted, RULE)
+    assert sum(points) <= 4 * 128**2 + 4 * 128
 
 
 def test_spec_from_density_handles_matrix_arguments():
