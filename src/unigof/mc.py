@@ -22,7 +22,6 @@ order cells and chunks are evaluated. This is ``STREAM_SCHEME`` 2; scheme
 from __future__ import annotations
 
 import hashlib
-import operator
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -33,7 +32,7 @@ from .classical import batch_statistic, check_test_id
 from .composite import FAMILIES as COMPOSITE_FAMILIES, check_sample_size
 from .distributions import AlternativeSpec, cdf, check_support, sample
 from .null_limit import cumulants_exact, pearson_fit, pearson_quantile
-from .numerics import gauss_legendre
+from .numerics import _integer, gauss_legendre
 from .power_theory import (
     AlternativeTheorySpec,
     PowerCurve,
@@ -82,13 +81,6 @@ def rng_substream(master_seed: int, *indices: int) -> np.random.Generator:
 def _cell_salt(*parts) -> int:
     key = "\x1f".join(str(p) for p in parts)
     return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "little")
-
-
-def _integer(field: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{field}: expected an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ caller strictly needs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,12 +34,19 @@ class QuadratureRule:
     def __post_init__(self) -> None:
         if self.nodes.ndim != 1 or self.weights.shape != self.nodes.shape:
             raise ValueError("nodes and weights must be 1-D arrays of equal length")
-        if np.any(np.diff(self.nodes) <= 0):
+        if not (np.all(np.isfinite(self.nodes)) and np.all(np.diff(self.nodes) > 0)):
             raise ValueError("nodes must be strictly increasing")
-        if np.any(self.weights <= 0):
+        if not np.all(self.weights > 0):
             raise ValueError("weights must be positive")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-12:
+        if not abs(float(self.weights.sum()) - 1.0) <= 1e-12:
             raise ValueError("weights must sum to one on (0, 1)")
+
+
+def _integer(field: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field}: expected an integer, got {value!r}") from None
 
 
 def gauss_legendre(order: int) -> QuadratureRule:
@@ -60,7 +68,7 @@ def normal_cdf(x, out=None):
 def normal_quantile(p):
     """Inverse of :func:`normal_cdf` on (0, 1)."""
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("normal_quantile requires p strictly inside (0, 1)")
     out = special.ndtri(p)
     return float(out) if out.ndim == 0 else out

@@ -193,7 +193,7 @@ def empirical_process(u: UnitSample, t):
     equals :func:`tm_statistic` by definition.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0) or np.any(t_arr >= 1.0):
+    if not np.all((t_arr > 0.0) & (t_arr < 1.0)):
         raise ValueError("evaluation points must lie strictly inside (0, 1)")
     v = np.sort((u if isinstance(u, UnitSample) else UnitSample(u)).values)
     n = v.size

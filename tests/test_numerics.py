@@ -71,6 +71,22 @@ class TestQuadratureRuleValidation:
             QuadratureRule(nodes=np.array([0.2, 0.5, 0.7]), weights=np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: QuadratureRule(nodes=np.array([0.3, np.nan]), weights=np.array([0.5, 0.5])),
+        lambda: QuadratureRule(nodes=np.array([np.nan]), weights=np.array([1.0])),
+        lambda: QuadratureRule(nodes=np.array([0.3, 0.7]), weights=np.array([0.5, np.nan])),
+        lambda: normal_quantile(np.nan),
+        lambda: normal_quantile(np.array([0.1, np.nan])),
+    ],
+    ids=["nan-node", "lone-nan-node", "nan-weight", "nan-p", "nan-in-array"],
+)
+def test_range_checks_refuse_nan(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 class TestNormalFunctions:
     def test_cdf_anchors(self):
         assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-16)

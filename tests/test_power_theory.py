@@ -12,6 +12,7 @@ from scipy import stats
 from unigof import (
     AlternativeTheorySpec,
     PowerCurve,
+    QuadratureRule,
     alt_kernel,
     approximate_power,
     asymptotic_variance,
@@ -27,6 +28,7 @@ from unigof import (
 )
 
 RULE = gauss_legendre(128)
+RULE_512 = gauss_legendre(512)
 
 # exact constants, worked out by integrating the Beta densities by hand
 EXACT_DELTA = {
@@ -40,9 +42,6 @@ EXACT_SIGMA2 = {
     "beta(2,3)": 13088573.0 / 2948195250.0,
     "beta(1,0.5)": 426456598.0 / 10854718875.0,
 }
-# the arcsine case has no closed form for the variance; this value comes
-# from high-order quadrature and is pinned to 1e-9
-ARCSINE_SIGMA2 = 0.004386925128
 
 BETA_PARAMS = {
     "beta(2,2)": (2.0, 2.0),
@@ -97,9 +96,13 @@ class TestBuiltinConstants:
         assert by_name()[name].sigma2 == pytest.approx(EXACT_SIGMA2[name], abs=1e-12)
 
     def test_arcsine_sigma2_pin(self):
-        assert by_name()["beta(0.5,0.5)"].sigma2 == pytest.approx(
-            ARCSINE_SIGMA2, abs=1e-9
-        )
+        # the arcsine variance has no closed form; recompute it on a rule
+        # mapped by t = sin^2(pi x / 2), which clusters nodes at both ends
+        # where the density is infinite, at twice the order of the pin
+        x, w = RULE_512.nodes, RULE_512.weights
+        rule = QuadratureRule(np.sin(np.pi * x / 2.0) ** 2, w * (np.pi / 2.0) * np.sin(np.pi * x))
+        spec = by_name()["beta(0.5,0.5)"]
+        assert asymptotic_variance(spec, rule) == pytest.approx(spec.sigma2, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("name", sorted(BETA_PARAMS))
     def test_delta_recomputed_by_quadrature(self, name):
@@ -235,9 +238,10 @@ def test_spec_from_density_agrees_with_the_grid_route(name):
 
 
 def test_spec_from_density_evaluates_the_cdf_on_a_few_grids():
-    # psi and m2 at the nodes each map the rule onto (t, 1), and the inner
-    # integral of sigma2 maps it onto (0, t): three 128 x 128 grids, where
-    # psi on the whole product grid would take about 2.1M points
+    # psi, m2 and F at the nodes come from one map of the rule onto (t, 1),
+    # and the inner integral of sigma2 maps it onto (0, t): two 128 x 128
+    # grids and F at the 128 nodes, where psi on the whole product grid
+    # would take about 2.1M points
     law = parse_spec("beta(0.7,1.3)")
     points = []
 
@@ -246,7 +250,7 @@ def test_spec_from_density_evaluates_the_cdf_on_a_few_grids():
         return cdf(law, x)
 
     spec_from_density("beta(0.7,1.3)", counted, RULE)
-    assert sum(points) <= 4 * 128**2 + 4 * 128
+    assert sum(points) == 2 * 128**2 + 128
 
 
 def test_spec_from_density_handles_matrix_arguments():
@@ -296,6 +300,22 @@ class TestApproximatePower:
     def test_rejects_bad_sample_size(self):
         with pytest.raises(ValueError):
             approximate_power(0.01, 0.004, 0, 0.462)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: approximate_power(np.nan, 0.004, 50, 0.462),
+        lambda: approximate_power(0.01, np.nan, 50, 0.462),
+        lambda: approximate_power(0.01, 0.004, 10.5, 0.462),
+        lambda: power_curve(by_name()["beta(2,3)"], 0.05, [10.7, 20], 0.462),
+        lambda: power_curve(by_name()["beta(2,3)"], 0.05, [20, 50], np.nan),
+    ],
+    ids=["nan-delta", "nan-sigma2", "fractional-n", "fractional-size", "nan-critical-value"],
+)
+def test_power_refuses_nan_and_fractional_sizes(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 # ---------------------------------------------------------------------------

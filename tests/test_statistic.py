@@ -269,6 +269,12 @@ def test_process_rejects_boundary_points(rng):
             empirical_process(u, t)
 
 
+@pytest.mark.parametrize("t", [np.nan, [0.5, np.nan]], ids=["nan", "nan-in-array"])
+def test_process_rejects_nan_points(t):
+    with pytest.raises(ValueError):
+        empirical_process(UnitSample([0.2, 0.7]), t)
+
+
 def test_squared_process_integrates_to_statistic(rng):
     # independent oracle: integrate the squared process segment by segment;
     # between order statistics it is a quartic polynomial in t, so a
