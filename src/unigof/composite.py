@@ -15,13 +15,16 @@ that names the family; no sample is ever dropped.
 
 P-values come from a parametric bootstrap that re-estimates parameters in
 every replicate, mirroring what was done to the data. The replicates stream
-through cache-sized blocks of rows, drawn in order from one generator, so
-the bootstrap holds O(block) values, not O(B n), and its p-value is the one
-a single (B, n) draw would give.
+through cache-sized blocks of rows, scored on every core the process may
+run on. The blocks are drawn in stream order under one lock, so the
+bootstrap holds O(cores x block) values, not O(B n), and its p-value is the
+one a single (B, n) draw would give, whatever the core count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral
@@ -205,6 +208,13 @@ def check_sample_size(tag: str, n: int) -> None:
         )
 
 
+def _cores() -> int:
+    """The number of cores this process may run on: its CPU affinity where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class BootstrapResult:
     p_value: float
@@ -232,14 +242,21 @@ def bootstrap_pvalue(
     convention (1 + exceedances) / (B + 1), which is valid at any finite B.
     ``kind`` and ``B`` are checked before the fit.
 
-    The replicates stream in blocks of ``max(1, 2^15 // n)`` rows: each is
-    drawn from ``rng``, transformed, scored and reduced to its exceedance
-    count before the next, so memory is O(block), not O(B n). The fitted
-    samplers are stream-sequential, so the p-value and the final state of
-    ``rng`` are those of one (B, n) draw. Every replicate counts: an
+    The replicates stream in blocks of ``max(1, 2^15 // n)`` rows, scored
+    on one thread per core the process may run on (at most one per block).
+    A thread takes the next block and draws it from ``rng`` under one lock,
+    so block k is always the k-th draw of the stream, then transforms and
+    scores it outside the lock and adds its exceedances to its own count.
+    Memory is O(cores x block), not O(B n). The fitted samplers are
+    stream-sequential, so the p-value and the final state of ``rng`` are
+    those of one (B, n) draw for any core count; there is no worker knob,
+    since the process's CPU affinity (``taskset``) already sets the count
+    and the count cannot change the result. Every replicate counts: an
     infinite statistic is an exceedance, and a degenerate fit is the
     family's error, as in a Monte Carlo cell, counted over the rows of the
-    block that met it.
+    earliest block that met it. After an error no further block is drawn,
+    and the state of ``rng`` is unspecified. Every thread has ended when
+    the call returns or raises.
     """
     family = FAMILIES.get(tag)
     if family is None:
@@ -255,12 +272,40 @@ def bootstrap_pvalue(
     observed = float(batch_statistic(kind, family.transform(v))[0])
 
     step = max(1, _BLOCK_VALUES // n)
-    exceed = 0
-    for start in range(0, B, step):
-        U = family.transform_rows(family.sample_fitted(params, (min(step, B - start), n), rng))
-        exceed += int(np.count_nonzero(batch_statistic(kind, U) >= observed))
+    starts = iter(range(0, B, step))
+    lock = threading.Lock()
+    counts: list[int] = []
+    errors: dict[int, Exception] = {}
+
+    def score_blocks() -> None:
+        exceed = 0
+        while True:
+            try:
+                with lock:
+                    start = None if errors else next(starts, None)
+                    if start is None:
+                        break
+                    X = family.sample_fitted(params, (min(step, B - start), n), rng)
+                U = family.transform_rows(X)
+                exceed += int(np.count_nonzero(batch_statistic(kind, U) >= observed))
+            except Exception as err:
+                with lock:
+                    errors[start] = err
+                break
+        counts.append(exceed)
+
+    helpers = [threading.Thread(target=score_blocks) for _ in range(min(_cores(), -(-B // step)) - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        score_blocks()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
     return BootstrapResult(
-        p_value=(1.0 + exceed) / (B + 1.0),
+        p_value=(1.0 + sum(counts)) / (B + 1.0),
         replications=B,
         observed_statistic=observed,
         test_id=kind,

@@ -270,6 +270,10 @@ def power_curve(
     sizes = [_integer("sizes", n) for n in sizes]
     if not sizes:
         raise ValueError("sizes must be nonempty")
+    if not all(n >= 1 for n in sizes):
+        raise ValueError(f"sizes must be positive integers, got {sizes}")
+    if not 0.0 < float(alpha) < 1.0:
+        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
     if not float(critical_value) >= 0.0:
         raise ValueError("critical_value must be a nonnegative number")
     delta, sigma2 = spec.delta, spec.sigma2

@@ -1,5 +1,9 @@
 """Composite null machinery: estimators, pivotal transforms, bootstrap."""
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -308,9 +312,12 @@ def _bootstrap_reference(tag, kind, x, B, rng):
 )
 @pytest.mark.parametrize("kind", ["tm", "ad", "zc"])
 @pytest.mark.parametrize("tag", ["normal", "pareto"])
-def test_streamed_bootstrap_equals_one_whole_draw(tag, kind, n, B, blocks):
+@pytest.mark.parametrize("cores", [1, 2, 3], ids=lambda c: f"{c}-cores")
+def test_streamed_bootstrap_equals_one_whole_draw(tag, kind, n, B, blocks, cores, monkeypatch):
+    # the blocks are scored on one thread per core; the result is that of one draw
     step = max(1, _BLOCK_VALUES // n)
     assert -(-B // step) == blocks  # the case is what its id says
+    monkeypatch.setattr(composite, "_cores", lambda: cores)
     data = np.random.default_rng(n)
     x = data.normal(3.0, 2.0, n) if tag == "normal" else (1.0 - data.random(n)) ** -0.5
     streamed_rng, whole_rng = np.random.default_rng(21), np.random.default_rng(21)
@@ -319,6 +326,70 @@ def test_streamed_bootstrap_equals_one_whole_draw(tag, kind, n, B, blocks):
     assert out.p_value == p_value
     assert out.observed_statistic == observed
     assert np.array_equal(streamed_rng.random(4), whole_rng.random(4))
+
+
+def test_bootstrap_threads_lose_no_draw_or_count_under_fast_switching(monkeypatch):
+    # eight threads on 99 one-row blocks, switching as often as the interpreter
+    # allows: a block drawn out of order or a lost count would move the p-value
+    monkeypatch.setattr(composite, "_cores", lambda: 8)
+    n, B = _BLOCK_VALUES + 1, 99
+    x = np.random.default_rng(n).normal(3.0, 2.0, n)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        streamed_rng = np.random.default_rng(21)
+        out = bootstrap_pvalue("normal", "ks", x, B, streamed_rng)
+    finally:
+        sys.setswitchinterval(interval)
+    whole_rng = np.random.default_rng(21)
+    assert (out.p_value, out.observed_statistic) == _bootstrap_reference("normal", "ks", x, B, whole_rng)
+    assert np.array_equal(streamed_rng.random(4), whole_rng.random(4))
+
+
+def _degenerate_in_blocks(family, bad_rows, hold=None):
+    # the family, except that the k-th draw has its first bad_rows[k] rows
+    # constant; with hold = (k, j), block k is transformed only once block j
+    # has failed, so the later block's error is met first
+    block_of, failed = {}, threading.Event()
+
+    def sample_fitted(params, shape, rng):
+        X = family.sample_fitted(params, shape, rng)
+        X[:bad_rows.get(len(block_of), 0)] = 1.0
+        block_of[id(X)] = len(block_of)
+        return X
+
+    def transform_rows(X):
+        block = block_of[id(X)]
+        if hold and block == hold[0]:
+            failed.wait(timeout=10.0)
+        try:
+            return family.transform_rows(X)
+        finally:
+            if hold and block == hold[1]:
+                failed.set()
+
+    return dataclasses.replace(family, sample_fitted=sample_fitted, transform_rows=transform_rows)
+
+
+def test_the_earliest_failing_block_raises_whatever_the_core_count(monkeypatch):
+    # n = 200, B = 999: six blocks of 163 rows and one of 21; blocks 3 and 5
+    # (counted from 1) are degenerate, and only block 3's error may come out,
+    # also when three threads meet block 5's error first
+    x = np.random.default_rng(200).normal(3.0, 2.0, 200)
+    normal, messages = FAMILIES["normal"], []
+    threads = threading.active_count()
+    for cores in (1, 3):
+        monkeypatch.setattr(composite, "_cores", lambda: cores)
+        degenerate = _degenerate_in_blocks(normal, {2: 4, 4: 9}, hold=(2, 4) if cores > 1 else None)
+        monkeypatch.setitem(FAMILIES, "normal", degenerate)
+        with pytest.raises(ValueError, match=r"^the normal fit is degenerate in 4 of 163 samples$") as err:
+            bootstrap_pvalue("normal", "tm", x, B=999, rng=np.random.default_rng(21))
+        messages.append(str(err.value))
+        assert threading.active_count() == threads
+        monkeypatch.setitem(FAMILIES, "normal", normal)
+        bootstrap_pvalue("normal", "tm", x, B=999, rng=np.random.default_rng(21))
+        assert threading.active_count() == threads
+    assert messages[0] == messages[1]
 
 
 class TestBootstrap:

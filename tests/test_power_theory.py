@@ -364,3 +364,20 @@ class TestPowerCurve:
     def test_power_curve_rejects_empty_sizes(self):
         with pytest.raises(ValueError):
             power_curve(by_name()["beta(2,2)"], 0.05, [], 0.462)
+
+    @pytest.mark.parametrize("spec", [uniform_theory_spec(), by_name()["beta(2,3)"]], ids=["degenerate", "beta(2,3)"])
+    @pytest.mark.parametrize(
+        "alpha, sizes, match",
+        [
+            (0.05, [0, -3], r"^sizes must be positive integers, got \[0, -3\]$"),
+            (0.05, [2.5], "^sizes: expected an integer, got 2.5$"),
+            (np.nan, [20], r"^alpha must lie strictly inside \(0, 1\), got nan$"),
+            (0.0, [20], r"^alpha must lie strictly inside \(0, 1\), got 0.0$"),
+            (1.0, [20], r"^alpha must lie strictly inside \(0, 1\), got 1.0$"),
+        ],
+        ids=["nonpositive-sizes", "fractional-size", "nan-alpha", "zero-alpha", "unit-alpha"],
+    )
+    def test_power_curve_checks_sizes_and_alpha_whatever_sigma2(self, spec, alpha, sizes, match):
+        # the degenerate spec has no normal approximation; the checks must not rest on it
+        with pytest.raises(ValueError, match=match):
+            power_curve(spec, alpha, sizes, 0.462)
