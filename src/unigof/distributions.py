@@ -1,36 +1,39 @@
 """Alternative distributions for the power studies, plus a tiny spec grammar.
 
-Each family is declared once, in ``_TABLE``: its arity, its closed support
-``(lo, hi)``, its parameter rule, its sampler and its distribution function.
-The seventeen families are shapes on the unit interval, lifetime laws on
-[0, inf) and real-line laws for the composite studies. ``FAMILIES``, spec
-validation, the one support check of studies and nulls, and the clip of every
-CDF to its support all derive from the table. No density is stated: the
-fixed-alternative constants come from ``cdf`` (``power_theory``), to 1e-13
-for smooth laws and about 1e-6 for a density infinite at an end. Sampling
-is pure given an explicit numpy Generator. A Stephens law is stated by its
-base b(y): its CDF is a function of y and b(y)^k, and its quantile function
-is that CDF with k replaced by 1/k, so that formula is also its sampler.
-The beta, gamma, t and chi-square laws are evaluated with the
-``scipy.special`` functions that ``scipy.stats`` uses for them, so the
-package does not import ``scipy.stats``.
+Each family is declared once, in ``_TABLE``: its parameter names, its short
+aliases, its closed support ``(lo, hi)``, its parameter rule, its sampler and
+its distribution function. The seventeen families are shapes on the unit
+interval, lifetime laws on [0, inf) and real-line laws for the composite
+studies. ``FAMILIES``, each family's arity, the alias lookup, the grammar help
+that the command line and every parse error print, spec validation, the one
+support check of studies and nulls, and the clip of every CDF to its support
+all derive from the table. No density is stated: the fixed-alternative
+constants come from ``cdf`` (``power_theory``), to 1e-13 for smooth laws and
+about 1e-6 for a density infinite at an end. Sampling is pure given an
+explicit numpy Generator. A Stephens law is stated by its base b(y): its CDF
+is a function of y and b(y)^k, and its quantile function is that CDF with k
+replaced by 1/k, so that formula is also its sampler. The beta, gamma, t and
+chi-square laws are evaluated with the ``scipy.special`` functions that
+``scipy.stats`` uses for them, so the package does not import ``scipy.stats``.
 
 On top of the table, a mixture composes two specs with a per-draw Bernoulli
 choice, and any spec can be translated by one to move positive support onto
 (1, inf) for the Pareto studies; ``cdf`` walks these decorations. The
 text form (``beta(2,3)``, ``mix(0.5,z,n(1,9))``, ``gamma(1)+1``) is what the
-command line accepts.
+command line accepts: one token pattern splits it and a recursive descent
+over the tokens builds the spec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 from scipy import special
 
-from .numerics import normal_cdf, normal_quantile
+from .numerics import _integer, normal_cdf, normal_quantile
 from .statistic import Sample
 
 __all__ = [
@@ -51,20 +54,27 @@ Params = tuple[float, ...]
 class _Family:
     """One family of alternatives.
 
-    ``valid(params)`` is the parameter check, and a spec that fails it is
-    rejected with ``"<family> <rule>"``, unless ``valid`` raises an error of
-    its own that names the spec. ``draw(params, n, rng)`` returns n draws.
-    ``cdf(params, y)`` is only called with y inside the closed ``support`` or
+    ``params`` names the parameters as the grammar writes them (``"a,b"``,
+    ``""`` for none), and ``aliases`` are the short names the text form also
+    accepts. ``valid(params)`` is the parameter check, and a spec that fails
+    it is rejected with ``"<family> <rule>"``, unless ``valid`` raises an
+    error of its own that names the spec. ``draw(params, n, rng)`` returns n
+    draws. ``cdf(params, y)`` is only called with y inside the closed ``support`` or
     NaN, must return NaN at NaN, and may overflow silently on the way to a
     limit; the fixed-alternative theory is built from it, so no density is needed.
     """
 
-    arity: int
+    params: str
+    aliases: tuple[str, ...]
     support: tuple[float, float]
     valid: Callable[[Params], bool]
     rule: str
     draw: Callable[[Params, int, np.random.Generator], np.ndarray]
     cdf: Callable[[Params, np.ndarray], np.ndarray]
+
+    @property
+    def arity(self) -> int:
+        return len(self.params.split(",")) if self.params else 0
 
 
 _UNIT = (0.0, 1.0)
@@ -76,7 +86,7 @@ def _positive(p: Params) -> bool:
     return all(v > 0.0 for v in p)
 
 
-def _stephens(base: Callable, cdf: Callable) -> _Family:
+def _stephens(alias: str, base: Callable, cdf: Callable) -> _Family:
     """A Stephens family of shape k: CDF ``cdf(y, base(y)^k)``.
 
     Its quantile function is its CDF with k replaced by 1/k, so that is also its sampler.
@@ -84,7 +94,7 @@ def _stephens(base: Callable, cdf: Callable) -> _Family:
     def at(k, y):
         return cdf(y, base(y) ** k)
 
-    return _Family(1, _UNIT, _positive, "parameter must be positive",
+    return _Family("k", (alias,), _UNIT, _positive, "parameter must be positive",
         draw=lambda p, n, rng: at(1.0 / p[0], rng.random(n)),
         cdf=lambda p, y: at(p[0], y),
     )
@@ -144,68 +154,68 @@ def _expgeometric_draw(p, n, rng):
 
 
 _TABLE: dict[str, _Family] = {
-    "uniform": _Family(0, _UNIT, lambda p: True, "",
+    "uniform": _Family("", ("u",), _UNIT, lambda p: True, "",
         draw=lambda p, n, rng: rng.random(n),
         cdf=lambda p, y: y,
     ),
-    "beta": _Family(2, _UNIT, _positive, "shapes must be positive",
+    "beta": _Family("a,b", (), _UNIT, _positive, "shapes must be positive",
         draw=lambda p, n, rng: rng.beta(p[0], p[1], n),
         cdf=lambda p, y: special.betainc(p[0], p[1], y),
     ),
-    "truncnormal": _Family(2, _UNIT, _truncnormal_valid, "variance must be positive",
+    "truncnormal": _Family("mu,var", ("tn",), _UNIT, _truncnormal_valid, "variance must be positive",
         draw=_truncnormal_draw, cdf=_truncnormal_cdf,
     ),
-    "kumaraswamy": _Family(2, _UNIT, _positive, "shapes must be positive",
+    "kumaraswamy": _Family("a,b", ("kum", "k"), _UNIT, _positive, "shapes must be positive",
         draw=lambda p, n, rng: (1.0 - (1.0 - rng.random(n)) ** (1.0 / p[1])) ** (1.0 / p[0]),
         cdf=lambda p, y: 1.0 - (1.0 - y ** p[0]) ** p[1],
     ),
-    "stephens1": _stephens(base=lambda y: 1.0 - y, cdf=lambda y, t: 1.0 - t),
+    "stephens1": _stephens("s1", base=lambda y: 1.0 - y, cdf=lambda y, t: 1.0 - t),
     # min(y, 1 - y) is y up to 1/2 and the exact 1 - y above it
-    "stephens2": _stephens(
+    "stephens2": _stephens("s2",
         base=lambda y: 2.0 * np.minimum(y, 1.0 - y), cdf=lambda y, t: np.where(y <= 0.5, 0.5 * t, 1.0 - 0.5 * t)
     ),
     # |1 - 2y| keeps fractional powers off negative bases; the sign of 2y - 1 picks the half
-    "stephens3": _stephens(
+    "stephens3": _stephens("s3",
         base=lambda y: np.abs(1.0 - 2.0 * y), cdf=lambda y, t: 0.5 * (1.0 + np.sign(2.0 * y - 1.0) * t)
     ),
-    "weibull": _Family(1, _HALF_LINE, _positive, "parameter must be positive",
+    "weibull": _Family("k", ("w",), _HALF_LINE, _positive, "parameter must be positive",
         draw=lambda p, n, rng: (-np.log1p(-rng.random(n))) ** (1.0 / p[0]),
         cdf=lambda p, y: -np.expm1(-(y ** p[0])),
     ),
-    "gamma": _Family(1, _HALF_LINE, _positive, "parameter must be positive",
+    "gamma": _Family("k", ("g",), _HALF_LINE, _positive, "parameter must be positive",
         draw=lambda p, n, rng: rng.gamma(p[0], 1.0, n),
         cdf=lambda p, y: special.gammainc(p[0], y),
     ),
-    "skewnormal": _Family(1, _LINE, lambda p: True, "",
+    "skewnormal": _Family("alpha", ("sn",), _LINE, lambda p: True, "",
         draw=_skewnormal_draw,
         cdf=lambda p, y: normal_cdf(y) - 2.0 * special.owens_t(y, p[0]),
     ),
-    "lfr": _Family(1, _HALF_LINE, lambda p: p[0] >= 0.0, "slope must be nonnegative",
+    "lfr": _Family("theta", (), _HALF_LINE, lambda p: p[0] >= 0.0, "slope must be nonnegative",
         draw=_lfr_draw,
         # slope 0 drops the quadratic term, whose 0 * inf would be NaN at y = inf
         cdf=lambda p, y: -np.expm1(-y - 0.5 * p[0] * y * y) if p[0] else -np.expm1(-y),
     ),
-    "expgeometric": _Family(1, _HALF_LINE, lambda p: 0.0 <= p[0] < 1.0, "parameter must lie in [0, 1)",
+    "expgeometric": _Family("p", ("eg",), _HALF_LINE, lambda p: 0.0 <= p[0] < 1.0, "parameter must lie in [0, 1)",
         draw=_expgeometric_draw,
         cdf=lambda p, y: (1.0 - np.exp(-y)) / (1.0 - p[0] * np.exp(-y)),
     ),
-    "t": _Family(1, _LINE, _positive, "parameter must be positive",
+    "t": _Family("df", (), _LINE, _positive, "parameter must be positive",
         draw=lambda p, n, rng: rng.standard_t(p[0], n),
         cdf=lambda p, y: special.stdtr(p[0], y),
     ),
-    "chisq": _Family(1, _HALF_LINE, _positive, "parameter must be positive",
+    "chisq": _Family("df", ("chi2",), _HALF_LINE, _positive, "parameter must be positive",
         draw=lambda p, n, rng: rng.chisquare(p[0], n),
         cdf=lambda p, y: special.chdtr(p[0], y),
     ),
-    "halfnormal": _Family(1, _HALF_LINE, _positive, "parameter must be positive",
+    "halfnormal": _Family("sigma", ("hn",), _HALF_LINE, _positive, "parameter must be positive",
         draw=lambda p, n, rng: p[0] * np.abs(rng.standard_normal(n)),
         cdf=lambda p, y: 2.0 * normal_cdf(y / p[0]) - 1.0,
     ),
-    "normal": _Family(2, _LINE, lambda p: p[1] > 0.0, "variance must be positive",
+    "normal": _Family("mu,var", ("n",), _LINE, lambda p: p[1] > 0.0, "variance must be positive",
         draw=lambda p, n, rng: p[0] + np.sqrt(p[1]) * rng.standard_normal(n),
         cdf=lambda p, y: normal_cdf((y - p[0]) / np.sqrt(p[1])),
     ),
-    "pareto": _Family(1, (1.0, np.inf), _positive, "parameter must be positive",
+    "pareto": _Family("b", ("p",), (1.0, np.inf), _positive, "parameter must be positive",
         draw=lambda p, n, rng: (1.0 - rng.random(n)) ** (-1.0 / p[0]),
         cdf=lambda p, y: 1.0 - y ** (-p[0]),
     ),
@@ -325,9 +335,10 @@ def _draw(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray
 
 def sample(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> Sample:
     """Draw n independent observations from the spec."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return Sample(_draw(spec, int(n), rng))
+    n = _integer("n", n)
+    if not n >= 1:
+        raise ValueError("n must be at least 1")
+    return Sample(_draw(spec, n, rng))
 
 
 def cdf(spec: AlternativeSpec, x) -> np.ndarray | float:
@@ -350,122 +361,84 @@ def cdf(spec: AlternativeSpec, x) -> np.ndarray | float:
 # text form
 
 
-# short names; every family name except "mixture" is also its own name
-_ALIASES = {
-    "u": "uniform",
-    "tn": "truncnormal",
-    "k": "kumaraswamy",
-    "kum": "kumaraswamy",
-    "s1": "stephens1",
-    "s2": "stephens2",
-    "s3": "stephens3",
-    "w": "weibull",
-    "g": "gamma",
-    "sn": "skewnormal",
-    "eg": "expgeometric",
-    "chi2": "chisq",
-    "hn": "halfnormal",
-    "n": "normal",
-    "p": "pareto",
-}
+# short name -> family tag; every family tag except "mixture" is also its own name
+_ALIASES = {alias: tag for tag, family in _TABLE.items() for alias in family.aliases}
 
 GRAMMAR_HELP = (
-    "spec := name | name(params) | mix(p,spec,spec), optionally followed by +1; "
-    "names: uniform|u, beta(a,b), tn(mu,var), kum|k(a,b), s1(k), s2(k), s3(k), "
-    "weibull|w(t), gamma|g(t), sn(t), lfr(t), eg(t), t(df), chisq(k), hn(t), "
-    "normal|n(mu,var), z, pareto|p(b); example: mix(0.5,z,n(1,9))"
+    "spec := name | name(params) | mix(p,spec,spec), optionally followed by +1; names: "
+    + ", ".join("|".join((tag, *f.aliases)) + (f"({f.params})" if f.params else "") for tag, f in _TABLE.items())
+    + "; z is normal(0,1); example: mix(0.5,z,n(1,9))"
 )
 
-
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text.replace(" ", "").lower()
-        self.pos = 0
-
-    def fail(self, why: str) -> ValueError:
-        return ValueError(f"cannot parse spec {self.text!r} at position {self.pos}: {why}. {GRAMMAR_HELP}")
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.fail(f"expected {ch!r}")
-        self.pos += 1
-
-    def name(self) -> str:
-        start = self.pos
-        while self.peek().isalnum():
-            self.pos += 1
-        if self.pos == start:
-            raise self.fail("expected a family name")
-        return self.text[start:self.pos]
-
-    def number(self) -> float:
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch not in "+-.0123456789e":
-                break
-            # a bare + only continues a number after an exponent marker,
-            # otherwise it is the +1 decoration
-            if ch == "+" and self.text[self.pos - 1] != "e":
-                break
-            self.pos += 1
-        try:
-            return float(self.text[start:self.pos])
-        except ValueError:
-            raise self.fail("expected a number") from None
-
-    def build(self, *args, **kwargs) -> AlternativeSpec:
-        # surface semantic errors (arity, parameter ranges) with the same
-        # position-and-grammar context as syntax errors
-        try:
-            return AlternativeSpec(*args, **kwargs)
-        except ValueError as exc:
-            raise self.fail(str(exc)) from None
-
-    def spec(self) -> AlternativeSpec:
-        word = self.name()
-        if word == "mix":
-            self.expect("(")
-            weight = self.number()
-            self.expect(",")
-            a = self.spec()
-            self.expect(",")
-            b = self.spec()
-            self.expect(")")
-            built = self.build("mixture", mixture=(weight, a, b))
-        elif word == "z":
-            built = self.build("normal", (0.0, 1.0))
-        else:
-            family = _ALIASES.get(word, word)
-            if family not in FAMILIES or family == "mixture":
-                raise self.fail(f"unknown family {word!r}")
-            args: tuple[float, ...] = ()
-            if self.peek() == "(":
-                self.expect("(")
-                vals = [self.number()]
-                while self.peek() == ",":
-                    self.expect(",")
-                    vals.append(self.number())
-                self.expect(")")
-                args = tuple(vals)
-            built = self.build(family, args)
-        if self.text.startswith("+1", self.pos):
-            self.pos += 2
-            built = AlternativeSpec(
-                built.family, built.params, translate_by_one=True, mixture=built.mixture
-            )
-        return built
+# a number as float() reads it, with + only after the exponent's e; a name;
+# the +1 suffix; or any other single character: a bracket, a comma or junk
+_TOKEN = re.compile(
+    r"(?P<number>-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[-+]?[0-9]+)?)|(?P<name>[a-z][a-z0-9]*)|\+1|.", re.S
+)
+_EXPECTED = {"number": "a number", "name": "a family name"}
 
 
 def parse_spec(text: str) -> AlternativeSpec:
     """Parse the compact text form of an alternative spec."""
     if not text or not text.strip():
         raise ValueError(f"empty spec. {GRAMMAR_HELP}")
-    parser = _Parser(text)
-    built = parser.spec()
-    if parser.pos != len(parser.text):
-        raise parser.fail("unexpected trailing input")
+    text = text.replace(" ", "").lower()
+    # (position, token, kind): a number or a name is of its kind, anything else is its own kind
+    tokens = [(m.start(), m.group(), m.lastgroup or m.group()) for m in _TOKEN.finditer(text)]
+    tokens.append((len(text), "", "end"))
+    at = 0
+
+    def fail(why: str) -> ValueError:
+        return ValueError(f"cannot parse spec {text!r} at position {tokens[at][0]}: {why}. {GRAMMAR_HELP}")
+
+    def peek() -> str:
+        return tokens[at][2]
+
+    def take(kind: str) -> str:
+        nonlocal at
+        if peek() != kind:
+            raise fail(f"expected {_EXPECTED.get(kind, repr(kind))}")
+        at += 1
+        return tokens[at - 1][1]
+
+    def build(*args, **kwargs) -> AlternativeSpec:
+        # semantic errors (arity, parameter ranges) get the position and grammar of syntax errors
+        try:
+            return AlternativeSpec(*args, **kwargs)
+        except ValueError as exc:
+            raise fail(str(exc)) from None
+
+    def spec() -> AlternativeSpec:
+        word = take("name")
+        if word == "mix":
+            take("(")
+            weight = float(take("number"))
+            take(",")
+            a = spec()
+            take(",")
+            b = spec()
+            take(")")
+            built = build("mixture", mixture=(weight, a, b))
+        elif word == "z":
+            built = build("normal", (0.0, 1.0))
+        else:
+            family = _ALIASES.get(word, word)
+            if family not in _TABLE:
+                raise fail(f"unknown family {word!r}")
+            params = []
+            # "(" opens the list and "," continues it
+            while peek() == ("," if params else "("):
+                take(peek())
+                params.append(float(take("number")))
+            if params:
+                take(")")
+            built = build(family, tuple(params))
+        if peek() == "+1":
+            take("+1")
+            built = replace(built, translate_by_one=True)
+        return built
+
+    built = spec()
+    if peek() != "end":
+        raise fail("unexpected trailing input")
     return built

@@ -100,7 +100,7 @@ def cumulants_numeric(order: int = 512) -> CumulantSet:
     :func:`cumulants_exact` beyond the kernel itself, so agreement between
     the two validates both.
     """
-    if order < 128:
+    if not order >= 128:
         raise ValueError("order must be at least 128")
     return _power_sum_cumulants(nystrom_spectrum(order).eigenvalues)
 
@@ -231,7 +231,7 @@ def nystrom_spectrum(order: int = 512) -> NystromSpectrum:
     ``sum_k lambda_k chi2_1``, and :func:`cumulants_numeric` reads the
     limit's cumulants from their power sums.
     """
-    if order < 64:
+    if not order >= 64:
         raise ValueError("order must be at least 64")
     A = nystrom_discretize(null_kernel, gauss_legendre(order))
     eig = np.linalg.eigvalsh(A)[::-1]

@@ -54,6 +54,7 @@ def gauss_legendre(order: int) -> QuadratureRule:
 
     Exact for polynomials of degree up to ``2 * order - 1``.
     """
+    order = _integer("order", order)
     if order < 2:
         raise ValueError("order must be at least 2")
     x, w = np.polynomial.legendre.leggauss(order)

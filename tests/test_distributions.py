@@ -6,6 +6,7 @@ KS distance bound, and the CDFs carry closed-form anchors.
 
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from unigof import (
     sample,
     support,
 )
-from unigof.distributions import _ALIASES, FAMILIES, GRAMMAR_HELP, covers
+from unigof.distributions import _TABLE, FAMILIES, GRAMMAR_HELP, covers
 
 # one representative per family, plus decorated composites
 CATALOG = [
@@ -110,11 +111,23 @@ def test_laws_respect_the_declared_support(text, rng):
 
 
 def test_grammar_help_names_every_family():
-    listed = GRAMMAR_HELP.split("names: ")[1].split(";")[0]
-    named = {word for entry in listed.split(", ") for word in entry.split("(")[0].split("|")}
-    for family in set(FAMILIES) - {"mixture"}:
-        aliases = {alias for alias, target in _ALIASES.items() if target == family}
-        assert named & ({family} | aliases), family
+    # each entry is tag|alias...(params), in table order
+    listed = GRAMMAR_HELP.split("names: ")[1].split(";")[0].split(", ")
+    assert len(listed) == len(_TABLE)
+    for entry, (tag, family) in zip(listed, _TABLE.items()):
+        names, _, params = entry.partition("(")
+        assert names.split("|") == [tag, *family.aliases]
+        assert params == (f"{family.params})" if family.arity else "")
+        # every name in the entry reads back as the tag with the listed arity
+        numbers = ",".join(["0.5"] * family.arity)
+        for name in names.split("|"):
+            assert parse_spec(f"{name}({numbers})" if numbers else name).family == tag
+
+
+def test_readme_grammar_block_is_the_help():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"### Alternative grammar\n.*?```\n(.*?)```", readme, re.S).group(1)
+    assert " ".join(block.split()) == GRAMMAR_HELP.split("; example: ")[0]
 
 
 def test_sampling_is_deterministic_given_generator(rng):
@@ -127,6 +140,16 @@ def test_sampling_is_deterministic_given_generator(rng):
 def test_sample_rejects_empty(rng):
     with pytest.raises(ValueError):
         sample(spec_of("uniform"), 0, rng)
+
+
+@pytest.mark.parametrize("n", [10.5, np.nan])
+def test_sample_rejects_a_size_that_is_not_an_integer(n, rng):
+    with pytest.raises(ValueError, match="^n: expected an integer"):
+        sample(spec_of("uniform"), n, rng)
+
+
+def test_sample_takes_a_numpy_integer_size(rng):
+    assert sample(spec_of("uniform"), np.int64(5), rng).values.shape == (5,)
 
 
 # hand inversions of the stephens1-3 CDFs: the reference that the table's
@@ -516,13 +539,40 @@ class TestGrammar:
             "beta(2,,3)",
             "",
             "+1",
+            "gamma(+1)",  # a + only follows an exponent's e
+            "gamma(1e)",
+            "gamma(e+1)",
+            "gamma(1.2.3)",
+            "gamma(1-2)",
+            "gamma(1_0)",
+            "gamma(\u0661)",  # a digit, but not an ASCII one
+            "gamma(inf)",
+            "gamma(1)+1+1",
+            "gamma(1)+10",
+            "gamma(1)+",
+            "u()",
+            "z(1)",
+            "mix(0.5,u,u",
+            "mix(0.5,u,u,u)",
+            "gamma(1)\tx",
         ],
     )
     def test_parse_errors_carry_position_and_grammar(self, text):
         with pytest.raises(ValueError) as err:
             parse_spec(text)
-        msg = str(err.value)
-        assert "cannot parse spec" in msg or "spec :=" in msg
+        form = r"(cannot parse spec .+ at position \d+: .+|empty spec)\. "
+        assert re.fullmatch(form + re.escape(GRAMMAR_HELP), str(err.value))
+
+    @pytest.mark.parametrize("text, want", [
+        ("gamma(1e+1)", "gamma(10)"),
+        ("gamma(.5)", "gamma(0.5)"),
+        ("gamma(5.)", "gamma(5)"),
+        ("n(-.5,1)", "normal(-0.5,1)"),
+        ("mix(1e-1,z,u+1)+1", "mix(0.1,normal(0,1),uniform+1)+1"),
+        ("S1 ( 2 )", "stephens1(2)"),
+    ])
+    def test_number_and_suffix_forms(self, text, want):
+        assert parse_spec(text).label() == want
 
     def test_error_message_shows_grammar(self):
         with pytest.raises(ValueError, match="spec :="):

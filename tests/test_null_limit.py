@@ -127,6 +127,13 @@ class TestCumulants:
         with pytest.raises(ValueError):
             cumulants_numeric(order=64)
 
+    @pytest.mark.parametrize(
+        "order, message", [(128.5, "order: expected an integer"), (np.nan, "order must be at least 128")]
+    )
+    def test_numeric_rejects_an_order_that_is_not_an_integer(self, order, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            cumulants_numeric(order)
+
 
 # ---------------------------------------------------------------------------
 # finite-n null moments: E T_n is the limit's k1 at every n, and
@@ -385,3 +392,10 @@ class TestSpectrum:
     def test_rejects_low_order(self):
         with pytest.raises(ValueError):
             nystrom_spectrum(order=32)
+
+    @pytest.mark.parametrize(
+        "order, message", [(100.5, "order: expected an integer"), (np.nan, "order must be at least 64")]
+    )
+    def test_rejects_an_order_that_is_not_an_integer(self, order, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            nystrom_spectrum(order)

@@ -46,6 +46,11 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             gauss_legendre(1)
 
+    @pytest.mark.parametrize("order", [2.5, np.nan])
+    def test_order_that_is_not_an_integer_rejected(self, order):
+        with pytest.raises(ValueError, match="^order: expected an integer"):
+            gauss_legendre(order)
+
 
 class TestQuadratureRuleValidation:
     def test_rejects_decreasing_nodes(self):
