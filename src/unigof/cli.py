@@ -242,6 +242,10 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+_WORKERS_HELP = ("processes that run the study's cells; with 1, the default, its (cell, chunk) tasks run on "
+                 "every core, while each pool worker uses one thread; the output is the same for any count")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unigof",
@@ -266,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_test.add_argument("--reps", type=int, default=20000, help="replications for --critvals mc")
     p_test.add_argument("--seed", type=int, default=0)
-    p_test.add_argument("--workers", type=int, default=1)
+    p_test.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_test.set_defaults(func=_cmd_test)
 
     p_crit = sub.add_parser("critval", help="tabulate Monte Carlo critical values")
@@ -276,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.add_argument("--tests", type=_list_of(str), default="tm")
     p_crit.add_argument("--reps", type=int, default=100000)
     p_crit.add_argument("--seed", type=int, default=0)
-    p_crit.add_argument("--workers", type=int, default=1)
+    p_crit.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_crit.add_argument("--out", help="write the study CSV here")
     p_crit.add_argument("--table", action="store_true", help="also print a formatted table")
     p_crit.set_defaults(func=_cmd_critval)
@@ -292,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replications for simulated critical values; only used without --critvals")
     p_pow.add_argument("--critvals", help="reuse critical values from this study CSV")
     p_pow.add_argument("--seed", type=int, default=0)
-    p_pow.add_argument("--workers", type=int, default=1)
+    p_pow.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_pow.add_argument("--out", help="write the study CSV here")
     p_pow.add_argument("--table", action="store_true")
     p_pow.set_defaults(func=_cmd_power)
@@ -303,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--alpha", type=float, default=0.05)
     p_curve.add_argument("--reps", type=int, default=2000)
     p_curve.add_argument("--seed", type=int, default=0)
-    p_curve.add_argument("--workers", type=int, default=1)
+    p_curve.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_curve.add_argument("--out", help="write the curve CSV here")
     p_curve.set_defaults(func=_cmd_curve, tests=("tm",))
 

@@ -23,8 +23,6 @@ one a single (B, n) draw would give, whatever the core count.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral
@@ -34,7 +32,7 @@ import numpy as np
 
 from .classical import batch_statistic, check_test_id
 from .numerics import normal_cdf
-from .statistic import _BLOCK_VALUES, Sample, UnitSample
+from .statistic import _BLOCK_VALUES, Sample, UnitSample, _on_every_core
 
 __all__ = [
     "CompositeFamily",
@@ -208,13 +206,6 @@ def check_sample_size(tag: str, n: int) -> None:
         )
 
 
-def _cores() -> int:
-    """The number of cores this process may run on: its CPU affinity where the OS reports one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 @dataclass(frozen=True)
 class BootstrapResult:
     p_value: float
@@ -242,16 +233,14 @@ def bootstrap_pvalue(
     convention (1 + exceedances) / (B + 1), which is valid at any finite B.
     ``kind`` and ``B`` are checked before the fit.
 
-    The replicates stream in blocks of ``max(1, 2^15 // n)`` rows, scored
-    on one thread per core the process may run on (at most one per block).
-    A thread takes the next block and draws it from ``rng`` under one lock,
-    so block k is always the k-th draw of the stream, then transforms and
-    scores it outside the lock and adds its exceedances to its own count.
-    Memory is O(cores x block), not O(B n). The fitted samplers are
-    stream-sequential, so the p-value and the final state of ``rng`` are
-    those of one (B, n) draw for any core count; there is no worker knob,
-    since the process's CPU affinity (``taskset``) already sets the count
-    and the count cannot change the result. Every replicate counts: an
+    The replicates stream in blocks of ``max(1, 2^15 // n)`` rows through
+    the scheduler that Monte Carlo cells share: block k is the k-th draw
+    from ``rng``, taken under one lock, and is transformed and scored on one
+    of the threads, one per core the process may run on. Memory is
+    O(cores x block), not O(B n). The fitted samplers are stream-sequential,
+    so the p-value and the final state of ``rng`` are those of one (B, n)
+    draw for any core count; the process's CPU affinity (``taskset``) sets
+    the count, and there is no worker knob. Every replicate counts: an
     infinite statistic is an exceedance, and a degenerate fit is the
     family's error, as in a Monte Carlo cell, counted over the rows of the
     earliest block that met it. After an error no further block is drawn,
@@ -272,38 +261,12 @@ def bootstrap_pvalue(
     observed = float(batch_statistic(kind, family.transform(v))[0])
 
     step = max(1, _BLOCK_VALUES // n)
-    starts = iter(range(0, B, step))
-    lock = threading.Lock()
     counts: list[int] = []
-    errors: dict[int, Exception] = {}
 
-    def score_blocks() -> None:
-        exceed = 0
-        while True:
-            try:
-                with lock:
-                    start = None if errors else next(starts, None)
-                    if start is None:
-                        break
-                    X = family.sample_fitted(params, (min(step, B - start), n), rng)
-                U = family.transform_rows(X)
-                exceed += int(np.count_nonzero(batch_statistic(kind, U) >= observed))
-            except Exception as err:
-                with lock:
-                    errors[start] = err
-                break
-        counts.append(exceed)
+    def score(start: int, X: np.ndarray) -> None:
+        counts.append(int(np.count_nonzero(batch_statistic(kind, family.transform_rows(X)) >= observed)))
 
-    helpers = [threading.Thread(target=score_blocks) for _ in range(min(_cores(), -(-B // step)) - 1)]
-    for thread in helpers:
-        thread.start()
-    try:
-        score_blocks()
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
+    _on_every_core(range(0, B, step), lambda start: family.sample_fitted(params, (min(step, B - start), n), rng), score)
     return BootstrapResult(
         p_value=(1.0 + sum(counts)) / (B + 1.0),
         replications=B,

@@ -82,6 +82,11 @@ _HALF_LINE = (0.0, np.inf)
 _LINE = (-np.inf, np.inf)
 
 
+def _number(v: float) -> str:
+    """``v`` as ``:g`` writes it where that reads back exactly, else its shortest exact form."""
+    return f"{v:g}" if float(f"{v:g}") == v else repr(v)
+
+
 def _positive(p: Params) -> bool:
     return all(v > 0.0 for v in p)
 
@@ -109,7 +114,8 @@ def _truncnormal(p: Params):
     """
     mu, sigma = p[0], np.sqrt(p[1])
     s = -1.0 if mu < 0.0 else 1.0
-    return mu, sigma, s, normal_cdf(s * (-mu / sigma)), normal_cdf(s * ((1.0 - mu) / sigma))
+    with np.errstate(over="ignore"):  # an end more than ~1e308 SDs out is at -inf or inf, where the CDF is exact
+        return mu, sigma, s, normal_cdf(s * (-mu / sigma)), normal_cdf(s * ((1.0 - mu) / sigma))
 
 
 def _truncnormal_valid(p: Params) -> bool:
@@ -272,9 +278,9 @@ class AlternativeSpec:
     def label(self) -> str:
         if self.family == "mixture":
             p, a, b = self.mixture
-            core = f"mix({p:g},{a.label()},{b.label()})"
+            core = f"mix({_number(p)},{a.label()},{b.label()})"
         elif self.params:
-            core = f"{self.family}({','.join(f'{v:g}' for v in self.params)})"
+            core = f"{self.family}({','.join(map(_number, self.params))})"
         else:
             core = self.family
         return core + ("+1" if self.translate_by_one else "")
@@ -382,7 +388,7 @@ def parse_spec(text: str) -> AlternativeSpec:
     """Parse the compact text form of an alternative spec."""
     if not text or not text.strip():
         raise ValueError(f"empty spec. {GRAMMAR_HELP}")
-    text = text.replace(" ", "").lower()
+    text = "".join(text.split()).lower()
     # (position, token, kind): a number or a name is of its kind, anything else is its own kind
     tokens = [(m.start(), m.group(), m.lastgroup or m.group()) for m in _TOKEN.finditer(text)]
     tokens.append((len(text), "", "end"))

@@ -6,15 +6,15 @@ are evaluated on the same simulated draws within a cell, exactly as a
 simulation study would share them. There is one kind of cell: a
 critical-value study's one "alternative" is the null itself, and its cells
 reduce each statistic to quantiles, while power and power-curve cells
-count exceedances of given critical values. Cells are independent tasks,
-so the engine parallelises across cells, never inside one; a power curve's
-sizes are cells too.
+count exceedances of given critical values; a power curve's sizes are
+cells too. In one process a study's (cell, chunk) tasks run on every core;
+a pool of ``workers`` processes runs each cell on one thread.
 
 Reproducibility discipline: a cell's replications run in chunks of
 ``_CHUNK`` rows, and each chunk draws its block from one substream seeded
 by (master_seed, cell_salt, chunk_start), where the cell salt is a stable
 hash of the cell's identity. Results are therefore bit-identical for a
-fixed master seed no matter how many workers run the study or in which
+fixed master seed whatever the core or worker count and in whichever
 order cells and chunks are evaluated. This is ``STREAM_SCHEME`` 2; scheme
 1 seeded one substream per replication, so its numbers differ.
 """
@@ -22,9 +22,11 @@ order cells and chunks are evaluated. This is ``STREAM_SCHEME`` 2; scheme
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .power_theory import (
     spec_from_density,
     uniform_theory_spec,
 )
-from .statistic import UnitRows
+from .statistic import _BLOCK_VALUES, UnitRows, _on_every_core
 
 __all__ = [
     "StudyConfig",
@@ -189,72 +191,82 @@ def _quantile_se(sorted_vals: np.ndarray, p: float) -> float:
     return float(0.5 * (hi - lo))
 
 
-def _unit_chunk(
-    family: str, alt: AlternativeSpec | None, n: int, salt: int, seed: int, start: int, count: int
-) -> np.ndarray:
-    """Unit-interval rows ``start .. start + count - 1`` of one cell.
+def _score_chunk(stats: dict, family: str, alt: AlternativeSpec | None, n: int, salt: int, seed: int, start: int):
+    """Score the chunk at row ``start`` of a cell into the cell's ``stats``, one array per test.
 
-    The whole ``(count, n)`` block comes from one call on the substream
-    ``(seed, salt, start)``: from ``alt`` (an i.i.d. flat draw, reshaped),
-    or from the null's standard member when ``alt`` is None. Composite
-    families then transform every row by its own fitted parameters.
+    The chunk is one draw on the substream ``(seed, salt, start)``, from
+    ``alt`` (flat, reshaped) or from the null's standard member when ``alt``
+    is None, scored in row blocks of ``_BLOCK_VALUES // n`` rows: a composite
+    family transforms each row by its own fitted parameters, and each block
+    is sorted once for all tests.
     """
+    count = min(_CHUNK, len(next(iter(stats.values()))) - start)
     composite = COMPOSITE_FAMILIES.get(family)  # None for the uniform null
     rng = rng_substream(seed, salt, start)
     if alt is not None:
-        raw = sample(alt, count * n, rng).values.reshape(count, n)
-    elif composite is None:
-        raw = rng.random((count, n))
+        X = sample(alt, count * n, rng).values.reshape(count, n)
     else:
-        raw = composite.sample_standard((count, n), rng)
-    return raw if composite is None else composite.transform_rows(raw)
+        X = rng.random((count, n)) if composite is None else composite.sample_standard((count, n), rng)
+    step = max(1, _BLOCK_VALUES // n)
+    for i in range(0, count, step):
+        block = X[i:i + step]
+        rows = UnitRows(block if composite is None else composite.transform_rows(block))
+        for t, values in stats.items():
+            values[start + i:start + i + len(block)] = batch_statistic(t, rows)
 
 
-def _cell_statistics(
-    seed: int, salt: int, family: str, alt: AlternativeSpec | None, n: int, tests, reps: int
-) -> dict[str, np.ndarray]:
-    """Every requested statistic on the ``reps`` rows of one cell; each chunk is sorted once."""
-    stats = {t: np.empty(reps) for t in tests}
-    for start in range(0, reps, _CHUNK):
-        count = min(_CHUNK, reps - start)
-        rows = UnitRows(_unit_chunk(family, alt, n, salt, seed, start, count))
-        for t in tests:
-            stats[t][start:start + count] = batch_statistic(t, rows)
-    return stats
-
-
-def _cell(task) -> list[CellResult]:
+def _reduce(config: StudyConfig, label: str, n: int, stats: dict, cv_map) -> list[CellResult]:
     """One cell's rows: null quantiles when ``cv_map`` is None, else rejection rates."""
-    config, salt_prefix, alt, n, cv_map = task
-    label = config.family if alt is None else alt.label()
     seed, reps = config.master_seed, config.replications
-    salt = _cell_salt(*salt_prefix, label, n)
-    stats = _cell_statistics(seed, salt, config.family, alt, n, config.tests, reps)
     rows = []
-    for t in config.tests:
+    for t, values in stats.items():
         if cv_map is None:
-            ordered = np.sort(stats[t])
+            values.sort()  # the cell's own array, dropped after this
         for a in config.alphas:
             if cv_map is None:
-                estimate, se = _quantile_sorted(ordered, 1.0 - a), _quantile_se(ordered, 1.0 - a)
+                estimate, se = _quantile_sorted(values, 1.0 - a), _quantile_se(values, 1.0 - a)
             else:
-                estimate = int(np.count_nonzero(stats[t] > cv_map[(t, n, a)])) / reps
+                estimate = int(np.count_nonzero(values > cv_map[(t, n, a)])) / reps
                 se = float(np.sqrt(estimate * (1.0 - estimate) / reps))
             rows.append(CellResult(t, label, n, a, estimate, se, reps, seed))
     return rows
 
 
-def _run_cells(config: StudyConfig, salt_prefix: tuple, cv_map: dict | None = None) -> list[CellResult]:
-    # a critical-value study's one "alternative" is the null itself (None,
-    # labelled by the family); the salt prefix names the study kind
-    alts = config.alternatives or (None,)
-    tasks = [(config, salt_prefix, alt, n, cv_map) for alt in alts for n in config.sizes]
-    if config.workers == 1 or len(tasks) <= 1:
-        results = [_cell(t) for t in tasks]
-    else:
+def _run_cells(config: StudyConfig, salt_prefix: tuple, cv_map: dict | None = None, threads: int | None = None):
+    """The rows of every (alternative, n) cell, from its (cell, chunk) tasks in cell order.
+
+    A critical-value study's one "alternative" is the null (None, labelled by the family); the salt prefix
+    names the study kind. In one process the tasks run on ``threads`` threads (one per core unless given),
+    and a cell's arrays live from its first chunk's take to its last one's end; a pool runs each cell alone.
+    """
+    cells = [(alt, n) for alt in config.alternatives or (None,) for n in config.sizes]
+    if config.workers > 1 and len(cells) > 1:
+        alone = [replace(config, alternatives=(alt,) if alt else (), sizes=(n,), workers=1) for alt, n in cells]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_cell, tasks))
-    return [row for cell_rows in results for row in cell_rows]
+            runs = pool.map(partial(_run_cells, salt_prefix=salt_prefix, cv_map=cv_map, threads=1), alone)
+            return [row for rows in runs for row in rows]
+    reps, chunks = config.replications, range(0, config.replications, _CHUNK)
+    live, left, results, lock = {}, [len(chunks)] * len(cells), [None] * len(cells), threading.Lock()
+
+    def take(task) -> dict:
+        k, start = task
+        if start == 0:
+            live[k] = {t: np.empty(reps) for t in config.tests}
+        return live.pop(k) if start == chunks[-1] else live[k]
+
+    def score(task, stats: dict) -> None:
+        k, start = task
+        alt, n = cells[k]
+        label = config.family if alt is None else alt.label()
+        _score_chunk(stats, config.family, alt, n, _cell_salt(*salt_prefix, label, n), config.master_seed, start)
+        with lock:
+            left[k] -= 1
+            last = not left[k]
+        if last:
+            results[k] = _reduce(config, label, n, stats, cv_map)
+
+    _on_every_core([(k, start) for k in range(len(cells)) for start in chunks], take, score, threads)
+    return [row for rows in results for row in rows]
 
 
 def estimate_critical_values(config: StudyConfig) -> StudyResult:

@@ -18,6 +18,9 @@ serve as mutual oracles in the test-suite.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +114,43 @@ def by_blocks(kernel, V: np.ndarray) -> np.ndarray:
     if V.shape[0] <= step:
         return kernel(V)
     return np.concatenate([kernel(V[i:i + step]) for i in range(0, V.shape[0], step)])
+
+
+def _cores() -> int:
+    """The number of cores this process may run on: its CPU affinity where the OS reports one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _on_every_core(items, take, work, threads: int | None = None) -> None:
+    """Call ``work(item, take(item))`` for each item, on ``threads`` threads or one per core.
+
+    Items go out in order under one lock, and ``take`` runs inside it, so the k-th ``take`` is the k-th item's;
+    ``work`` runs outside it, on the caller and ``min(threads, len(items)) - 1`` helper threads. After a failure
+    no item goes out; all threads are joined, and then the error of the earliest failing item is raised.
+    """
+    queue, lock, errors = iter(enumerate(items)), threading.Lock(), {}
+
+    def run() -> None:
+        try:
+            while True:
+                with lock:
+                    k, item = (None, None) if errors else next(queue, (None, None))
+                    if k is None:
+                        return
+                    taken = take(item)
+                work(item, taken)
+        except BaseException as err:  # an interrupt too stops the hand-out, and is raised below
+            with lock:
+                errors[k] = err
+
+    helpers = min(threads or _cores(), len(items)) - 1
+    with ThreadPoolExecutor(max(helpers, 1)) as pool:  # joins its threads on the way out
+        futures = [pool.submit(run) for _ in range(helpers)]
+        run()
+    for future in futures:
+        future.result()
+    if errors:
+        raise errors[min(errors)]
 
 
 def _tm_rows(V: np.ndarray) -> np.ndarray:

@@ -16,6 +16,9 @@ from pathlib import Path
 import pytest
 
 import unigof
+from unigof import statistic
+from unigof.mc import _CHUNK
+from unigof.statistic import _BLOCK_VALUES
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 # hooks the tracer still lists for `mc`, which no longer imports these names
@@ -68,9 +71,18 @@ def test_tracer_hooks_exist_and_are_removed():
         assert not changed, f"left behind: {changed}"
 
 
-def test_tracer_sees_each_kind_once_per_chunk():
+def _blocks(n, reps):
+    # the engine's row blocks per cell: each chunk of _CHUNK rows is scored in
+    # blocks of _BLOCK_VALUES // n rows
+    step = max(1, _BLOCK_VALUES // n)
+    return sum(-(-min(_CHUNK, reps - start) // step) for start in range(0, reps, _CHUNK))
+
+
+def test_tracer_sees_each_kind_once_per_chunk(monkeypatch):
     # the traced run times each statistic at the engine's `batch_statistic`
-    # call, one span per test and chunk, with the chunk's rows
+    # call, one span per test and row block, with the block's rows; the
+    # tracer keeps one span stack, so the study runs on one thread
+    monkeypatch.setattr(statistic, "_cores", lambda: 1)
     tracing = _load("tracing")
     tracer = tracing.Tracer()
     config = unigof.StudyConfig(
@@ -89,15 +101,17 @@ def test_tracer_sees_each_kind_once_per_chunk():
     finally:
         tracer.remove()
     summary = tracer.summary()
+    assert _blocks(10, 5000) == 3  # chunks of 4096 and 904 rows, blocks of 3276
     for kind in unigof.CLASSICAL_KINDS + ("tm",):
-        assert summary[f"classical.{kind}"]["calls"] == 2, kind
+        assert summary[f"classical.{kind}"]["calls"] == _blocks(10, 5000), kind
         assert summary[f"classical.{kind}"]["rows"] == 5000, kind
     assert summary["statistic.tm_statistic_batch"]["rows"] == 5000
 
 
-def test_tracer_sees_each_power_chunk_once():
+def test_tracer_sees_each_power_chunk_once(monkeypatch):
     # a normal-null power cell of two chunks: each statistic is timed once per
-    # chunk, and the engine transforms every drawn row exactly once
+    # row block, and the engine transforms every drawn row exactly once
+    monkeypatch.setattr(statistic, "_cores", lambda: 1)
     tracing = _load("tracing")
     tracer = tracing.Tracer()
     fields = dict(tests=unigof.TEST_IDS, family="normal", sizes=(10,), alphas=(0.05,), master_seed=1)
@@ -114,7 +128,7 @@ def test_tracer_sees_each_power_chunk_once():
         tracer.remove()
     summary = tracer.summary()
     for kind in unigof.CLASSICAL_KINDS + ("tm",):
-        assert summary[f"classical.{kind}"]["calls"] == 2, kind
+        assert summary[f"classical.{kind}"]["calls"] == _blocks(10, 5000), kind
         assert summary[f"classical.{kind}"]["rows"] == 5000, kind
-    assert summary["composite.transform_rows"]["calls"] == 2
+    assert summary["composite.transform_rows"]["calls"] == _blocks(10, 5000)
     assert summary["composite.transform_rows"]["rows"] == 5000

@@ -18,7 +18,7 @@ from unigof import (
     transform_normal,
     transform_pareto,
 )
-from unigof import composite
+from unigof import composite, statistic
 from unigof.composite import FAMILIES
 from unigof.numerics import normal_cdf
 from unigof.statistic import _BLOCK_VALUES
@@ -320,7 +320,7 @@ def test_streamed_bootstrap_equals_one_whole_draw(tag, kind, n, B, blocks, monke
     data = np.random.default_rng(n)
     x = data.normal(3.0, 2.0, n) if tag == "normal" else (1.0 - data.random(n)) ** -0.5
     for cores in (1, 2, 3):
-        monkeypatch.setattr(composite, "_cores", lambda: cores)
+        monkeypatch.setattr(statistic, "_cores", lambda: cores)
         streamed_rng, whole_rng = np.random.default_rng(21), np.random.default_rng(21)
         out = bootstrap_pvalue(tag, kind, x, B, streamed_rng)
         p_value, observed = _bootstrap_reference(tag, kind, x, B, whole_rng)
@@ -332,7 +332,7 @@ def test_streamed_bootstrap_equals_one_whole_draw(tag, kind, n, B, blocks, monke
 def test_bootstrap_threads_lose_no_draw_or_count_under_fast_switching(monkeypatch):
     # eight threads on 99 one-row blocks, switching as often as the interpreter
     # allows: a block drawn out of order or a lost count would move the p-value
-    monkeypatch.setattr(composite, "_cores", lambda: 8)
+    monkeypatch.setattr(statistic, "_cores", lambda: 8)
     n, B = _BLOCK_VALUES + 1, 99
     x = np.random.default_rng(n).normal(3.0, 2.0, n)
     interval = sys.getswitchinterval()
@@ -380,7 +380,7 @@ def test_the_earliest_failing_block_raises_whatever_the_core_count(monkeypatch):
     normal, messages = FAMILIES["normal"], []
     threads = threading.active_count()
     for cores in (1, 3):
-        monkeypatch.setattr(composite, "_cores", lambda: cores)
+        monkeypatch.setattr(statistic, "_cores", lambda: cores)
         degenerate = _degenerate_in_blocks(normal, {2: 4, 4: 9}, hold=(2, 4) if cores > 1 else None)
         monkeypatch.setitem(FAMILIES, "normal", degenerate)
         with pytest.raises(ValueError, match=r"^the normal fit is degenerate in 4 of 163 samples$") as err:

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from unigof import (
@@ -51,6 +53,24 @@ CATALOG = [
 
 def spec_of(text: str) -> AlternativeSpec:
     return parse_spec(text)
+
+
+_NUMBERS = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def random_specs(draw, depth: int = 0) -> AlternativeSpec:
+    """Any valid spec: a family with arbitrary finite parameters, or a mixture two deep, each maybe +1."""
+    shift = draw(st.booleans())
+    if depth < 2 and draw(st.integers(0, 3)) == 0:
+        parts = (draw(st.floats(0.0, 1.0)), draw(random_specs(depth + 1)), draw(random_specs(depth + 1)))
+        return AlternativeSpec("mixture", mixture=parts, translate_by_one=shift)
+    family = draw(st.sampled_from(sorted(_TABLE)))
+    params = tuple(draw(_NUMBERS) for _ in range(_TABLE[family].arity))
+    try:
+        return AlternativeSpec(family, params, translate_by_one=shift)
+    except ValueError:
+        assume(False)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +401,7 @@ class TestSpecValidation:
         ("tn(-4,0.01)", "truncnormal(-4,0.01)"),
         ("tn(5,0.01)", "truncnormal(5,0.01)"),
         ("mix(0.5,u,tn(-4,0.01))", "truncnormal(-4,0.01)"),
+        ("tn(1.5e308,0.5)", "truncnormal(1.5e+308,0.5)"),  # the ends' z-scores overflow to -inf
     ])
     def test_truncnormal_without_mass_on_the_interval_rejected(self, text, label):
         # [0, 1] lies 40 to 50 SDs from the mean, so its normal mass
@@ -516,7 +537,29 @@ class TestGrammar:
         assert parse_spec("chi2(5)") == parse_spec("chisq(5)")
 
     def test_whitespace_and_case_insensitive(self):
-        assert parse_spec("Beta( 2 , 3 )") == parse_spec("beta(2,3)")
+        for text in ("Beta( 2 , 3 )", "beta(2,3)\n", "beta(2,\t3)", " beta(2,\r\n3) "):
+            assert parse_spec(text) == parse_spec("beta(2,3)"), repr(text)
+
+    @given(spec=random_specs())
+    def test_every_label_round_trips(self, spec):
+        assert parse_spec(spec.label()) == spec
+
+    def test_labels_keep_every_digit(self):
+        assert parse_spec("gamma(0.1234567)+1").label() == "gamma(0.1234567)+1"
+        assert parse_spec("gamma(0.1234568)+1").label() == "gamma(0.1234568)+1"
+        assert parse_spec("mix(0.30000000000000004,u,z)").label() == "mix(0.30000000000000004,uniform,normal(0,1))"
+        assert parse_spec("gamma(123456789)").label() == "gamma(123456789.0)"
+
+    # labels that README, the benchmark and the examples print: a number that
+    # reads back from its %g form keeps that form, so none of them (and no
+    # cell salt hashed from one) changes
+    @pytest.mark.parametrize("label", [
+        "beta(2,3)", "beta(2,2)", "kumaraswamy(1.5,2.5)", "gamma(2)", "gamma(0.7)+1", "gamma(0.8)+1",
+        "normal(0,1)", "normal(3,9)", "chisq(5)", "mix(0.5,normal(0,1),normal(1,9))", "weibull(0.7)+1",
+        "pareto(2)", "truncnormal(0.25,0.5)", "gamma(1e-300)", "normal(-0.5,1)", "mix(0.1,normal(0,1),uniform+1)+1",
+    ])
+    def test_documented_labels_are_unchanged(self, label):
+        assert parse_spec(label).label() == label
 
     def test_translation_suffix(self):
         spec = parse_spec("gamma(0.8)+1")

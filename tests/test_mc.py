@@ -4,6 +4,10 @@ Determinism is the load-bearing property here, so several tests compare
 byte-level CSV output across runs and worker counts.
 """
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -34,10 +38,11 @@ from unigof import (
     uniform_theory_spec,
     write_study_csv,
 )
-from unigof import mc
+from unigof import mc, statistic
+from unigof.composite import FAMILIES as COMPOSITE_FAMILIES
 from unigof.distributions import FAMILIES
-from unigof.mc import _CHUNK, NULL_FAMILIES, _cell_salt, _cell_statistics, _quantile_sorted, _unit_chunk, theory_spec_for
-from unigof.statistic import UnitRows
+from unigof.mc import _CHUNK, NULL_FAMILIES, _cell_salt, _quantile_sorted, _score_chunk, theory_spec_for
+from unigof.statistic import _BLOCK_VALUES, UnitRows
 
 
 def critval_config(**kw):
@@ -525,6 +530,77 @@ def test_each_study_kind_keeps_its_stream_salts(workers):
 # determinism across workers
 
 
+def test_core_count_does_not_change_bytes(tmp_path, monkeypatch):
+    # cells of two chunks, so the (cell, chunk) tasks of a study interleave
+    # on 1, 2 or 3 threads; workers = 2 runs each cell in a one-thread process
+    reps = _CHUNK + 300
+    base = dict(family="normal", tests=("tm", "ks"), sizes=(5, 9), alphas=(0.1, 0.05), replications=reps)
+    alts = (parse_spec("chisq(5)"), parse_spec("t(3)"))
+    outputs = set()
+    threads = threading.active_count()
+    for cores, workers in ((1, 1), (2, 1), (3, 1), (1, 2)):
+        monkeypatch.setattr(statistic, "_cores", lambda: cores)
+        cv = estimate_critical_values(critval_config(workers=workers, **base))
+        write_study_csv(cv, tmp_path / "cv.csv")
+        write_study_csv(estimate_power(critval_config(mode="power", alternatives=alts, workers=workers, **base), cv),
+                        tmp_path / "power.csv")
+        run_power_curve(critval_config(
+            mode="power_curve", tests=("tm",), alternatives=(parse_spec("beta(2,2)"),), sizes=(10, 20, 30),
+            alphas=(0.05,), replications=reps, workers=workers,
+        )).write_csv(tmp_path / "curve.csv")
+        outputs.add(b"".join((tmp_path / name).read_bytes() for name in ("cv.csv", "power.csv", "curve.csv")))
+        assert threading.active_count() == threads
+    assert len(outputs) == 1
+
+
+def test_cell_threads_lose_no_chunk_under_fast_switching(monkeypatch):
+    # eight threads on three cells of four chunks, switching as often as the
+    # interpreter allows: a lost countdown would leave a cell unreduced, and a
+    # chunk written to the wrong cell would move its quantiles
+    config = critval_config(tests=("tm",), sizes=(3, 4, 5), replications=3 * _CHUNK + 7)
+    expected = estimate_critical_values(config).rows
+    monkeypatch.setattr(statistic, "_cores", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = estimate_critical_values(config).rows
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows == expected
+
+
+def test_the_earliest_failing_cell_raises_whatever_the_core_count(monkeypatch):
+    # gamma(0.001) draws underflow to exact zeros, so both cells, n = 3 and
+    # n = 4, hold degenerate rows; with two or more threads the n = 3 cell
+    # is transformed only once the n = 4 cell has failed, and still only the
+    # n = 3 cell's error may come out
+    fields = dict(family="normal", tests=("tm",), alphas=(0.05,), replications=200)
+    config = critval_config(mode="power", alternatives=(parse_spec("gamma(0.001)"),), sizes=(3, 4), **fields)
+    cv = estimate_critical_values(critval_config(sizes=(3, 4), **fields))
+    normal, threads = COMPOSITE_FAMILIES["normal"], threading.active_count()
+    with pytest.raises(ValueError, match=r"^the normal fit is degenerate") as later:
+        estimate_power(dataclasses.replace(config, sizes=(4,)), cv)
+    messages = set()
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(statistic, "_cores", lambda: cores)
+        failed = threading.Event()
+
+        def transform_rows(X):
+            if X.shape[1] == 3 and cores > 1:
+                failed.wait(timeout=10.0)
+            try:
+                return normal.transform_rows(X)
+            finally:
+                failed.set()
+
+        monkeypatch.setitem(COMPOSITE_FAMILIES, "normal", dataclasses.replace(normal, transform_rows=transform_rows))
+        with pytest.raises(ValueError, match=r"^the normal fit is degenerate in \d+ of 200 samples$") as err:
+            estimate_power(config, cv)
+        messages.add(str(err.value))
+        assert threading.active_count() == threads
+    assert len(messages) == 1 and str(later.value) not in messages
+
+
 def test_worker_count_does_not_change_bytes(tmp_path):
     rows = {}
     for workers in (1, 3):
@@ -558,19 +634,53 @@ def _case(family, alt):
     return family, None if alt is None else parse_spec(alt)
 
 
+def _unit_chunk(family, alt, n, salt, seed, start, count):
+    # the stream rule, restated: a chunk's rows are one draw on the substream
+    # (seed, salt, start), from the alternative or the null's standard
+    # member; a composite null then transforms the whole chunk
+    rng = rng_substream(seed, salt, start)
+    composite = COMPOSITE_FAMILIES.get(family)
+    if alt is not None:
+        X = sample(alt, count * n, rng).values.reshape(count, n)
+    else:
+        X = rng.random((count, n)) if composite is None else composite.sample_standard((count, n), rng)
+    return X if composite is None else composite.transform_rows(X)
+
+
+def _cell_statistics(seed, salt, family, alt, n, tests, reps):
+    # the reference: every chunk drawn, transformed, sorted and scored whole
+    stats = {t: np.empty(reps) for t in tests}
+    for start in range(0, reps, _CHUNK):
+        rows = UnitRows(_unit_chunk(family, alt, n, salt, seed, start, min(_CHUNK, reps - start)))
+        for t in tests:
+            stats[t][start:start + _CHUNK] = batch_statistic(t, rows)
+    return stats
+
+
+def _engine_statistics(seed, salt, family, alt, n, tests, reps):
+    # the engine's chunk task on every chunk of one cell, in order, on this thread
+    stats = {t: np.empty(reps) for t in tests}
+    for start in range(0, reps, _CHUNK):
+        _score_chunk(stats, family, alt, n, salt, seed, start)
+    return stats
+
+
 @pytest.mark.parametrize("family, alt", _CHUNK_CASES)
 def test_unit_chunk_is_a_pure_function(family, alt):
+    # the engine's chunk task depends on its arguments only
     family, alt = _case(family, alt)
-    first = _unit_chunk(family, alt, 9, 123, 7, _CHUNK, 7)
-    _unit_chunk(family, alt, 9, 124, 7, 0, 5)
-    np.testing.assert_array_equal(first, _unit_chunk(family, alt, 9, 123, 7, _CHUNK, 7))
+    first = _engine_statistics(7, 123, family, alt, 9, ("tm", "ks"), _CHUNK + 7)
+    _engine_statistics(7, 124, family, alt, 9, ("tm", "ks"), 5)
+    again = _engine_statistics(7, 123, family, alt, 9, ("tm", "ks"), _CHUNK + 7)
+    for t in ("tm", "ks"):
+        np.testing.assert_array_equal(first[t], again[t])
 
 
 @pytest.mark.parametrize("family, alt", _CHUNK_CASES)
 def test_longer_cell_shares_its_leading_chunk(family, alt):
     family, alt = _case(family, alt)
-    short = _cell_statistics(7, 123, family, alt, 9, ("tm", "ks"), _CHUNK)
-    longer = _cell_statistics(7, 123, family, alt, 9, ("tm", "ks"), _CHUNK + 5)
+    short = _engine_statistics(7, 123, family, alt, 9, ("tm", "ks"), _CHUNK)
+    longer = _engine_statistics(7, 123, family, alt, 9, ("tm", "ks"), _CHUNK + 5)
     for t in ("tm", "ks"):
         np.testing.assert_array_equal(longer[t][:_CHUNK], short[t])
 
@@ -583,8 +693,11 @@ def test_each_chunk_is_checked_and_sorted_once(monkeypatch):
         return UnitRows(U)
 
     monkeypatch.setattr(mc, "UnitRows", counting)
-    _cell_statistics(7, 123, "normal", None, 9, TEST_IDS, 2 * _CHUNK + 5)
-    assert built == [(_CHUNK, 9), (_CHUNK, 9), (5, 9)]
+    _engine_statistics(7, 123, "normal", None, 9, TEST_IDS, 2 * _CHUNK + 5)
+    # each chunk is sorted in row blocks of _BLOCK_VALUES // n rows, once for all ten tests
+    step = _BLOCK_VALUES // 9
+    assert built == [(min(step, count - i), 9) for count in (_CHUNK, _CHUNK, 5) for i in range(0, count, step)]
+    assert len(built) == 5
 
 
 @settings(max_examples=20, deadline=None)
@@ -596,7 +709,7 @@ def test_each_chunk_is_checked_and_sorted_once(monkeypatch):
 def test_chunks_in_reverse_order_reproduce_the_cell(case, n, reps):
     family, alt = _case(*case)
     tests = ("tm", "ks")
-    whole = _cell_statistics(7, 123, family, alt, n, tests, reps)
+    whole = _engine_statistics(7, 123, family, alt, n, tests, reps)
     blocks = {}
     for start in reversed(range(0, reps, _CHUNK)):
         U = _unit_chunk(family, alt, n, 123, 7, start, min(_CHUNK, reps - start))
@@ -609,8 +722,10 @@ def test_chunks_in_reverse_order_reproduce_the_cell(case, n, reps):
 def test_stream_scheme_seeds_once_per_chunk():
     # scheme 2: the chunk starting at row s is one block from substream (seed, salt, s)
     assert STREAM_SCHEME == 2
-    block = _unit_chunk("uniform", None, 5, 123, 7, _CHUNK, 3)
-    np.testing.assert_array_equal(block, rng_substream(7, 123, _CHUNK).random((3, 5)))
+    stats = {"tm": np.empty(_CHUNK + 3)}
+    _score_chunk(stats, "uniform", None, 5, 123, 7, _CHUNK)
+    block = rng_substream(7, 123, _CHUNK).random((3, 5))
+    np.testing.assert_array_equal(stats["tm"][_CHUNK:], batch_statistic("tm", block))
 
 
 def test_study_results_carry_the_stream_scheme(tmp_path, small_cv):
@@ -727,6 +842,12 @@ class TestTheorySpecFor:
     def test_builtin_beta_is_exact(self):
         spec = theory_spec_for(parse_spec("beta(2,2)"))
         assert spec.delta == pytest.approx(1.0 / 210.0, abs=1e-15)
+
+    def test_a_nearby_beta_is_not_the_closed_form(self):
+        # labels keep every digit, so beta(2.0000001,2) is not taken for beta(2,2)
+        spec = theory_spec_for(parse_spec("beta(2.0000001,2)"))
+        assert spec.name == "beta(2.0000001,2)"
+        assert spec.delta != theory_spec_for(parse_spec("beta(2,2)")).delta
 
     def test_other_unit_alternatives_are_built_numerically(self):
         spec = theory_spec_for(parse_spec("kum(1.5,2.5)"))

@@ -1,5 +1,8 @@
 """Core statistic tests: anchors, the dual quadrature route, invariances."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,8 @@ from unigof import (
     tm_statistic_batch,
     tm_statistic_integral,
 )
-from unigof.statistic import UnitRows
+from unigof import statistic
+from unigof.statistic import UnitRows, _on_every_core
 
 unit_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=60
@@ -290,3 +294,25 @@ def test_squared_process_integrates_to_statistic(rng):
         z = np.sqrt(n) * (tail - t * (1.0 - t))
         total += (hi - lo) * np.sum(rule.weights * z**2)
     assert tm_statistic(u) == pytest.approx(total, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the scheduler shared by Monte Carlo studies and the bootstrap
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_an_interrupt_stops_the_hand_out(cores, monkeypatch):
+    # an interrupt in one item is a failure like any other: no further item
+    # goes out, every thread is joined, and the interrupt is raised
+    monkeypatch.setattr(statistic, "_cores", lambda: cores)
+    taken, threads = [], threading.active_count()
+
+    def work(item, _):
+        if item == 3:
+            raise KeyboardInterrupt
+        time.sleep(0.001)
+
+    with pytest.raises(KeyboardInterrupt):
+        _on_every_core(range(1000), taken.append, work)
+    assert taken == [0, 1, 2, 3] if cores == 1 else 4 <= len(taken) < 100
+    assert threading.active_count() == threads
