@@ -7,7 +7,9 @@ sizes, ``bootstrap`` computes composite p-values, and ``spectrum`` prints
 diagnostics of the null limit operator.
 
 Every request is checked by the ``StudyConfig`` it runs: ``test`` checks
---tests, --alpha, --reps, --seed and --workers on every ``--critvals`` route.
+--tests, --alpha, --reps and --seed on every ``--critvals`` route. A study
+runs its (cell, chunk) tasks on every core the process may run on, as
+``bootstrap`` does; ``taskset`` sets the count.
 argparse splits the list options and names the option when one is malformed.
 ``--out`` is checked before any draw, and nothing is written when the study fails.
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from .classical import TEST_IDS, batch_statistic
 from .composite import FAMILIES as COMPOSITE_FAMILIES, bootstrap_pvalue
-from .distributions import GRAMMAR_HELP, cdf as spec_cdf, covers, parse_spec, support
+from .distributions import GRAMMAR_HELP, _number, cdf as spec_cdf, covers, parse_spec, support
 from .mc import (
     NULL_FAMILIES,
     StudyConfig,
@@ -113,11 +115,10 @@ def _to_unit(args, data: np.ndarray) -> UnitSample:
 
 
 def _study(args, mode, family, alternatives, sizes, alphas) -> StudyConfig:
-    """The study a subcommand runs: --tests, --reps, --seed and --workers are its
-    tests, replications, master_seed and workers."""
+    """The study a subcommand runs on every core: --tests, --reps and --seed are its
+    tests, replications and master_seed."""
     return StudyConfig(mode=mode, tests=args.tests, family=family, alternatives=alternatives,
-                       sizes=sizes, alphas=alphas, replications=args.reps,
-                       master_seed=args.seed, workers=args.workers)
+                       sizes=sizes, alphas=alphas, replications=args.reps, master_seed=args.seed)
 
 
 def _critical_values(config: StudyConfig, source):
@@ -159,7 +160,7 @@ def _emit(args, result, format_table) -> int:
 def _cmd_test(args) -> int:
     rows = UnitRows(_to_unit(args, _read_observations(args.data)))
     n = rows.values.shape[1]
-    # the study behind every route checks tests, alpha, reps, seed and workers
+    # the study behind every route checks tests, alpha, reps and seed
     family = args.null if args.null in COMPOSITE_FAMILIES else "uniform"
     config = _study(args, "critical_values", family, (), (n,), (args.alpha,))
     tests = config.tests
@@ -174,7 +175,7 @@ def _cmd_test(args) -> int:
 
     decision_test = "tm" if "tm" in tests else tests[0]
     exit_code = 0
-    print(f"n = {n}, null = {args.null}, alpha = {args.alpha:g}, critical values: {args.critvals}")
+    print(f"n = {n}, null = {args.null}, alpha = {_number(args.alpha)}, critical values: {args.critvals}")
     for t in tests:
         stat = float(batch_statistic(t, rows)[0])
         c = cv[(t, n, args.alpha)]
@@ -242,10 +243,6 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-_WORKERS_HELP = ("processes that run the study's cells; with 1, the default, its (cell, chunk) tasks run on "
-                 "every core, while each pool worker uses one thread; the output is the same for any count")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unigof",
@@ -270,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_test.add_argument("--reps", type=int, default=20000, help="replications for --critvals mc")
     p_test.add_argument("--seed", type=int, default=0)
-    p_test.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_test.set_defaults(func=_cmd_test)
 
     p_crit = sub.add_parser("critval", help="tabulate Monte Carlo critical values")
@@ -280,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.add_argument("--tests", type=_list_of(str), default="tm")
     p_crit.add_argument("--reps", type=int, default=100000)
     p_crit.add_argument("--seed", type=int, default=0)
-    p_crit.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_crit.add_argument("--out", help="write the study CSV here")
     p_crit.add_argument("--table", action="store_true", help="also print a formatted table")
     p_crit.set_defaults(func=_cmd_critval)
@@ -292,11 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("--alpha", type=_list_of(float), default="0.05")
     p_pow.add_argument("--tests", type=_list_of(str), default=",".join(TEST_IDS))
     p_pow.add_argument("--reps", type=int, default=10000)
-    p_pow.add_argument("--critval-reps", type=int, default=100000, dest="critval_reps",
-                       help="replications for simulated critical values; only used without --critvals")
-    p_pow.add_argument("--critvals", help="reuse critical values from this study CSV")
+    critvals = p_pow.add_mutually_exclusive_group()
+    critvals.add_argument("--critval-reps", type=int, default=100000, dest="critval_reps",
+                          help="replications for simulated critical values")
+    critvals.add_argument("--critvals", help="reuse critical values from this study CSV")
     p_pow.add_argument("--seed", type=int, default=0)
-    p_pow.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_pow.add_argument("--out", help="write the study CSV here")
     p_pow.add_argument("--table", action="store_true")
     p_pow.set_defaults(func=_cmd_power)
@@ -307,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--alpha", type=float, default=0.05)
     p_curve.add_argument("--reps", type=int, default=2000)
     p_curve.add_argument("--seed", type=int, default=0)
-    p_curve.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_curve.add_argument("--out", help="write the curve CSV here")
     p_curve.set_defaults(func=_cmd_curve, tests=("tm",))
 

@@ -7,8 +7,9 @@ simulation study would share them. There is one kind of cell: a
 critical-value study's one "alternative" is the null itself, and its cells
 reduce each statistic to quantiles, while power and power-curve cells
 count exceedances of given critical values; a power curve's sizes are
-cells too. In one process a study's (cell, chunk) tasks run on every core;
-a pool of ``workers`` processes runs each cell on one thread.
+cells too. A study's (cell, chunk) tasks run on every core the process may
+run on. The library's ``workers`` field instead runs each cell on one thread
+in a pool of that many processes.
 
 Reproducibility discipline: a cell's replications run in chunks of
 ``_CHUNK`` rows, and each chunk draws its block from one substream seeded
@@ -32,7 +33,7 @@ import numpy as np
 
 from .classical import batch_statistic, check_test_id
 from .composite import FAMILIES as COMPOSITE_FAMILIES, check_sample_size
-from .distributions import AlternativeSpec, cdf, check_support, sample
+from .distributions import AlternativeSpec, _number, cdf, check_support, sample
 from .null_limit import cumulants_exact, pearson_fit, pearson_quantile
 from .numerics import _integer, gauss_legendre
 from .power_theory import (
@@ -306,7 +307,7 @@ def critical_value_table(result: StudyResult, family: str, tests, sizes, alphas)
     for t, n, a in cells:
         if (t, n, a) not in table:
             raise ValueError("missing critical value: the table has no critical value for "
-                             f"test={t!r}, n={n}, alpha={a:g}")
+                             f"test={t!r}, n={n}, alpha={_number(a)}")
     return {cell: table[cell] for cell in cells}
 
 
@@ -412,12 +413,13 @@ def format_critval_table(result: StudyResult) -> str:
     alphas = sorted({r.alpha for r in result.rows}, reverse=True)
     tests = sorted({r.test for r in result.rows})
     by_key = {(r.test, r.n, r.alpha): r.estimate for r in result.rows}
+    width = max([len(_number(a)) for a in alphas] + [8])
     blocks = []
     for t in tests:
-        lines = [f"test {t}", "alpha\\n  " + "  ".join(f"{n:>7d}" for n in sizes)]
+        lines = [f"test {t}", "alpha\\n".ljust(width + 1) + "  ".join(f"{n:>7d}" for n in sizes)]
         for a in alphas:
             cells = "  ".join(f"{by_key[(t, n, a)]:7.3f}" for n in sizes)
-            lines.append(f"{a:<8g}  {cells}")
+            lines.append(f"{_number(a):<{width}}  {cells}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)
 
@@ -432,7 +434,7 @@ def format_power_table(result: StudyResult) -> str:
     blocks = []
     for n, a in combos:
         lines = [
-            f"n={n}, alpha={a:g}, entries in %",
+            f"n={n}, alpha={_number(a)}, entries in %",
             "alternative".ljust(width) + "  " + "  ".join(f"{t:>7s}" for t in tests),
         ]
         for alt in alts:

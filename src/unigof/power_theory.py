@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+# gauss_legendre has no caller here: benchmarks/tracing.py hooks the name in this module
 from .numerics import QuadratureRule, _integer, gauss_legendre, normal_cdf
 
 __all__ = [
@@ -42,15 +43,15 @@ class AlternativeTheorySpec:
     """Tail-moment functions of one alternative distribution.
 
     ``psi`` and ``second_moment_tail`` must accept numpy arrays of any
-    shape. ``delta`` and ``sigma2`` hold exact values when known; leave
-    them ``None`` to signal that quadrature is the only route.
+    shape. ``delta`` and ``sigma2`` are the law's discrepancy and asymptotic
+    variance, exact or from :func:`spec_from_density`.
     """
 
     name: str
     psi: Callable[[np.ndarray], np.ndarray]
     second_moment_tail: Callable[[np.ndarray], np.ndarray]
-    delta: float | None = None
-    sigma2: float | None = None
+    delta: float
+    sigma2: float
 
 
 def _centered(spec: AlternativeTheorySpec, t: np.ndarray) -> np.ndarray:
@@ -262,10 +263,9 @@ def power_curve(
     """Approximate power of the test over a grid of sample sizes.
 
     ``critical_value`` is the asymptotic critical value at level
-    ``alpha``, used at every size. Constants missing from the spec are
-    computed with Gauss-Legendre 128. A degenerate spec (``sigma2 == 0``,
-    the uniform law itself) has no normal approximation, so its powers
-    are NaN.
+    ``alpha``, used at every size, with the spec's ``delta`` and
+    ``sigma2``. A degenerate spec (``sigma2 == 0``, the uniform law itself)
+    has no normal approximation, so its powers are NaN.
     """
     sizes = [_integer("sizes", n) for n in sizes]
     if not sizes:
@@ -276,15 +276,8 @@ def power_curve(
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
     if not float(critical_value) >= 0.0:
         raise ValueError("critical_value must be a nonnegative number")
-    delta, sigma2 = spec.delta, spec.sigma2
-    if delta is None or sigma2 is None:
-        # build the rule only when a constant is missing: its nodes come from
-        # a LAPACK eigensolve whose pool threads keep spinning after the call
-        rule = gauss_legendre(128)
-        delta = discrepancy(spec, rule) if delta is None else delta
-        sigma2 = asymptotic_variance(spec, rule) if sigma2 is None else sigma2
-    if sigma2 > 0.0:
-        powers = [approximate_power(delta, sigma2, n, float(critical_value)) for n in sizes]
+    if spec.sigma2 > 0.0:
+        powers = [approximate_power(spec.delta, spec.sigma2, n, float(critical_value)) for n in sizes]
     else:
         powers = [float("nan")] * len(sizes)
     return PowerCurve(

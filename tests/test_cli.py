@@ -218,6 +218,20 @@ class TestCritvalCommand:
         assert captured.out == ""
         assert "alphas must be one or more levels" in captured.err
 
+    def test_alpha_labels_keep_every_digit(self, uniform_file, capsys):
+        # :g would print 0.0500000001 as 0.05, giving two levels one label
+        alphas = "0.05,0.0500000001"
+        assert main(["critval", "--n", "10,20", "--alpha", alphas, "--reps", "200"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[2:]] == ["0.0500000001", "0.05"]
+        assert len({len(line) for line in lines[2:]}) == 1  # the label column is padded to its longest
+        assert main(["power", "--alt", "beta(2,3)", "--n", "10", "--alpha", alphas, "--tests", "tm",
+                     "--reps", "200", "--critval-reps", "200"]) == 0
+        heads = [line for line in capsys.readouterr().out.splitlines() if line.startswith("n=")]
+        assert heads == ["n=10, alpha=0.05, entries in %", "n=10, alpha=0.0500000001, entries in %"]
+        main(["test", uniform_file, "--tests", "tm", "--critvals", "pearson", "--alpha", "0.0500000001"])
+        assert "alpha = 0.0500000001," in capsys.readouterr().out
+
     def test_csv_missing_cell_names_file_and_cell(self, tmp_path, uniform_file, capsys):
         cv = tmp_path / "cv.csv"
         main(["critval", "--n", "50", "--alpha", "0.05", "--tests", "tm",
@@ -492,17 +506,40 @@ class TestEveryRequestIsChecked:
         assert captured.out == ""
         assert "--critval-reps: replications must be at least 100" in captured.err
 
-    def test_power_ignores_critval_reps_with_a_table(self, uniform_cv, capsys):
-        code = main(["power", "--alt", "beta(2,3)", "--n", "50", "--tests", "tm",
-                     "--reps", "200", "--critval-reps", "50", "--critvals", uniform_cv])
-        assert code == 0
-        assert "beta(2,3)" in capsys.readouterr().out
+    def test_power_refuses_critval_reps_with_a_table(self, uniform_cv, capsys):
+        # a table's critical values were simulated already; --critval-reps could only be ignored
+        with pytest.raises(SystemExit) as excinfo:
+            main(["power", "--alt", "beta(2,3)", "--n", "50", "--tests", "tm",
+                  "--reps", "200", "--critval-reps", "200", "--critvals", uniform_cv])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert "argument --critvals: not allowed with argument --critval-reps" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "{unif}", "--tests", "tm", "--reps", "200"],
+        ["critval", "--n", "10", "--reps", "200"],
+        ["power", "--alt", "beta(2,3)", "--n", "10", "--tests", "tm", "--reps", "200", "--critval-reps", "200"],
+        ["curve", "--alt", "beta(2,3)", "--n-range", "10:20:10", "--reps", "200"],
+    ], ids=["test", "critval", "power", "curve"])
+    def test_workers_is_not_an_option(self, argv, uniform_file, capsys):
+        # every study runs its (cell, chunk) tasks on every core; taskset sets the count
+        argv = [arg.format(unif=uniform_file) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--workers", "2"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --workers 2" in captured.err
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], "--help"])
+        assert excinfo.value.code == 0
+        assert "--workers" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("option, value, message", [
         ("--alpha", "1.5", "alphas must be one or more levels strictly inside (0, 1)"),
         ("--reps", "50", "replications must be at least 100"),
         ("--seed", "-1", "master_seed: expected a non-negative integer, got -1"),
-        ("--workers", "0", "workers must be a positive integer"),
         ("--tests", "tm,zz", "unknown test id 'zz'; expected one of tm, ks, cvm, ad, watson"),
     ])
     @pytest.mark.parametrize("critvals", ["pearson", "table", "mc"])

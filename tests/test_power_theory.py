@@ -242,7 +242,7 @@ def test_spec_from_density_agrees_with_the_grid_route(name):
     # quadratures of one integral; delta comes from the same node values
     law = parse_spec(name)
     spec = spec_from_density(name, lambda x: cdf(law, x), RULE)
-    bare = AlternativeTheorySpec(name, spec.psi, spec.second_moment_tail)
+    bare = AlternativeTheorySpec(name, spec.psi, spec.second_moment_tail, spec.delta, spec.sigma2)
     assert spec.sigma2 == pytest.approx(asymptotic_variance(bare, RULE), rel=1e-12, abs=0.0)
     assert spec.delta == discrepancy(bare, RULE)
 
@@ -348,16 +348,12 @@ class TestPowerCurve:
         assert lines[1] == "10,0.25,,"
         assert len(lines) == 3
 
-    def test_power_curve_fills_missing_constants(self):
-        numeric = spec_from_density("beta(2,3)", stats.beta(2, 3).cdf, RULE)
-        bare = type(numeric)(
-            name=numeric.name,
-            psi=numeric.psi,
-            second_moment_tail=numeric.second_moment_tail,
-        )
-        a = power_curve(bare, 0.05, [50], 0.462)
-        b = power_curve(numeric, 0.05, [50], 0.462)
-        assert a.approx_power[0] == pytest.approx(b.approx_power[0], abs=1e-9)
+    @pytest.mark.parametrize("constants", [{}, {"delta": 0.03}, {"sigma2": 0.004}],
+                             ids=["neither", "no-sigma2", "no-delta"])
+    def test_spec_needs_both_constants(self, constants):
+        spec = by_name()["beta(2,3)"]
+        with pytest.raises(TypeError):
+            AlternativeTheorySpec(spec.name, spec.psi, spec.second_moment_tail, **constants)
 
     def test_power_curve_with_constants_builds_no_rule(self, monkeypatch):
         import unigof.power_theory as pt
