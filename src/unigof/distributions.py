@@ -14,7 +14,8 @@ explicit numpy Generator. A Stephens law is stated by its base b(y): its CDF
 is a function of y and b(y)^k, and its quantile function is that CDF with k
 replaced by 1/k, so that formula is also its sampler. The beta, gamma, t and
 chi-square laws are evaluated with the ``scipy.special`` functions that
-``scipy.stats`` uses for them, so the package does not import ``scipy.stats``.
+``scipy.stats`` uses for them, so the package does not import ``scipy.stats``;
+``numerics.special`` imports ``scipy.special`` at the first such call.
 
 On top of the table, a mixture composes two specs with a per-draw Bernoulli
 choice, and any spec can be translated by one to move positive support onto
@@ -31,9 +32,8 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
-from .numerics import _integer, normal_cdf, normal_quantile
+from .numerics import _integer, normal_cdf, normal_quantile, special
 from .statistic import Sample
 
 __all__ = [

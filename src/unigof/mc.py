@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -242,6 +241,7 @@ def _run_cells(config: StudyConfig, salt_prefix: tuple, cv_map: dict | None = No
     """
     cells = [(alt, n) for alt in config.alternatives or (None,) for n in config.sizes]
     if config.workers > 1 and len(cells) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing, which only the pool needs
         alone = [replace(config, alternatives=(alt,) if alt else (), sizes=(n,), workers=1) for alt, n in cells]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             runs = pool.map(partial(_run_cells, salt_prefix=salt_prefix, cv_map=cv_map, threads=1), alone)
@@ -416,7 +416,7 @@ def format_critval_table(result: StudyResult) -> str:
     width = max([len(_number(a)) for a in alphas] + [8])
     blocks = []
     for t in tests:
-        lines = [f"test {t}", "alpha\\n".ljust(width + 1) + "  ".join(f"{n:>7d}" for n in sizes)]
+        lines = [f"test {t}", "alpha\\n".ljust(width + 2) + "  ".join(f"{n:>7d}" for n in sizes)]
         for a in alphas:
             cells = "  ".join(f"{by_key[(t, n, a)]:7.3f}" for n in sizes)
             lines.append(f"{_number(a):<{width}}  {cells}")

@@ -12,8 +12,9 @@ a positively weighted sum of chi-square variables, positively skewed, and
 its exact cumulants give Pearson's criterion kappa = 177, well inside the
 type VI region 1 < kappa < inf. A fit is evaluated with the incomplete beta
 functions of ``scipy.special`` that ``scipy.stats.betaprime`` calls, without
-importing ``scipy.stats``. Fits are memoised per cumulant set and immutable,
-so a process fits the limit law once. An Imhof inversion of the Nystrom
+importing ``scipy.stats``; ``scipy.special`` itself loads at the first
+evaluation. Fits are memoised per cumulant set and immutable, so a process
+fits the limit law once. An Imhof inversion of the Nystrom
 spectrum (orders 128-1024), measured once outside the package and checked by
 no test yet, puts Pearson's 99% point at 0.78517, below the exact 0.78581,
 and its 90% point 4.7e-4 above the exact one.
@@ -26,9 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
-from .numerics import gauss_legendre, nystrom_discretize
+from .numerics import gauss_legendre, nystrom_discretize, special
 
 __all__ = [
     "CumulantSet",

@@ -4,6 +4,9 @@ Everything here is deliberately boring. The statistical modules lean on
 these helpers for integrals over the unit interval and for discretising
 integral kernels, so the accuracy targets are tighter than any single
 caller strictly needs.
+
+``special`` stands for ``scipy.special`` and imports it at its first use, so
+a run that never calls it (a uniform- or Pareto-null study) skips its import.
 """
 
 from __future__ import annotations
@@ -13,7 +16,20 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
+
+
+class _Special:
+    """``scipy.special``, imported at the first read; the import lock gives threads that ask at once one import."""
+
+    def __getattr__(self, name: str):
+        from scipy import special
+
+        value = getattr(special, name)
+        setattr(self, name, value)  # later reads of the name are plain attribute reads
+        return value
+
+
+special = _Special()
 
 
 @dataclass(frozen=True)

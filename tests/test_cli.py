@@ -631,13 +631,13 @@ PINNED_RUNS = {
     )),
     "critval": (["critval", "--n", "10,20", "--tests", "tm,ks", "--reps", "200", "--seed", "5"], (
         "test ks\n"
-        "alpha\\n       10       20\n"
+        "alpha\\n        10       20\n"
         "0.1         0.367    0.265\n"
         "0.05        0.432    0.292\n"
         "0.01        0.487    0.344\n"
         "\n"
         "test tm\n"
-        "alpha\\n       10       20\n"
+        "alpha\\n        10       20\n"
         "0.1         0.363    0.291\n"
         "0.05        0.491    0.453\n"
         "0.01        0.778    0.606\n"
