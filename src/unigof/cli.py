@@ -7,9 +7,9 @@ sizes, ``bootstrap`` computes composite p-values, and ``spectrum`` prints
 diagnostics of the null limit operator.
 
 Every request is checked by the ``StudyConfig`` it runs: ``test`` checks
---tests, --alpha, --reps and --seed on every ``--critvals`` route. A study
-runs its (cell, chunk) tasks on every core the process may run on, as
-``bootstrap`` does; ``taskset`` sets the count.
+--tests and --alpha on every ``--critvals`` route and refuses --reps and
+--seed beside ``pearson`` or a CSV, which simulate nothing. Studies run
+their (cell, chunk) tasks on every core; ``taskset`` sets the count.
 argparse splits the list options and names the option when one is malformed.
 ``--out`` is checked before any draw, and nothing is written when the study fails.
 
@@ -158,9 +158,14 @@ def _emit(args, result, format_table) -> int:
 
 
 def _cmd_test(args) -> int:
+    for name, default in (("reps", 20000), ("seed", 0)):  # only --critvals mc simulates
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.critvals != "mc":
+            raise ValueError(f"--{name} applies only to --critvals mc, the route that simulates")
     rows = UnitRows(_to_unit(args, _read_observations(args.data)))
     n = rows.values.shape[1]
-    # the study behind every route checks tests, alpha, reps and seed
+    # the study behind every route checks tests and alpha
     family = args.null if args.null in COMPOSITE_FAMILIES else "uniform"
     config = _study(args, "critical_values", family, (), (n,), (args.alpha,))
     tests = config.tests
@@ -218,10 +223,8 @@ def _cmd_curve(args) -> int:
 def _cmd_bootstrap(args) -> int:
     if args.seed < 0:
         raise ValueError(f"master_seed: expected a non-negative integer, got {args.seed}")
-    data = _read_observations(args.data)
-    result = bootstrap_pvalue(
-        args.family, args.test, Sample(data), args.B, rng_substream(args.seed, 0)
-    )
+    data = Sample(_read_observations(args.data))
+    result = bootstrap_pvalue(args.family, args.test, data, args.B, rng_substream(args.seed, 0))
     print(f"test {result.test_id}, family {result.family_tag}: statistic {result.observed_statistic:.6f}, "
           f"p-value {result.p_value:.6g} ({result.replications} bootstrap replications)")
     return 0
@@ -265,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="mc",
         help="'pearson' (asymptotic, tm only), 'mc' (simulate), or a study CSV path",
     )
-    p_test.add_argument("--reps", type=int, default=20000, help="replications for --critvals mc")
-    p_test.add_argument("--seed", type=int, default=0)
+    p_test.add_argument("--reps", type=int, help="replications for --critvals mc (default 20000)")
+    p_test.add_argument("--seed", type=int, help="seed for --critvals mc (default 0)")
     p_test.set_defaults(func=_cmd_test)
 
     p_crit = sub.add_parser("critval", help="tabulate Monte Carlo critical values")

@@ -10,8 +10,9 @@ depend on the true parameter, which is what makes fixed critical-value
 tables possible.
 
 Pivotality also makes the standard member the fitted member at standard
-parameters, so each family has one sampler. A degenerate fit is an error
-that names the family; no sample is ever dropped.
+parameters, so each family has one sampler, which the Monte Carlo cells and
+the bootstrap both draw. A degenerate fit is an error that names the
+family; no sample is ever dropped.
 
 P-values come from a parametric bootstrap that re-estimates parameters in
 every replicate, mirroring what was done to the data. The replicates stream
@@ -158,10 +159,12 @@ def _pareto_rows(X: np.ndarray) -> np.ndarray:
 class CompositeFamily:
     """Estimator, transforms and samplers; ``sample_standard`` is ``sample_fitted`` at standard parameters.
 
-    ``sample_fitted(params, shape, rng)`` must be stream-sequential: drawing
-    shape (a, n) and then (b, n) from one generator gives the rows of one
+    ``sample_standard(shape, rng)`` must be stream-sequential: drawing shape
+    (a, n) and then (b, n) from one generator gives the rows of one
     (a + b, n) draw, as a single call on ``rng`` does. The bootstrap draws
     its replicates block by block and relies on this for its p-values.
+    No package code calls ``estimator`` or ``sample_fitted``; they stay only
+    because ``benchmarks/tracing.py`` rebuilds every family with all five.
     """
 
     estimator: Callable
@@ -227,17 +230,17 @@ def bootstrap_pvalue(
     """Parametric bootstrap p-value for one statistic on one sample.
 
     ``tag`` names the composite family, a key of :data:`FAMILIES`. Fits
-    the family to the data, computes the observed statistic on the
-    transformed sample, then repeats estimate-transform-evaluate on B
-    samples drawn from the fitted member. The p-value uses the add-one
-    convention (1 + exceedances) / (B + 1), which is valid at any finite B.
-    ``kind`` and ``B`` are checked before the fit.
+    the data once, for the observed statistic on its transformed sample,
+    then repeats estimate-transform-evaluate on B samples of the standard
+    member: the transform is pivotal, so they have the fitted member's law.
+    The p-value uses the add-one convention (1 + exceedances) / (B + 1),
+    valid at any finite B. ``kind`` and ``B`` are checked before the fit.
 
     The replicates stream in blocks of ``max(1, 2^15 // n)`` rows through
     the scheduler that Monte Carlo cells share: block k is the k-th draw
     from ``rng``, taken under one lock, and is transformed and scored on one
     of the threads, one per core the process may run on. Memory is
-    O(cores x block), not O(B n). The fitted samplers are stream-sequential,
+    O(cores x block), not O(B n). The standard sampler is stream-sequential,
     so the p-value and the final state of ``rng`` are those of one (B, n)
     draw for any core count; the process's CPU affinity (``taskset``) sets
     the count, and there is no worker knob. Every replicate counts: an
@@ -257,7 +260,6 @@ def bootstrap_pvalue(
     v = _values(x)
     n = v.size
     check_sample_size(tag, n)
-    params = family.estimator(v)
     observed = float(batch_statistic(kind, family.transform(v))[0])
 
     step = max(1, _BLOCK_VALUES // n)
@@ -266,11 +268,6 @@ def bootstrap_pvalue(
     def score(start: int, X: np.ndarray) -> None:
         counts.append(int(np.count_nonzero(batch_statistic(kind, family.transform_rows(X)) >= observed)))
 
-    _on_every_core(range(0, B, step), lambda start: family.sample_fitted(params, (min(step, B - start), n), rng), score)
-    return BootstrapResult(
-        p_value=(1.0 + sum(counts)) / (B + 1.0),
-        replications=B,
-        observed_statistic=observed,
-        test_id=kind,
-        family_tag=tag,
-    )
+    _on_every_core(range(0, B, step), lambda start: family.sample_standard((min(step, B - start), n), rng), score)
+    return BootstrapResult(p_value=(1.0 + sum(counts)) / (B + 1.0), replications=B,
+                           observed_statistic=observed, test_id=kind, family_tag=tag)

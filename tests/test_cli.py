@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from unigof import bootstrap_pvalue
 from unigof.cli import main
+from unigof.mc import rng_substream
 
 
 @pytest.fixture
@@ -313,7 +315,8 @@ class TestRepeatedTests:
     @pytest.mark.parametrize("critvals", ["table", "pearson", "mc"])
     def test_every_route_rejects_a_repeat(self, uniform_file, uniform_cv, critvals, capsys):
         source = uniform_cv if critvals == "table" else critvals
-        code = main(["test", uniform_file, "--tests", "tm,tm", "--critvals", source, "--reps", "200"])
+        reps = ["--reps", "200"] if critvals == "mc" else []  # only mc takes --reps
+        code = main(["test", uniform_file, "--tests", "tm,tm", "--critvals", source] + reps)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -416,14 +419,18 @@ class TestBootstrapCommand:
             assert main(argv) == 2
             assert capsys.readouterr().err == "error: the pareto fit is degenerate in 1 of 1 samples\n"
 
-    def test_degenerate_replicates_are_an_error(self, tmp_path, capsys):
-        path = tmp_path / "near.txt"
-        path.write_text("".join(f"{1.0 + v * 1e-15!r}\n" for v in (0, 1, 2, 0, 1)))
-        code = main(["bootstrap", str(path), "--family", "normal", "-B", "199"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "the normal fit is degenerate in" in captured.err
+    def test_near_constant_and_huge_data_get_a_p_value(self, tmp_path, capsys):
+        # the replicates are standard draws, whatever the data's fitted sigma
+        # (about 8e-16 here) or magnitude (values up to +-1.5e308)
+        for values in (1.0 + np.array([0, 1, 2, 0, 1]) * 1e-15,
+                       1.5e308 * np.array([1.0, -1.0, 0.3, -0.5, 0.9, 0.1, -0.8, 0.6])):
+            path = tmp_path / "x.txt"
+            path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+            code = main(["bootstrap", str(path), "--family", "normal", "-B", "999"])
+            captured = capsys.readouterr()
+            expected = bootstrap_pvalue("normal", "tm", values, 999, rng_substream(0, 0))
+            assert (code, captured.err) == (0, "")
+            assert f"p-value {expected.p_value:.6g} (999 bootstrap replications)" in captured.out
 
     def test_equal_values_are_a_degenerate_fit(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
@@ -545,12 +552,27 @@ class TestEveryRequestIsChecked:
     @pytest.mark.parametrize("critvals", ["pearson", "table", "mc"])
     def test_every_test_route_checks_the_study(self, uniform_file, uniform_cv, critvals,
                                                option, value, message, capsys):
+        # --reps and --seed apply only to the route that simulates
+        if critvals != "mc" and option in ("--reps", "--seed"):
+            message = f"{option} applies only to --critvals mc, the route that simulates"
         source = uniform_cv if critvals == "table" else critvals
         code = main(["test", uniform_file, "--tests", "tm", "--critvals", source, option, value])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert message in captured.err
+
+    def test_test_refuses_valid_reps_and_seed_where_nothing_is_simulated(self, uniform_file, uniform_cv,
+                                                                        capsys):
+        # a valid value is refused too: pearson and a CSV would ignore it
+        for source in ("pearson", uniform_cv):
+            for option, value in (("--reps", "50000"), ("--seed", "7")):
+                code = main(["test", uniform_file, "--tests", "tm", "--critvals", source, option, value])
+                captured = capsys.readouterr()
+                assert (code, captured.out) == (2, "")
+                assert captured.err == f"error: {option} applies only to --critvals mc, the route that simulates\n"
+            assert main(["test", uniform_file, "--tests", "tm", "--critvals", source]) == 0
+            assert "critical values: " in capsys.readouterr().out
 
     @pytest.mark.parametrize("top", ["-3", "0"])
     def test_spectrum_refuses_top_below_one(self, top, capsys):

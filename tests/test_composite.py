@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -281,15 +282,17 @@ def test_normal_transform_rows_match_single_transform(rng):
 @pytest.mark.parametrize("tag, params", [("normal", (3.0, 2.0)), ("pareto", 0.7)])
 @pytest.mark.parametrize("a, b, n", [(1, 1, 1), (3, 5, 7), (163, 21, 200), (4096, 1, 50)])
 def test_fitted_sampler_is_stream_sequential(tag, params, a, b, n):
-    # the bootstrap draws its replicates block by block: (a, n) then (b, n)
-    # from one generator must be the rows of one (a + b, n) draw
-    draw = FAMILIES[tag].sample_fitted
-    split = np.random.default_rng(8)
-    head, tail = draw(params, (a, n), split), draw(params, (b, n), split)
-    whole_rng = np.random.default_rng(8)
-    whole = draw(params, (a + b, n), whole_rng)
-    assert np.array_equal(np.vstack([head, tail]), whole)
-    assert split.random() == whole_rng.random()
+    # the bootstrap draws its replicates block by block from the standard
+    # sampler: (a, n) then (b, n) from one generator must be the rows of one
+    # (a + b, n) draw, for the fitted sampler as for the standard one
+    family = FAMILIES[tag]
+    for draw in (partial(family.sample_fitted, params), family.sample_standard):
+        split = np.random.default_rng(8)
+        head, tail = draw((a, n), split), draw((b, n), split)
+        whole_rng = np.random.default_rng(8)
+        whole = draw((a + b, n), whole_rng)
+        assert np.array_equal(np.vstack([head, tail]), whole)
+        assert split.random() == whole_rng.random()
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +300,11 @@ def test_fitted_sampler_is_stream_sequential(tag, params, a, b, n):
 
 
 def _bootstrap_reference(tag, kind, x, B, rng):
-    # every replicate in one (B, n) draw: what the streamed bootstrap reproduces
+    # every replicate in one (B, n) draw of the standard member: what the
+    # streamed bootstrap reproduces
     family = FAMILIES[tag]
-    params = family.estimator(x)
     observed = float(batch_statistic(kind, family.transform(x))[0])
-    U = family.transform_rows(family.sample_fitted(params, (B, x.size), rng))
+    U = family.transform_rows(family.sample_standard((B, x.size), rng))
     return (1.0 + np.count_nonzero(batch_statistic(kind, U) >= observed)) / (B + 1.0), observed
 
 
@@ -353,8 +356,8 @@ def _degenerate_in_blocks(family, bad_rows, hold=None):
     # has failed, so the later block's error is met first
     block_of, failed = {}, threading.Event()
 
-    def sample_fitted(params, shape, rng):
-        X = family.sample_fitted(params, shape, rng)
+    def sample_standard(shape, rng):
+        X = family.sample_standard(shape, rng)
         X[:bad_rows.get(len(block_of), 0)] = 1.0
         block_of[id(X)] = len(block_of)
         return X
@@ -369,7 +372,7 @@ def _degenerate_in_blocks(family, bad_rows, hold=None):
             if hold and block == hold[1]:
                 failed.set()
 
-    return dataclasses.replace(family, sample_fitted=sample_fitted, transform_rows=transform_rows)
+    return dataclasses.replace(family, sample_standard=sample_standard, transform_rows=transform_rows)
 
 
 def test_the_earliest_failing_block_raises_whatever_the_core_count(monkeypatch):
@@ -438,25 +441,31 @@ class TestBootstrap:
         assert out.replications == 99
 
     def test_huge_data_gives_the_p_value_of_its_scaled_copy(self):
-        x = np.array([1.0, -1.0, 0.3, -0.5, 2.2, 0.1])
-        huge = bootstrap_pvalue("normal", "tm", 1e200 * x, B=199, rng=np.random.default_rng(4))
-        plain = bootstrap_pvalue("normal", "tm", x, B=199, rng=np.random.default_rng(4))
-        assert huge.p_value == plain.p_value
-        assert huge.observed_statistic == pytest.approx(plain.observed_statistic, rel=1e-12)
+        # values up to +-1.5e308: the replicates are standard draws, so no
+        # draw overflows, and only the data's own fit needs rescaling
+        for scale, x in [(1e200, [1.0, -1.0, 0.3, -0.5, 2.2, 0.1]),
+                         (1.5e308, [1.0, -1.0, 0.3, -0.5, 0.9, 0.1, -0.8, 0.6])]:
+            x = np.array(x)
+            huge = bootstrap_pvalue("normal", "tm", scale * x, B=199, rng=np.random.default_rng(4))
+            plain = bootstrap_pvalue("normal", "tm", x, B=199, rng=np.random.default_rng(4))
+            assert huge.p_value == plain.p_value, scale
+            assert huge.observed_statistic == pytest.approx(plain.observed_statistic, rel=1e-12), scale
 
-    def test_a_degenerate_replicate_is_the_familys_error(self):
-        # the fitted sigma is about 8e-16, so some replicates round to a
-        # constant row; the run fails instead of dropping them
-        x = 1.0 + np.array([0.0, 1.0, 2.0, 0.0, 1.0]) * 1e-15
-        with pytest.raises(ValueError, match=r"^the normal fit is degenerate in \d+ of 199 samples$"):
-            bootstrap_pvalue("normal", "tm", x, B=199, rng=np.random.default_rng(0))
-
-    def test_a_degenerate_replicate_counts_in_its_block(self):
-        # at n = 5 a block holds 2^15 // 5 = 6553 rows, and the error counts
-        # the degenerate rows of the first block that has one
-        x = 1.0 + np.array([0.0, 1.0, 2.0, 0.0, 1.0]) * 1e-15
-        with pytest.raises(ValueError, match=r"^the normal fit is degenerate in \d+ of 6553 samples$"):
-            bootstrap_pvalue("normal", "tm", x, B=9999, rng=np.random.default_rng(0))
+    def test_near_constant_and_huge_data_get_one_p_value_on_every_core_count(self, monkeypatch):
+        # drawn from the fitted member, replicates of the near-constant data
+        # (sigma about 8e-16) rounded to constant rows, and those of the huge
+        # data overflowed; the standard member's replicates do neither
+        near = 1.0 + np.array([0.0, 1.0, 2.0, 0.0, 1.0]) * 1e-15
+        huge = 1.5e308 * np.array([1.0, -1.0, 0.3, -0.5, 0.9, 0.1, -0.8, 0.6])
+        for x in (near, huge):
+            for B in (199, 9999):  # one block, and more than one
+                p_values = set()
+                for cores in (1, 2, 3):
+                    monkeypatch.setattr(statistic, "_cores", lambda: cores)
+                    out = bootstrap_pvalue("normal", "tm", x, B=B, rng=np.random.default_rng(0))
+                    assert np.isfinite(out.observed_statistic)
+                    p_values.add(out.p_value)
+                assert len(p_values) == 1 and 1.0 / (B + 1.0) <= p_values.pop() <= 1.0
 
     def test_minimum_replications(self, rng):
         with pytest.raises(ValueError, match="99"):
