@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .statistic import TestOutcome, UnitRows, tm_statistic_batch
+from .statistic import TestOutcome, UnitRows, _temp, tm_statistic_batch
 
 __all__ = [
     "CLASSICAL_KINDS",
@@ -50,7 +50,7 @@ def _extremes(V: np.ndarray) -> np.ndarray:
     # ks and kuiper from one D+ = max(j/n - V) and one D- = max(V - (j-1)/n) per row
     n = V.shape[1]
     j = np.arange(1, n + 1, dtype=float)
-    tmp = np.subtract(j / n, V)
+    tmp = np.subtract(j / n, V, out=_temp(0, V))
     d_plus = tmp.max(axis=1)
     np.subtract(V, (j - 1.0) / n, out=tmp)
     d_minus = tmp.max(axis=1)
@@ -61,7 +61,7 @@ def _centred(V: np.ndarray) -> np.ndarray:
     # cvm, watson and frs from one matrix V - (2j-1)/(2n); (j-0.5)/n rounds to the same centres
     n = V.shape[1]
     j = np.arange(1, n + 1, dtype=float)
-    C = np.subtract(V, (2.0 * j - 1.0) / (2.0 * n))
+    C = np.subtract(V, (2.0 * j - 1.0) / (2.0 * n), out=_temp(0, V))
     frs = np.sum(np.abs(C, out=C), axis=1) / np.sqrt(n)
     w2 = 1.0 / (12.0 * n) + np.sum(np.multiply(C, C, out=C), axis=1)
     return np.column_stack([w2, w2 - n * (np.mean(V, axis=1) - 0.5) ** 2, frs])
@@ -69,14 +69,15 @@ def _centred(V: np.ndarray) -> np.ndarray:
 
 def _gaps(V: np.ndarray) -> np.ndarray:
     # sherman and qm from the n + 1 gaps per row after augmenting with the interval endpoints
-    R, n = V.shape
-    G = np.empty((R, n + 1))
+    n = V.shape[1]
+    G = _temp(0, V, n + 1)
     G[:, 0] = V[:, 0]
     np.subtract(V[:, 1:], V[:, :-1], out=G[:, 1:n])
     np.subtract(1.0, V[:, -1], out=G[:, n])
     # squared-gap sum runs over all n + 1 gaps, the cross term over the
     # first n adjacent pairs only
-    qm = np.sum(G * G, axis=1) + np.sum(G[:, :-1] * G[:, 1:], axis=1)
+    qm = (np.sum(np.multiply(G, G, out=_temp(1, V, n + 1)), axis=1)
+          + np.sum(np.multiply(G[:, :-1], G[:, 1:], out=_temp(1, V)), axis=1))
     np.subtract(G, 1.0 / (n + 1.0), out=G)
     sherman = 0.5 * np.sum(np.abs(G, out=G), axis=1)
     return np.column_stack([sherman, qm])
@@ -85,10 +86,10 @@ def _gaps(V: np.ndarray) -> np.ndarray:
 def _ad(V: np.ndarray) -> np.ndarray:
     n = V.shape[1]
     j = np.arange(1, n + 1, dtype=float)
-    L = np.negative(V[:, ::-1])
+    L = np.negative(V[:, ::-1], out=_temp(0, V))
     with np.errstate(divide="ignore"):
         np.log1p(L, out=L)
-        L += np.log(V)
+        L += np.log(V, out=_temp(1, V))
     L *= 2.0 * j - 1.0
     return (-n - np.sum(L, axis=1) / n)[:, None]
 
@@ -96,7 +97,7 @@ def _ad(V: np.ndarray) -> np.ndarray:
 def _zc(V: np.ndarray) -> np.ndarray:
     n = V.shape[1]
     j = np.arange(1, n + 1, dtype=float)
-    W = np.clip(V, _ZC_CLAMP, 1.0 - _ZC_CLAMP)
+    W = np.clip(V, _ZC_CLAMP, 1.0 - _ZC_CLAMP, out=_temp(0, V))
     np.divide(1.0, W, out=W)
     W -= 1.0
     W /= (n - 0.5) / (j - 0.75) - 1.0

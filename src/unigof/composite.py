@@ -161,8 +161,8 @@ class CompositeFamily:
 
     ``sample_standard(shape, rng)`` must be stream-sequential: drawing shape
     (a, n) and then (b, n) from one generator gives the rows of one
-    (a + b, n) draw, as a single call on ``rng`` does. The bootstrap draws
-    its replicates block by block and relies on this for its p-values.
+    (a + b, n) draw, as a single call on ``rng`` does. The bootstrap and the
+    Monte Carlo null cells draw block by block and rely on this for their results.
     No package code calls ``estimator`` or ``sample_fitted``; they stay only
     because ``benchmarks/tracing.py`` rebuilds every family with all five.
     """

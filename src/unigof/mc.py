@@ -12,12 +12,14 @@ run on. The library's ``workers`` field instead runs each cell on one thread
 in a pool of that many processes.
 
 Reproducibility discipline: a cell's replications run in chunks of
-``_CHUNK`` rows, and each chunk draws its block from one substream seeded
+``_CHUNK`` rows, and each chunk draws its rows from one substream seeded
 by (master_seed, cell_salt, chunk_start), where the cell salt is a stable
-hash of the cell's identity. Results are therefore bit-identical for a
-fixed master seed whatever the core or worker count and in whichever
-order cells and chunks are evaluated. This is ``STREAM_SCHEME`` 2; scheme
-1 seeded one substream per replication, so its numbers differ.
+hash of the cell's identity: a null chunk one row block at a time, as the
+rows of one draw, and an alternative chunk in one call (see _score_chunk).
+Results are therefore bit-identical for a fixed master seed whatever the
+core or worker count and in whichever order cells and chunks are
+evaluated. This is ``STREAM_SCHEME`` 2; scheme 1 seeded one substream per
+replication, so its numbers differ.
 """
 
 from __future__ import annotations
@@ -194,22 +196,26 @@ def _quantile_se(sorted_vals: np.ndarray, p: float) -> float:
 def _score_chunk(stats: dict, family: str, alt: AlternativeSpec | None, n: int, salt: int, seed: int, start: int):
     """Score the chunk at row ``start`` of a cell into the cell's ``stats``, one array per test.
 
-    The chunk is one draw on the substream ``(seed, salt, start)``, from
-    ``alt`` (flat, reshaped) or from the null's standard member when ``alt``
-    is None, scored in row blocks of ``_BLOCK_VALUES // n`` rows: a composite
-    family transforms each row by its own fitted parameters, and each block
-    is sorted once for all tests.
+    The chunk's rows come from the substream ``(seed, salt, start)``, scored in
+    row blocks of ``_BLOCK_VALUES // n`` rows: a composite family transforms
+    each row by its own fitted parameters, and each block is sorted once for
+    all tests. A null chunk (``alt`` None) draws block by block from the null's
+    standard member, whose sampler is stream-sequential, so a task holds one
+    block and gets the rows of one whole-chunk draw. An alternative chunk is
+    one flat draw from ``alt``: mixtures and skewnormal draw their parts whole.
     """
     count = min(_CHUNK, len(next(iter(stats.values()))) - start)
     composite = COMPOSITE_FAMILIES.get(family)  # None for the uniform null
     rng = rng_substream(seed, salt, start)
     if alt is not None:
         X = sample(alt, count * n, rng).values.reshape(count, n)
-    else:
-        X = rng.random((count, n)) if composite is None else composite.sample_standard((count, n), rng)
     step = max(1, _BLOCK_VALUES // n)
     for i in range(0, count, step):
-        block = X[i:i + step]
+        shape = (min(step, count - i), n)
+        if alt is not None:
+            block = X[i:i + step]
+        else:
+            block = rng.random(shape) if composite is None else composite.sample_standard(shape, rng)
         rows = UnitRows(block if composite is None else composite.transform_rows(block))
         for t, values in stats.items():
             values[start + i:start + i + len(block)] = batch_statistic(t, rows)

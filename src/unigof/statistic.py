@@ -14,6 +14,10 @@ integrating the square analytically (:func:`tm_statistic`), and direct
 piecewise quadrature of the defining integral
 (:func:`tm_statistic_integral`). They agree to near machine precision and
 serve as mutual oracles in the test-suite.
+
+The batch kernels keep their block-size temporaries in a per-thread scratch
+(:func:`_temp`) of a few slots, each at most one block plus one column per
+row; what a kernel returns is always a fresh array, never scratch.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
 ]
 
 _BLOCK_VALUES = 1 << 15  # values per row block of a batch kernel: 256 KB per float64 temporary
+_scratch = threading.local()  # each thread's kernel temporaries, one block each at most: see _temp
 
 
 @dataclass
@@ -116,6 +121,21 @@ def by_blocks(kernel, V: np.ndarray) -> np.ndarray:
     return np.concatenate([kernel(V[i:i + step]) for i in range(0, V.shape[0], step)])
 
 
+def _temp(slot: int, V: np.ndarray, cols: int | None = None) -> np.ndarray:
+    """An uninitialised array of V's rows and ``cols`` columns (V's by default), for a kernel's temporary.
+
+    For a block V of at most ``_BLOCK_VALUES`` values it is a view of this thread's scratch slot ``slot``,
+    grown to the largest such block asked of it; a larger V gets a fresh array, which the scratch never keeps.
+    """
+    shape = (V.shape[0], V.shape[1] if cols is None else cols)
+    if V.size > _BLOCK_VALUES:
+        return np.empty(shape)
+    size, slots = shape[0] * shape[1], _scratch.__dict__.setdefault("slots", {})
+    if slot not in slots or slots[slot].size < size:
+        slots[slot] = np.empty(size)
+    return slots[slot][:size].reshape(shape)
+
+
 def _cores() -> int:
     """The number of cores this process may run on: its CPU affinity where the OS reports one."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -155,13 +175,14 @@ def _on_every_core(items, take, work, threads: int | None = None) -> None:
 
 def _tm_rows(V: np.ndarray) -> np.ndarray:
     n = V.shape[1]
-    A = 2.0 * V - 1.0
-    Q = np.cumsum(A, axis=1)
+    A = np.multiply(2.0, V, out=_temp(0, V))
+    A -= 1.0
+    Q = np.cumsum(A, axis=1, out=_temp(1, V))
     np.subtract(Q[:, -1:], Q, out=Q)  # Q_k = sum_{j>k} A_j
     Q *= 2.0
     Q += A
     Q *= 3.0 / n
-    T = 2.0 - A  # 3 - 2V
+    T = np.subtract(2.0, A, out=_temp(2, V))  # 3 - 2V
     T *= V
     Q -= T
     Q *= A

@@ -4,6 +4,9 @@ Hand anchors for tiny samples, naive loop reimplementations on random
 data, and scipy where it offers the same statistic.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,8 +23,8 @@ from unigof import (
     estimate_critical_values,
     tm_statistic,
 )
-from unigof import classical
-from unigof.statistic import UnitRows
+from unigof import classical, statistic
+from unigof.statistic import _BLOCK_VALUES, UnitRows, tm_statistic_integral
 
 interior_lists = st.lists(
     st.floats(min_value=1e-6, max_value=1.0 - 1e-6, allow_nan=False),
@@ -256,6 +259,79 @@ def test_rows_from_one_matrix_keep_their_own_passes(rng):
         np.testing.assert_array_equal(batch_statistic(kind, second), want[kind], kind)
     assert second._memo is not first._memo
     assert all(second._memo[k] is not first._memo[k] for k in first._memo)
+
+
+# ---------------------------------------------------------------------------
+# per-thread scratch: the kernels' temporaries, never their results
+
+_ROW_KERNELS = (statistic._tm_rows,) + tuple(dict.fromkeys(kernel for kernel, _ in classical._KERNELS.values()))
+
+
+@pytest.mark.parametrize("kernel", _ROW_KERNELS, ids=lambda kernel: kernel.__name__)
+def test_a_kernel_result_outlives_the_next_call(kernel, rng):
+    first = kernel(np.sort(rng.random((40, 30)), axis=1))
+    kept = first.copy()
+    kernel(np.sort(rng.random((70, 20)), axis=1))
+    np.testing.assert_array_equal(first, kept)
+    assert not any(np.shares_memory(first, slot) for slot in statistic._scratch.slots.values())
+
+
+def test_threads_scoring_blocks_of_different_sizes_at_once_match_serial(rng):
+    # three threads, more than the cores of a small host, each scoring its
+    # own n at the same time, switching as often as the interpreter allows
+    blocks = [rng.random((rows, n)) for rows, n in ((300, 7), (163, 200), (30, 1000))]
+    serial = [{t: batch_statistic(t, UnitRows(V)) for t in TEST_IDS} for V in blocks]
+    barrier, wrong, done = threading.Barrier(len(blocks), timeout=60), [], []
+
+    def score(V, want):
+        barrier.wait()
+        for _ in range(10):
+            rows = UnitRows(V)
+            wrong.extend((V.shape, t) for t in TEST_IDS if not np.array_equal(batch_statistic(t, rows), want[t]))
+        done.append(V.shape)
+
+    threads = [threading.Thread(target=score, args=pair) for pair in zip(blocks, serial)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(done) == len(blocks) and wrong == []
+
+
+def test_a_row_longer_than_a_block_scores_right_and_keeps_no_scratch(rng):
+    row = np.sort(rng.random(_BLOCK_VALUES + 1))
+    block = UnitRows(rng.random((163, 200)))
+    seen = {}
+
+    def run():
+        seen["first"] = {t: batch_statistic(t, UnitRows(row)) for t in TEST_IDS}
+        seen["alone"] = dict(getattr(statistic._scratch, "slots", {}))
+        for t in TEST_IDS:
+            batch_statistic(t, block)
+        seen["block"] = {k: slot.size for k, slot in statistic._scratch.slots.items()}
+        seen["got"] = {t: batch_statistic(t, UnitRows(row)) for t in TEST_IDS}
+        seen["after"] = {k: slot.size for k, slot in statistic._scratch.slots.items()}
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    # a fresh thread that scores only the long row keeps nothing, and the
+    # long row leaves a block's slots as they were: one block plus one column per row
+    assert seen["alone"] == {}
+    assert seen["after"] == seen["block"] and max(seen["block"].values()) <= _BLOCK_VALUES + 163
+    for kind in CLASSICAL_KINDS:
+        np.testing.assert_array_equal(seen["got"][kind], oracle_sorted(kind, row[None, :]), kind)
+    for t in TEST_IDS:
+        np.testing.assert_array_equal(seen["got"][t], seen["first"][t], t)
+    # the closed form cancels terms of size n / 30, about 2e-11 at this n
+    assert seen["got"]["tm"][0] == pytest.approx(tm_statistic_integral(row), rel=0.0, abs=1e-10)
 
 
 def _kuiper_limit_sf(x: float) -> float:

@@ -5,14 +5,18 @@ byte-level CSV output across runs and worker counts.
 """
 
 import dataclasses
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import unigof
 from unigof import (
     STREAM_SCHEME,
     TEST_IDS,
@@ -625,6 +629,7 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 _CHUNK_CASES = [
     ("uniform", None),
     ("pareto", None),
+    ("normal", None),
     ("uniform", "beta(2,3)"),
     ("normal", "chisq(5)"),
 ]
@@ -663,6 +668,35 @@ def _engine_statistics(seed, salt, family, alt, n, tests, reps):
     for start in range(0, reps, _CHUNK):
         _score_chunk(stats, family, alt, n, salt, seed, start)
     return stats
+
+
+@pytest.mark.parametrize("family", NULL_FAMILIES)
+@pytest.mark.parametrize("n, reps", [(163, _CHUNK + 5), (200, _CHUNK + 5), (_BLOCK_VALUES + 1, 5)])
+def test_a_null_chunk_drawn_block_by_block_is_one_draw(family, n, reps):
+    # the engine draws a null chunk one row block at a time from its substream;
+    # the null samplers are stream-sequential, so every statistic is that of
+    # the whole-chunk draw. At n = _BLOCK_VALUES + 1 a block is one row, and
+    # five rows keep the reference's whole-chunk draw small.
+    got = _engine_statistics(7, 123, family, None, n, TEST_IDS, reps)
+    want = _cell_statistics(7, 123, family, None, n, TEST_IDS, reps)
+    for t in TEST_IDS:
+        np.testing.assert_array_equal(got[t], want[t], t)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux, in bytes on macOS")
+def test_a_cell_of_long_rows_holds_one_block_not_one_chunk():
+    # one tm critical-value cell of one 4096 x 5000 chunk, in a fresh
+    # interpreter: a whole-chunk draw alone is 164 MB, a row block 240 KB
+    code = ("import resource\nfrom unigof import StudyConfig, estimate_critical_values\n"
+            "config = StudyConfig(mode='critical_values', tests=('tm',), family='uniform', alternatives=(),\n"
+            "                     sizes=(5000,), alphas=(0.05,), replications=4096, master_seed=3)\n"
+            "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "estimate_critical_values(config)\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) / 1024)")
+    src = str(Path(unigof.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert float(out.stdout) < 40.0  # peak growth in MB over the post-import baseline
 
 
 @pytest.mark.parametrize("family, alt", _CHUNK_CASES)
