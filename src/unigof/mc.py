@@ -7,9 +7,8 @@ simulation study would share them. There is one kind of cell: a
 critical-value study's one "alternative" is the null itself, and its cells
 reduce each statistic to quantiles, while power and power-curve cells
 count exceedances of given critical values; a power curve's sizes are
-cells too. A study's (cell, chunk) tasks run on every core the process may
-run on. The library's ``workers`` field instead runs each cell on one thread
-in a pool of that many processes.
+cells too. A study's (cell, chunk) tasks run on one thread per core the
+process may run on, or on ``workers`` threads when that field is above 1.
 
 Reproducibility discipline: a cell's replications run in chunks of
 ``_CHUNK`` rows, and each chunk draws its rows from one substream seeded
@@ -28,7 +27,6 @@ import hashlib
 import threading
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -89,7 +87,10 @@ def _cell_salt(*parts) -> int:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Full description of one simulation study."""
+    """Full description of one simulation study.
+
+    ``workers`` above 1 is the number of threads that score the study's tasks; 1 runs one per core.
+    """
 
     mode: str
     tests: tuple[str, ...]
@@ -238,20 +239,14 @@ def _reduce(config: StudyConfig, label: str, n: int, stats: dict, cv_map) -> lis
     return rows
 
 
-def _run_cells(config: StudyConfig, salt_prefix: tuple, cv_map: dict | None = None, threads: int | None = None):
+def _run_cells(config: StudyConfig, salt_prefix: tuple, cv_map: dict | None = None):
     """The rows of every (alternative, n) cell, from its (cell, chunk) tasks in cell order.
 
     A critical-value study's one "alternative" is the null (None, labelled by the family); the salt prefix
-    names the study kind. In one process the tasks run on ``threads`` threads (one per core unless given),
-    and a cell's arrays live from its first chunk's take to its last one's end; a pool runs each cell alone.
+    names the study kind. The tasks run on ``config.workers`` threads when it is above 1, else on one per
+    core, and a cell's arrays live from its first chunk's take to its last one's end.
     """
     cells = [(alt, n) for alt in config.alternatives or (None,) for n in config.sizes]
-    if config.workers > 1 and len(cells) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing, which only the pool needs
-        alone = [replace(config, alternatives=(alt,) if alt else (), sizes=(n,), workers=1) for alt, n in cells]
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            runs = pool.map(partial(_run_cells, salt_prefix=salt_prefix, cv_map=cv_map, threads=1), alone)
-            return [row for rows in runs for row in rows]
     reps, chunks = config.replications, range(0, config.replications, _CHUNK)
     live, left, results, lock = {}, [len(chunks)] * len(cells), [None] * len(cells), threading.Lock()
 
@@ -272,7 +267,8 @@ def _run_cells(config: StudyConfig, salt_prefix: tuple, cv_map: dict | None = No
         if last:
             results[k] = _reduce(config, label, n, stats, cv_map)
 
-    _on_every_core([(k, start) for k in range(len(cells)) for start in chunks], take, score, threads)
+    _on_every_core([(k, start) for k in range(len(cells)) for start in chunks], take, score,
+                   config.workers if config.workers > 1 else None)
     return [row for rows in results for row in rows]
 
 

@@ -60,9 +60,11 @@ class QuadratureRule:
 
 def _integer(field: str, value) -> int:
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):  # an int to Python, but True is no count, size or seed
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{field}: expected an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"{field}: expected an integer, got {value!r}")
 
 
 def gauss_legendre(order: int) -> QuadratureRule:
