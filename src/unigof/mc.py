@@ -8,7 +8,7 @@ critical-value study's one "alternative" is the null itself, and its cells
 reduce each statistic to quantiles, while power and power-curve cells
 count exceedances of given critical values; a power curve's sizes are
 cells too. A study's (cell, chunk) tasks run on one thread per core the
-process may run on, or on ``workers`` threads when that field is above 1.
+process may run on.
 
 Reproducibility discipline: a cell's replications run in chunks of
 ``_CHUNK`` rows, and each chunk draws its rows from one substream seeded
@@ -89,7 +89,7 @@ def _cell_salt(*parts) -> int:
 class StudyConfig:
     """Full description of one simulation study.
 
-    ``workers`` above 1 is the number of threads that score the study's tasks; 1 runs one per core.
+    ``workers`` is checked to be a positive integer and otherwise unused: every study runs on every core.
     """
 
     mode: str
@@ -243,8 +243,8 @@ def _run_cells(config: StudyConfig, salt_prefix: tuple, cv_map: dict | None = No
     """The rows of every (alternative, n) cell, from its (cell, chunk) tasks in cell order.
 
     A critical-value study's one "alternative" is the null (None, labelled by the family); the salt prefix
-    names the study kind. The tasks run on ``config.workers`` threads when it is above 1, else on one per
-    core, and a cell's arrays live from its first chunk's take to its last one's end.
+    names the study kind. The tasks run on one thread per core, and a cell's arrays live from its first
+    chunk's take to its last one's end.
     """
     cells = [(alt, n) for alt in config.alternatives or (None,) for n in config.sizes]
     reps, chunks = config.replications, range(0, config.replications, _CHUNK)
@@ -267,8 +267,7 @@ def _run_cells(config: StudyConfig, salt_prefix: tuple, cv_map: dict | None = No
         if last:
             results[k] = _reduce(config, label, n, stats, cv_map)
 
-    _on_every_core([(k, start) for k in range(len(cells)) for start in chunks], take, score,
-                   config.workers if config.workers > 1 else None)
+    _on_every_core([(k, start) for k in range(len(cells)) for start in chunks], take, score)
     return [row for rows in results for row in rows]
 
 

@@ -141,11 +141,11 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _on_every_core(items, take, work, threads: int | None = None) -> None:
-    """Call ``work(item, take(item))`` for each item, on ``threads`` threads or one per core.
+def _on_every_core(items, take, work) -> None:
+    """Call ``work(item, take(item))`` for each item, on one thread per core.
 
     Items go out in order under one lock, and ``take`` runs inside it, so the k-th ``take`` is the k-th item's;
-    ``work`` runs outside it, on the caller and ``min(threads, len(items)) - 1`` helper threads. After a failure
+    ``work`` runs outside it, on the caller and ``min(_cores(), len(items)) - 1`` helper threads. After a failure
     no item goes out; all threads are joined, and then the error of the earliest failing item is raised.
     """
     queue, lock, errors = iter(enumerate(items)), threading.Lock(), {}
@@ -163,7 +163,7 @@ def _on_every_core(items, take, work, threads: int | None = None) -> None:
             with lock:
                 errors[k] = err
 
-    helpers = min(threads or _cores(), len(items)) - 1
+    helpers = min(_cores(), len(items)) - 1
     with ThreadPoolExecutor(max(helpers, 1)) as pool:  # joins its threads on the way out
         futures = [pool.submit(run) for _ in range(helpers)]
         run()

@@ -538,7 +538,7 @@ def test_each_study_kind_keeps_its_stream_salts(workers):
 
 def test_core_count_does_not_change_bytes(tmp_path, monkeypatch):
     # cells of two chunks, so the (cell, chunk) tasks of a study interleave
-    # on 1, 2 or 3 threads; workers = 2 sets two threads on one core
+    # on 1, 2 or 3 threads; workers = 2 changes nothing
     reps = _CHUNK + 300
     base = dict(family="normal", tests=("tm", "ks"), sizes=(5, 9), alphas=(0.1, 0.05), replications=reps)
     alts = (parse_spec("chisq(5)"), parse_spec("t(3)"))
@@ -626,41 +626,6 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         run_power_curve(curve_config).write_csv(curve_path)
         rows[workers] = path.read_bytes() + curve_path.read_bytes()
     assert rows[1] == rows[3]
-
-
-def test_workers_sets_the_thread_count(tmp_path, monkeypatch):
-    # one cell of three chunks at workers = 3 and two one-chunk cells at
-    # workers = 2, on a process that may run on one core: each chunk waits at
-    # a barrier until every thread holds one, so fewer threads fail the run
-    monkeypatch.setattr(statistic, "_cores", lambda: 1)
-    cv_config = critval_config(sizes=(10,), replications=3 * _CHUNK)
-    power_config = critval_config(mode="power", sizes=(10,), replications=500,
-                                  alternatives=(parse_spec("beta(2,3)"), parse_spec("beta(3,2)")))
-    cv = estimate_critical_values(cv_config)
-    expected = [cv, estimate_power(power_config, cv)]
-    score_chunk, threads = mc._score_chunk, threading.active_count()
-
-    def threads_that_score(workers, run):
-        barrier, idents = threading.Barrier(workers, timeout=10.0), set()
-
-        def score(*args):
-            idents.add(threading.get_ident())
-            barrier.wait()
-            score_chunk(*args)
-
-        monkeypatch.setattr(mc, "_score_chunk", score)
-        result = run()
-        monkeypatch.setattr(mc, "_score_chunk", score_chunk)
-        assert threading.active_count() == threads
-        return result, len(idents)
-
-    results = [threads_that_score(3, lambda: estimate_critical_values(dataclasses.replace(cv_config, workers=3))),
-               threads_that_score(2, lambda: estimate_power(dataclasses.replace(power_config, workers=2), cv))]
-    assert [count for _, count in results] == [3, 2]
-    for name, want, (got, _) in zip(("cv.csv", "power.csv"), expected, results):
-        write_study_csv(want, tmp_path / f"want-{name}")
-        write_study_csv(got, tmp_path / name)
-        assert (tmp_path / name).read_bytes() == (tmp_path / f"want-{name}").read_bytes()
 
 
 _CHUNK_CASES = [
