@@ -16,9 +16,9 @@ by (master_seed, cell_salt, chunk_start), where the cell salt is a stable
 hash of the cell's identity: a null chunk one row block at a time, as the
 rows of one draw, and an alternative chunk in one call (see _score_chunk).
 Results are therefore bit-identical for a fixed master seed whatever the
-core or worker count and in whichever order cells and chunks are
-evaluated. This is ``STREAM_SCHEME`` 2; scheme 1 seeded one substream per
-replication, so its numbers differ.
+core count and in whichever order cells and chunks are evaluated. This
+is ``STREAM_SCHEME`` 2; scheme 1 seeded one substream per replication,
+so its numbers differ.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def rng_substream(master_seed: int, *indices: int) -> np.random.Generator:
     """Independent, reproducible generator for one unit of work (a chunk).
 
     Seeding with the full index tuple keeps streams statistically
-    separated without any global counter, so workers need no coordination.
+    separated without any global counter, so threads need no coordination.
     """
     return np.random.default_rng((int(master_seed),) + tuple(int(i) for i in indices))
 

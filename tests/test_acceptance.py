@@ -35,6 +35,7 @@ from unigof import (
     tm_statistic_integral,
     write_study_csv,
 )
+from unigof import statistic
 
 MASTER_SEED = 20260816
 
@@ -356,10 +357,12 @@ def test_09_power_curves_dominate_approximation():
     )
 
 
-def test_10_parallel_runs_are_byte_identical(tmp_path):
-    """Worker count never changes study output for a fixed master seed."""
+def test_10_parallel_runs_are_byte_identical(tmp_path, monkeypatch):
+    """Thread count never changes study output for a fixed master seed."""
     results = {}
-    for workers in (1, 3):
+    for threads in (1, 3):
+        # two one-chunk cells per study: three cores score them on two threads
+        monkeypatch.setattr(statistic, "_cores", lambda: threads)
         cv_cfg = StudyConfig(
             mode="critical_values",
             tests=("tm", "ks"),
@@ -369,7 +372,6 @@ def test_10_parallel_runs_are_byte_identical(tmp_path):
             alphas=(0.10, 0.05),
             replications=2000,
             master_seed=99,
-            workers=workers,
         )
         cv = estimate_critical_values(cv_cfg)
         pw_cfg = StudyConfig(
@@ -381,19 +383,18 @@ def test_10_parallel_runs_are_byte_identical(tmp_path):
             alphas=(0.10, 0.05),
             replications=2000,
             master_seed=99,
-            workers=workers,
         )
         pw = estimate_power(pw_cfg, cv)
-        cv_path = tmp_path / f"cv{workers}.csv"
-        pw_path = tmp_path / f"pw{workers}.csv"
+        cv_path = tmp_path / f"cv{threads}.csv"
+        pw_path = tmp_path / f"pw{threads}.csv"
         write_study_csv(cv, cv_path)
         write_study_csv(pw, pw_path)
-        results[workers] = (cv_path.read_bytes(), pw_path.read_bytes())
+        results[threads] = (cv_path.read_bytes(), pw_path.read_bytes())
     same = results[1] == results[3]
     _report(
-        "criterion 10 determinism across workers",
+        "criterion 10 determinism across threads",
         same,
-        "critical-value and power CSVs byte-identical for workers 1 vs 3"
+        "critical-value and power CSVs byte-identical for 1 vs 3 threads"
         if same
-        else "outputs differ between worker counts",
+        else "outputs differ between thread counts",
     )

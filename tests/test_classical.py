@@ -406,6 +406,10 @@ class TestBattery:
         assert outcomes[0].test_id == "tm"
         assert outcomes[0].statistic == pytest.approx(tm_statistic(u))
 
+    def test_rejects_more_than_one_sample(self, rng):
+        with pytest.raises(ValueError, match="^classical_battery expects a single sample$"):
+            classical_battery(rng.random((2, 30)))
+
     def test_a_failing_statistic_raises(self, rng, monkeypatch):
         def broken(V):
             raise RuntimeError("ks failed")

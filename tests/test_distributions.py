@@ -172,6 +172,13 @@ def test_sample_takes_a_numpy_integer_size(rng):
     assert sample(spec_of("uniform"), np.int64(5), rng).values.shape == (5,)
 
 
+def test_lfr_at_slope_zero_draws_the_unit_exponential():
+    # at theta = 0 the general inversion is 0 / 0; the draw is the hazard itself
+    got = sample(spec_of("lfr(0)"), 4097, np.random.default_rng(5)).values
+    want = sample(spec_of("weibull(1)"), 4097, np.random.default_rng(5)).values
+    np.testing.assert_array_equal(got, want)
+
+
 # hand inversions of the stephens1-3 CDFs: the reference that the table's
 # samplers, each its own CDF at shape 1/k, must equal bit for bit
 
@@ -429,6 +436,11 @@ class TestSpecValidation:
     def test_mixture_triple_required(self):
         with pytest.raises(ValueError):
             AlternativeSpec("mixture")
+
+    def test_mixture_components_must_be_specs(self):
+        u = AlternativeSpec("uniform")
+        with pytest.raises(ValueError, match="^mixture components must be AlternativeSpec values$"):
+            AlternativeSpec("mixture", mixture=(0.5, u, "uniform"))
 
     def test_mixture_rejects_parameters(self):
         u = AlternativeSpec("uniform")

@@ -1,7 +1,7 @@
 """Monte Carlo engine: substreams, quantiles, studies, serialisation.
 
 Determinism is the load-bearing property here, so several tests compare
-byte-level CSV output across runs and worker counts.
+byte-level CSV output across runs and thread counts.
 """
 
 import dataclasses
@@ -134,6 +134,10 @@ class TestStudyConfig:
     def test_rejects_empty_sizes(self):
         with pytest.raises(ValueError):
             critval_config(sizes=())
+
+    def test_rejects_empty_tests(self):
+        with pytest.raises(ValueError, match="^at least one test id is required$"):
+            critval_config(tests=())
 
     def test_rejects_alpha_outside_interval(self):
         with pytest.raises(ValueError, match="alphas"):
@@ -364,6 +368,10 @@ class TestCriticalValues:
         with pytest.raises(ValueError, match="mode"):
             estimate_critical_values(config)
 
+    def test_power_requires_power_mode(self, small_cv):
+        with pytest.raises(ValueError, match="^config.mode must be 'power'$"):
+            estimate_power(critval_config(), small_cv)
+
 
 # ---------------------------------------------------------------------------
 # power and size
@@ -490,19 +498,18 @@ class TestCriticalValueTable:
         assert table == {("ks", 25, 0.05): critical_value_map(small_cv)[("ks", 25, 0.05)]}
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_each_study_kind_keeps_its_stream_salts(workers):
+def test_each_study_kind_keeps_its_stream_salts():
     # every row equals a recomputation from the substream its salt names, so
     # the published numbers cannot move when the cell code is reorganised
     reps, sizes, alphas, tests = 300, (9, 12), (0.1, 0.05), ("tm", "ks")
-    base = dict(family="normal", tests=tests, sizes=sizes, alphas=alphas, replications=reps, workers=workers)
+    base = dict(family="normal", tests=tests, sizes=sizes, alphas=alphas, replications=reps)
     alts = (parse_spec("chisq(5)"), parse_spec("normal(3,9)"))
     cv = estimate_critical_values(critval_config(**base))
     power = estimate_power(critval_config(mode="power", alternatives=alts, **base), cv)
     curve_alt = parse_spec("beta(2,2)")
     curve = run_power_curve(critval_config(
         mode="power_curve", tests=("tm",), alternatives=(curve_alt,), sizes=sizes, alphas=(0.05,),
-        replications=reps, workers=workers,
+        replications=reps,
     ))
 
     def stats(salt, family, alt, n, tests):
@@ -533,26 +540,26 @@ def test_each_study_kind_keeps_its_stream_salts(workers):
 
 
 # ---------------------------------------------------------------------------
-# determinism across workers
+# determinism across thread counts
 
 
 def test_core_count_does_not_change_bytes(tmp_path, monkeypatch):
     # cells of two chunks, so the (cell, chunk) tasks of a study interleave
-    # on 1, 2 or 3 threads; workers = 2 changes nothing
+    # on 1, 2 or 3 threads
     reps = _CHUNK + 300
     base = dict(family="normal", tests=("tm", "ks"), sizes=(5, 9), alphas=(0.1, 0.05), replications=reps)
     alts = (parse_spec("chisq(5)"), parse_spec("t(3)"))
     outputs = set()
     threads = threading.active_count()
-    for cores, workers in ((1, 1), (2, 1), (3, 1), (1, 2)):
+    for cores in (1, 2, 3):
         monkeypatch.setattr(statistic, "_cores", lambda: cores)
-        cv = estimate_critical_values(critval_config(workers=workers, **base))
+        cv = estimate_critical_values(critval_config(**base))
         write_study_csv(cv, tmp_path / "cv.csv")
-        write_study_csv(estimate_power(critval_config(mode="power", alternatives=alts, workers=workers, **base), cv),
+        write_study_csv(estimate_power(critval_config(mode="power", alternatives=alts, **base), cv),
                         tmp_path / "power.csv")
         run_power_curve(critval_config(
             mode="power_curve", tests=("tm",), alternatives=(parse_spec("beta(2,2)"),), sizes=(10, 20, 30),
-            alphas=(0.05,), replications=reps, workers=workers,
+            alphas=(0.05,), replications=reps,
         )).write_csv(tmp_path / "curve.csv")
         outputs.add(b"".join((tmp_path / name).read_bytes() for name in ("cv.csv", "power.csv", "curve.csv")))
         assert threading.active_count() == threads
@@ -605,27 +612,6 @@ def test_the_earliest_failing_cell_raises_whatever_the_core_count(monkeypatch):
         messages.add(str(err.value))
         assert threading.active_count() == threads
     assert len(messages) == 1 and str(later.value) not in messages
-
-
-def test_worker_count_does_not_change_bytes(tmp_path):
-    rows = {}
-    for workers in (1, 3):
-        config = critval_config(sizes=(10, 15), workers=workers)
-        path = tmp_path / f"w{workers}.csv"
-        write_study_csv(estimate_critical_values(config), path)
-        curve_config = critval_config(
-            mode="power_curve",
-            tests=("tm",),
-            alternatives=(parse_spec("beta(2,2)"),),
-            sizes=(10, 20, 30),
-            alphas=(0.05,),
-            replications=300,
-            workers=workers,
-        )
-        curve_path = tmp_path / f"curve{workers}.csv"
-        run_power_curve(curve_config).write_csv(curve_path)
-        rows[workers] = path.read_bytes() + curve_path.read_bytes()
-    assert rows[1] == rows[3]
 
 
 _CHUNK_CASES = [
@@ -837,8 +823,18 @@ class TestCsv:
     def test_read_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("nonsense\n1,2,3\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unexpected study CSV header: 'nonsense'$"):
             read_study_csv(path)
+        path.write_text("test,null,n,alpha,estimate,mc_se,replications,seed\n1,2,3,4\n")
+        with pytest.raises(ValueError, match="^line 2: expected at least 8 fields, got 4$"):
+            read_study_csv(path)
+
+    def test_read_skips_blank_lines(self, tmp_path, small_cv):
+        path = tmp_path / "study.csv"
+        write_study_csv(small_cv, path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "\n" + rows[0] + "  \n" + "".join(rows[1:]))
+        assert read_study_csv(path).rows == small_cv.rows
 
 
 class TestTables:
