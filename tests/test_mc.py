@@ -498,9 +498,12 @@ class TestCriticalValueTable:
         assert table == {("ks", 25, 0.05): critical_value_map(small_cv)[("ks", 25, 0.05)]}
 
 
-def test_each_study_kind_keeps_its_stream_salts():
+@pytest.mark.parametrize("cores", [1, 2])
+def test_each_study_kind_keeps_its_stream_salts(cores, monkeypatch):
     # every row equals a recomputation from the substream its salt names, so
-    # the published numbers cannot move when the cell code is reorganised
+    # the published numbers cannot move when the cell code is reorganised or
+    # its tasks run on more threads
+    monkeypatch.setattr(statistic, "_cores", lambda: cores)
     reps, sizes, alphas, tests = 300, (9, 12), (0.1, 0.05), ("tm", "ks")
     base = dict(family="normal", tests=tests, sizes=sizes, alphas=alphas, replications=reps)
     alts = (parse_spec("chisq(5)"), parse_spec("normal(3,9)"))
