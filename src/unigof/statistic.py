@@ -105,9 +105,9 @@ class UnitRows:
         return self._memo[kernel]
 
 
-@dataclass
+@dataclass(slots=True)
 class TestOutcome:
-    """The statistic of one test on one sample."""
+    """The statistic of one test on one sample; slotted, so an outcome carries no ``__dict__``."""
 
     test_id: str
     statistic: float

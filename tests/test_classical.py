@@ -406,6 +406,16 @@ class TestBattery:
         assert outcomes[0].test_id == "tm"
         assert outcomes[0].statistic == pytest.approx(tm_statistic(u))
 
+    def test_outcomes_are_slotted_and_keep_their_values(self, rng):
+        # slots change what an outcome weighs, not what the battery computes
+        outcomes = classical_battery(UnitSample(rng.random(30)))
+        assert not any(hasattr(o, "__dict__") for o in outcomes)
+        pinned = {"tm": 0.09031398536178159, "ks": 0.1346916586974107, "cvm": 0.11398154612203713,
+                  "ad": 0.7431493893352155, "watson": 0.11391415827582824, "sherman": 0.313530464722711,
+                  "kuiper": 0.23885506187514335, "qm": 0.08248910611315712, "frs": 0.29650431088135937,
+                  "zc": 14.237389374940014}
+        assert {o.test_id: o.statistic for o in outcomes} == pytest.approx(pinned, rel=1e-13, abs=0.0)
+
     def test_rejects_more_than_one_sample(self, rng):
         with pytest.raises(ValueError, match="^classical_battery expects a single sample$"):
             classical_battery(rng.random((2, 30)))

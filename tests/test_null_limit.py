@@ -48,6 +48,14 @@ class TestNullKernel:
         assert null_kernel(1.0, 1.0) == 0.0
         assert null_kernel(0.0, 1.0) == 0.0
 
+    def test_matches_the_cubed_formula_on_the_512_grid(self):
+        # an absolute bound: entries near zero cancel, so ulps mean nothing there
+        x = gauss_legendre(512).nodes
+        s, t = x[:, None], x[None, :]
+        m = np.maximum(s, t)
+        formula = (1.0 - (2.0 * m - 1.0) ** 3) / 6.0 - s * t * (1.0 - s) * (1.0 - t)
+        np.testing.assert_allclose(null_kernel(s, t), formula, rtol=0.0, atol=1e-16)
+
     def test_symmetry(self, rng):
         s = rng.random(50)
         t = rng.random(50)

@@ -30,13 +30,30 @@ class TestGaussLegendre:
         assert rule.nodes[-1] < 1.0
         assert np.all(np.diff(rule.nodes) > 0.0)
 
-    @pytest.mark.parametrize("order", [2, 5, 16])
+    @pytest.mark.parametrize("order", [*range(2, 13), 16, 63, 64])
     def test_polynomial_exactness_up_to_degree_2k_minus_1(self, order):
-        # an order-k rule integrates t^d exactly for d <= 2k - 1
+        # an order-k rule integrates t^d exactly for d <= 2k - 1; odd orders have a middle node
         rule = gauss_legendre(order)
         for d in range(2 * order):
             got = rule.weights @ rule.nodes**d
             assert abs(got - 1.0 / (d + 1)) < 1e-14, f"degree {d}"
+
+    @pytest.mark.parametrize("order", [512, 1024])
+    def test_legendre_moments_vanish(self, order):
+        # sum_i w_i P_k(2 x_i - 1) = 0 for 1 <= k < 2 order; legvander shares no code with the rule
+        rule = gauss_legendre(order)
+        P = np.polynomial.legendre.legvander(2.0 * rule.nodes - 1.0, 2 * order - 1)
+        assert np.max(np.abs(rule.weights @ P[:, 1:])) < 2e-15
+
+    @pytest.mark.parametrize("order", [*range(2, 13), 511, 512])
+    def test_nodes_symmetric_about_one_half(self, order):
+        nodes = gauss_legendre(order).nodes
+        assert np.all(nodes + nodes[::-1] == 1.0)
+
+    def test_nodes_match_the_eigenvalue_route(self):
+        # numpy's leggauss solves the Jacobi-matrix eigenproblem; its nodes are accurate to ~5e-17 at order 512
+        x, _ = np.polynomial.legendre.leggauss(512)
+        np.testing.assert_allclose(gauss_legendre(512).nodes, 0.5 * (x + 1.0), rtol=0.0, atol=2e-16)
 
     def test_smooth_non_polynomial(self):
         rule = gauss_legendre(32)

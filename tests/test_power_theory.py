@@ -55,6 +55,12 @@ def by_name():
     return {s.name: s for s in builtin_beta_specs()}
 
 
+def _sin2_mapped(rule):
+    """The rule carried to (0, 1) by t = sin^2(pi x / 2)."""
+    x, w = rule.nodes, rule.weights
+    return QuadratureRule(np.sin(np.pi * x / 2.0) ** 2, w * (np.pi / 2.0) * np.sin(np.pi * x))
+
+
 # ---------------------------------------------------------------------------
 # uniform spec: everything degenerates
 
@@ -105,10 +111,14 @@ class TestBuiltinConstants:
         # the arcsine variance has no closed form; recompute it on a rule
         # mapped by t = sin^2(pi x / 2), which clusters nodes at both ends
         # where the density is infinite, at twice the order of the pin
-        x, w = RULE_512.nodes, RULE_512.weights
-        rule = QuadratureRule(np.sin(np.pi * x / 2.0) ** 2, w * (np.pi / 2.0) * np.sin(np.pi * x))
         spec = by_name()["beta(0.5,0.5)"]
-        assert asymptotic_variance(spec, rule) == pytest.approx(spec.sigma2, rel=1e-12, abs=0.0)
+        assert asymptotic_variance(spec, _sin2_mapped(RULE_512)) == pytest.approx(spec.sigma2, rel=1e-12, abs=0.0)
+
+    def test_arcsine_sigma2_is_stable_in_the_order(self):
+        # the pin's mapped rule gives one variance at orders 256 to 2048
+        spec = by_name()["beta(0.5,0.5)"]
+        values = [asymptotic_variance(spec, _sin2_mapped(gauss_legendre(order))) for order in (256, 512, 1024, 2048)]
+        assert max(values) - min(values) <= 1e-14 * values[0]
 
     @pytest.mark.parametrize("name", sorted(BETA_PARAMS))
     def test_delta_recomputed_by_quadrature(self, name):
