@@ -50,6 +50,14 @@ class TestGaussLegendre:
         nodes = gauss_legendre(order).nodes
         assert np.all(nodes + nodes[::-1] == 1.0)
 
+    def test_end_nodes_and_weights_match_40_digit_values(self):
+        # mpmath roots of P_128 at 40 digits, rounded; near the ends x cannot hold the root, 1 - x can
+        rule = gauss_legendre(128)
+        nodes = [8.755602643404277e-05, 0.0004612700113120525, 0.00113337568724299]
+        weights = [0.00022469048014604518, 0.0005229063396701744, 0.0008212515093345147]
+        np.testing.assert_allclose(rule.nodes[:3], nodes, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(rule.weights[:3], weights, rtol=1e-13, atol=0.0)
+
     def test_nodes_match_the_eigenvalue_route(self):
         # numpy's leggauss solves the Jacobi-matrix eigenproblem; its nodes are accurate to ~5e-17 at order 512
         x, _ = np.polynomial.legendre.leggauss(512)
