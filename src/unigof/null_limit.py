@@ -3,8 +3,8 @@
 Under uniformity the statistic converges to the squared norm of a centred
 Gaussian process whose covariance kernel is :func:`null_kernel`. The first
 four cumulants of that limit are known exactly; an independent route
-recomputes them from power sums of the kernel's Nystrom spectrum, and the pair
-(exact, numeric) acts as a cross-check on both derivations.
+recomputes them from traces of powers of the kernel's Nystrom matrix, and the
+pair (exact, numeric) acts as a cross-check on both derivations.
 
 The cumulants feed a Pearson-system fit whose quantiles supply asymptotic
 critical values. Only Pearson type VI (beta prime) is fitted: the limit is
@@ -53,8 +53,14 @@ def null_kernel(s, t):
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    c = 2.0 * np.maximum(s, t) - 1.0
-    out = (1.0 - c * c * c) / 6.0 - (s * (1.0 - s)) * (t * (1.0 - t))
+    c = np.maximum(s, t, out=np.empty(np.broadcast_shapes(s.shape, t.shape)))  # with out=, 0-d stays an array
+    c *= 2.0
+    c -= 1.0
+    out = np.multiply(c, c, out=np.empty_like(c))
+    out *= c
+    np.subtract(1.0, out, out=out)
+    out /= 6.0
+    out -= np.multiply(s * (1.0 - s), t * (1.0 - t), out=c)
     return float(out) if out.ndim == 0 else out
 
 
@@ -94,17 +100,22 @@ def cumulants_exact() -> CumulantSet:
 
 
 def cumulants_numeric(order: int = 512) -> CumulantSet:
-    """The limit cumulants from power sums of the Nystrom spectrum.
+    """The limit cumulants from traces of powers of the Nystrom matrix.
 
     The j-th cumulant of ``sum_k lambda_k chi2_1`` is ``2^(j-1) (j-1)!
-    sum_k lambda_k^j``, summed here over the eigenvalues of
-    :func:`nystrom_spectrum`. This route shares nothing with
-    :func:`cumulants_exact` beyond the kernel itself, so agreement between
-    the two validates both.
+    sum_k lambda_k^j``, and ``sum_k lambda_k^j = trace(A^j)`` for the matrix
+    ``A`` of :func:`nystrom_spectrum`, so one product ``A2 = A A`` gives all
+    four without an eigensolve: ``trace(A)`` and the sums of ``A * A``,
+    ``A2 * A`` and ``A2 * A2``. This route shares nothing with
+    :func:`cumulants_exact` beyond the kernel, so their agreement validates both.
     """
     if not order >= 128:
         raise ValueError("order must be at least 128")
-    return _power_sum_cumulants(nystrom_spectrum(order).eigenvalues)
+    A = nystrom_discretize(null_kernel, gauss_legendre(order))
+    A2 = A @ A
+    # einsum, not BLAS vdot: its sums do not depend on the BLAS thread count
+    traces = (np.trace(A), *(np.einsum("ij,ij->", X, Y) for X, Y in ((A, A), (A2, A), (A2, A2))))
+    return CumulantSet(*(2.0 ** j * math.factorial(j) * float(tr) for j, tr in enumerate(traces)))
 
 
 def _power_sum_cumulants(lam: np.ndarray) -> CumulantSet:
@@ -230,8 +241,8 @@ def nystrom_spectrum(order: int = 512) -> NystromSpectrum:
     """Eigenvalues of the weighted Nystrom matrix of the null kernel.
 
     Sorted descending. They approximate the weights of the limit law
-    ``sum_k lambda_k chi2_1``, and :func:`cumulants_numeric` reads the
-    limit's cumulants from their power sums.
+    ``sum_k lambda_k chi2_1``; their power sums equal the matrix-power
+    traces from which :func:`cumulants_numeric` reads the limit's cumulants.
     """
     if not order >= 64:
         raise ValueError("order must be at least 64")

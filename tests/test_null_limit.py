@@ -1,7 +1,8 @@
 """Null limit distribution: kernel, cumulants, Pearson fit, quantiles.
 
-The exact rational cumulants are cross-validated against power sums of
-the discretised kernel's Nystrom spectrum. The Pearson type VI fit is
+The exact rational cumulants are cross-validated against traces of powers
+of the discretised kernel's Nystrom matrix, and those traces against the
+power sums of its spectrum. The Pearson type VI fit is
 checked against ``scipy.stats.betaprime`` (its distribution function and
 quantiles bit for bit, its moments in closed form), and cumulants of every
 other Pearson family must be rejected.
@@ -20,13 +21,12 @@ from unigof import (
     cumulants_numeric,
     gauss_legendre,
     null_kernel,
-    nystrom_discretize,
     nystrom_spectrum,
     pearson_fit,
     pearson_quantile,
     tm_statistic_batch,
 )
-from unigof.null_limit import PearsonFit, _fit_moments, _verify_fit_moments
+from unigof.null_limit import PearsonFit, _fit_moments, _power_sum_cumulants, _verify_fit_moments
 
 EXACT = (
     2.0 / 15.0,
@@ -55,6 +55,48 @@ class TestNullKernel:
         m = np.maximum(s, t)
         formula = (1.0 - (2.0 * m - 1.0) ** 3) / 6.0 - s * t * (1.0 - s) * (1.0 - t)
         np.testing.assert_allclose(null_kernel(s, t), formula, rtol=0.0, atol=1e-16)
+
+    @staticmethod
+    def _expression(s, t):
+        # the kernel as its allocating form wrote it, which the in-place form must reproduce bit for bit
+        c = 2.0 * np.maximum(s, t) - 1.0
+        return (1.0 - c * c * c) / 6.0 - (s * (1.0 - s)) * (t * (1.0 - t))
+
+    def test_bit_equal_to_the_expression_on_the_512_grid(self):
+        x = gauss_legendre(512).nodes
+        s, t = x[:, None], x[None, :]
+        got = null_kernel(s, t)
+        assert got.dtype == np.float64 and got.shape == (512, 512)
+        assert np.array_equal(got, self._expression(s, t))
+
+    @pytest.mark.parametrize(
+        "s, t",
+        [
+            (np.float64(0.3), 0.8),
+            (np.array(0.75), np.array(0.25)),
+            (np.linspace(0.0, 1.0, 11), 0.4),
+            (0.4, np.linspace(0.0, 1.0, 11)),
+            (np.linspace(0.0, 1.0, 7)[:, None], np.linspace(0.05, 0.95, 5)[None, :]),
+        ],
+        ids=["scalars", "0-d arrays", "vector-scalar", "scalar-vector", "column-row"],
+    )
+    def test_bit_equal_to_the_expression_on_every_shape(self, s, t):
+        got = null_kernel(s, t)
+        want = self._expression(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+        if want.ndim == 0:
+            assert type(got) is float and got == float(want)
+        else:
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_returns_a_new_array(self):
+        # nystrom_discretize scales the kernel's output in place, so it must not alias an input
+        s = np.linspace(0.0, 1.0, 9)[:, None]
+        t = np.linspace(0.0, 1.0, 9)[None, :]
+        for a, b in ((s, t), (s, 0.5), (s[:, 0], s[:, 0])):
+            got = null_kernel(a, b)
+            assert got.dtype == np.float64
+            assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
 
     def test_symmetry(self, rng):
         s = rng.random(50)
@@ -122,14 +164,20 @@ class TestCumulants:
 
     @pytest.mark.parametrize("order", [128, 512])
     def test_power_sums_equal_matrix_traces(self, order):
-        # sum lambda^j = trace(A^j): the eigenvalue route reproduces the
-        # iterated-kernel traces of the same Nystrom matrix
-        A = nystrom_discretize(null_kernel, gauss_legendre(order))
-        A2 = A @ A
-        traces = (np.trace(A), np.trace(A2), np.trace(A2 @ A), np.trace(A2 @ A2))
+        # sum lambda^j = trace(A^j): the traces cumulants_numeric reads agree
+        # with the eigenvalue power sums that `unigof spectrum` prints
         num = cumulants_numeric(order)
-        for j, (have, tr) in enumerate(zip((num.k1, num.k2, num.k3, num.k4), traces), start=1):
-            assert have == pytest.approx(2.0 ** (j - 1) * math.factorial(j - 1) * tr, rel=1e-14)
+        eig = _power_sum_cumulants(nystrom_spectrum(order).eigenvalues)
+        for k in ("k1", "k2", "k3", "k4"):
+            assert getattr(num, k) == pytest.approx(getattr(eig, k), rel=1e-14)
+
+    def test_numeric_route_runs_no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cumulants_numeric called an eigensolver")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert cumulants_numeric(128).k1 == pytest.approx(EXACT[0], abs=1e-12)
 
     def test_numeric_rejects_low_order(self):
         with pytest.raises(ValueError):
