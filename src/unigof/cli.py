@@ -9,7 +9,7 @@ diagnostics of the null limit operator.
 Every request is checked by the ``StudyConfig`` it runs: ``test`` checks
 --tests and --alpha on every ``--critvals`` route and refuses --reps and
 --seed beside ``pearson`` or a CSV, which simulate nothing. Studies run
-their (cell, chunk) tasks on every core; ``taskset`` sets the count.
+their (cell, row block) tasks on every core; ``taskset`` sets the count.
 argparse splits the list options and names the option when one is malformed.
 ``--out`` is checked before any draw, and nothing is written when the study fails.
 
@@ -45,7 +45,7 @@ from .mc import (
     write_study_csv,
 )
 from .null_limit import (
-    _power_sum_cumulants, cumulants_exact, cumulants_numeric, nystrom_spectrum, pearson_fit, pearson_quantile,
+    _power_sum_cumulants, cumulants_exact, nystrom_spectrum, pearson_fit, pearson_quantile,
 )
 from .statistic import Sample, UnitRows, UnitSample
 
@@ -235,7 +235,7 @@ def _cmd_spectrum(args) -> int:
         raise ValueError(f"--top must be at least 1, got {args.top}")
     spec = nystrom_spectrum(args.order)
     exact = cumulants_exact()
-    numeric = _power_sum_cumulants(spec.eigenvalues) if args.order >= 128 else cumulants_numeric(128)
+    numeric = _power_sum_cumulants(spec.eigenvalues)
     top = spec.eigenvalues[: args.top]
     print(f"leading eigenvalues (order {spec.eigenvalues.size}):")
     for i, lam in enumerate(top, start=1):

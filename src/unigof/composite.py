@@ -161,8 +161,9 @@ class CompositeFamily:
 
     ``sample_standard(shape, rng)`` must be stream-sequential: drawing shape
     (a, n) and then (b, n) from one generator gives the rows of one
-    (a + b, n) draw, as a single call on ``rng`` does. The bootstrap and the
-    Monte Carlo null cells draw block by block and rely on this for their results.
+    (a + b, n) draw, as a single call on ``rng`` does. The bootstrap draws block
+    by block from one generator and relies on this for its p-value; a Monte
+    Carlo cell draws each block in one call on its own substream.
     No package code calls ``estimator`` or ``sample_fitted``; they stay only
     because ``benchmarks/tracing.py`` rebuilds every family with all five.
     """

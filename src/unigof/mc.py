@@ -7,18 +7,19 @@ simulation study would share them. There is one kind of cell: a
 critical-value study's one "alternative" is the null itself, and its cells
 reduce each statistic to quantiles, while power and power-curve cells
 count exceedances of given critical values; a power curve's sizes are
-cells too. A study's (cell, chunk) tasks run on one thread per core the
+cells too. A study's (cell, block) tasks run on one thread per core the
 process may run on.
 
-Reproducibility discipline: a cell's replications run in chunks of
-``_CHUNK`` rows, and each chunk draws its rows from one substream seeded
-by (master_seed, cell_salt, chunk_start), where the cell salt is a stable
-hash of the cell's identity: a null chunk one row block at a time, as the
-rows of one draw, and an alternative chunk in one call (see _score_chunk).
-Results are therefore bit-identical for a fixed master seed whatever the
-core count and in whichever order cells and chunks are evaluated. This
-is ``STREAM_SCHEME`` 2; scheme 1 seeded one substream per replication,
-so its numbers differ.
+Reproducibility discipline: a cell's replications run in row blocks of
+``max(1, _BLOCK_VALUES // n)`` rows, and each block draws its rows in one
+call on one substream seeded by (master_seed, cell_salt, block_start),
+where the cell salt is a stable hash of the cell's identity: uniform rows,
+the null's standard member, or the alternative (see _score_block). Null
+and alternative cells share this one path. Results are therefore
+bit-identical for a fixed master seed whatever the core count and in
+whichever order cells and blocks are evaluated. This is ``STREAM_SCHEME``
+3; scheme 2 drew 4096-row chunks, one substream each, and scheme 1 one
+substream per replication, so their numbers differ.
 """
 
 from __future__ import annotations
@@ -63,16 +64,15 @@ __all__ = [
 ]
 
 # Version of the rule that maps (seed, cell, replication) to draws. Scheme 1
-# seeded one substream per replication; scheme 2 seeds one per chunk.
-STREAM_SCHEME = 2
-# Part of the stream rule: changing it changes every Monte Carlo number and
-# needs a STREAM_SCHEME bump.
-_CHUNK = 4096
+# seeded one substream per replication, scheme 2 one per 4096-row chunk, and
+# scheme 3 seeds one per row block of max(1, _BLOCK_VALUES // n) rows, so
+# changing _BLOCK_VALUES changes every Monte Carlo number and needs a bump.
+STREAM_SCHEME = 3
 NULL_FAMILIES = ("uniform",) + tuple(COMPOSITE_FAMILIES)
 
 
 def rng_substream(master_seed: int, *indices: int) -> np.random.Generator:
-    """Independent, reproducible generator for one unit of work (a chunk).
+    """Independent, reproducible generator for one unit of work (a row block).
 
     Seeding with the full index tuple keeps streams statistically
     separated without any global counter, so threads need no coordination.
@@ -194,32 +194,22 @@ def _quantile_se(sorted_vals: np.ndarray, p: float) -> float:
     return float(0.5 * (hi - lo))
 
 
-def _score_chunk(stats: dict, family: str, alt: AlternativeSpec | None, n: int, salt: int, seed: int, start: int):
-    """Score the chunk at row ``start`` of a cell into the cell's ``stats``, one array per test.
+def _score_block(stats: dict, family: str, alt: AlternativeSpec | None, n: int, salt: int, seed: int, start: int):
+    """Score the row block at row ``start`` of a cell into the cell's ``stats``, one array per test.
 
-    The chunk's rows come from the substream ``(seed, salt, start)``, scored in
-    row blocks of ``_BLOCK_VALUES // n`` rows: a composite family transforms
-    each row by its own fitted parameters, and each block is sorted once for
-    all tests. A null chunk (``alt`` None) draws block by block from the null's
-    standard member, whose sampler is stream-sequential, so a task holds one
-    block and gets the rows of one whole-chunk draw. An alternative chunk is
-    one flat draw from ``alt``: mixtures and skewnormal draw their parts whole.
+    The block is ``max(1, _BLOCK_VALUES // n)`` rows, fewer at the cell's end, drawn in one call on the
+    substream ``(seed, salt, start)``: uniform rows, the null's standard member when ``alt`` is None,
+    else a flat draw from ``alt``. A composite family transforms each row by its own fitted parameters,
+    and the block is sorted once for all tests.
     """
-    count = min(_CHUNK, len(next(iter(stats.values()))) - start)
+    count = min(max(1, _BLOCK_VALUES // n), len(next(iter(stats.values()))) - start)
     composite = COMPOSITE_FAMILIES.get(family)  # None for the uniform null
     rng = rng_substream(seed, salt, start)
-    if alt is not None:
-        X = sample(alt, count * n, rng).values.reshape(count, n)
-    step = max(1, _BLOCK_VALUES // n)
-    for i in range(0, count, step):
-        shape = (min(step, count - i), n)
-        if alt is not None:
-            block = X[i:i + step]
-        else:
-            block = rng.random(shape) if composite is None else composite.sample_standard(shape, rng)
-        rows = UnitRows(block if composite is None else composite.transform_rows(block))
-        for t, values in stats.items():
-            values[start + i:start + i + len(block)] = batch_statistic(t, rows)
+    X = (sample(alt, count * n, rng).values.reshape(count, n) if alt is not None
+         else rng.random((count, n)) if composite is None else composite.sample_standard((count, n), rng))
+    rows = UnitRows(X if composite is None else composite.transform_rows(X))
+    for t, values in stats.items():
+        values[start:start + count] = batch_statistic(t, rows)
 
 
 def _reduce(config: StudyConfig, label: str, n: int, stats: dict, cv_map) -> list[CellResult]:
@@ -240,34 +230,36 @@ def _reduce(config: StudyConfig, label: str, n: int, stats: dict, cv_map) -> lis
 
 
 def _run_cells(config: StudyConfig, salt_prefix: tuple, cv_map: dict | None = None):
-    """The rows of every (alternative, n) cell, from its (cell, chunk) tasks in cell order.
+    """The rows of every (alternative, n) cell, from its (cell, block) tasks in cell order.
 
     A critical-value study's one "alternative" is the null (None, labelled by the family); the salt prefix
     names the study kind. The tasks run on one thread per core, and a cell's arrays live from its first
-    chunk's take to its last one's end.
+    block's take to its last one's end.
     """
-    cells = [(alt, n) for alt in config.alternatives or (None,) for n in config.sizes]
-    reps, chunks = config.replications, range(0, config.replications, _CHUNK)
-    live, left, results, lock = {}, [len(chunks)] * len(cells), [None] * len(cells), threading.Lock()
+    reps, cells = config.replications, []
+    for alt in config.alternatives or (None,):
+        label = config.family if alt is None else alt.label()
+        cells += [(alt, n, label, _cell_salt(*salt_prefix, label, n)) for n in config.sizes]
+    starts = [range(0, reps, max(1, _BLOCK_VALUES // n)) for _, n, _, _ in cells]
+    live, left, results, lock = {}, [len(s) for s in starts], [None] * len(cells), threading.Lock()
 
     def take(task) -> dict:
         k, start = task
         if start == 0:
             live[k] = {t: np.empty(reps) for t in config.tests}
-        return live.pop(k) if start == chunks[-1] else live[k]
+        return live.pop(k) if start == starts[k][-1] else live[k]
 
     def score(task, stats: dict) -> None:
         k, start = task
-        alt, n = cells[k]
-        label = config.family if alt is None else alt.label()
-        _score_chunk(stats, config.family, alt, n, _cell_salt(*salt_prefix, label, n), config.master_seed, start)
+        alt, n, label, salt = cells[k]
+        _score_block(stats, config.family, alt, n, salt, config.master_seed, start)
         with lock:
             left[k] -= 1
             last = not left[k]
         if last:
             results[k] = _reduce(config, label, n, stats, cv_map)
 
-    _on_every_core([(k, start) for k in range(len(cells)) for start in chunks], take, score)
+    _on_every_core([(k, start) for k in range(len(cells)) for start in starts[k]], take, score)
     return [row for rows in results for row in rows]
 
 

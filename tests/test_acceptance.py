@@ -361,7 +361,7 @@ def test_10_parallel_runs_are_byte_identical(tmp_path, monkeypatch):
     """Thread count never changes study output for a fixed master seed."""
     results = {}
     for threads in (1, 3):
-        # two one-chunk cells per study: three cores score them on two threads
+        # cells of one and two row blocks per study: three cores score their three tasks
         monkeypatch.setattr(statistic, "_cores", lambda: threads)
         cv_cfg = StudyConfig(
             mode="critical_values",

@@ -17,7 +17,6 @@ import pytest
 
 import unigof
 from unigof import statistic
-from unigof.mc import _CHUNK
 from unigof.statistic import _BLOCK_VALUES
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -72,10 +71,8 @@ def test_tracer_hooks_exist_and_are_removed():
 
 
 def _blocks(n, reps):
-    # the engine's row blocks per cell: each chunk of _CHUNK rows is scored in
-    # blocks of _BLOCK_VALUES // n rows
-    step = max(1, _BLOCK_VALUES // n)
-    return sum(-(-min(_CHUNK, reps - start) // step) for start in range(0, reps, _CHUNK))
+    # the engine's row blocks per cell, of _BLOCK_VALUES // n rows each
+    return -(-reps // max(1, _BLOCK_VALUES // n))
 
 
 def test_tracer_sees_each_kind_once_per_chunk(monkeypatch):
@@ -101,7 +98,7 @@ def test_tracer_sees_each_kind_once_per_chunk(monkeypatch):
     finally:
         tracer.remove()
     summary = tracer.summary()
-    assert _blocks(10, 5000) == 3  # chunks of 4096 and 904 rows, blocks of 3276
+    assert _blocks(10, 5000) == 2  # blocks of 3276 and 1724 rows
     for kind in unigof.CLASSICAL_KINDS + ("tm",):
         assert summary[f"classical.{kind}"]["calls"] == _blocks(10, 5000), kind
         assert summary[f"classical.{kind}"]["rows"] == 5000, kind
@@ -109,7 +106,7 @@ def test_tracer_sees_each_kind_once_per_chunk(monkeypatch):
 
 
 def test_tracer_sees_each_power_chunk_once(monkeypatch):
-    # a normal-null power cell of two chunks: each statistic is timed once per
+    # a normal-null power cell of two row blocks: each statistic is timed once per
     # row block, and the engine transforms every drawn row exactly once
     monkeypatch.setattr(statistic, "_cores", lambda: 1)
     tracing = _load("tracing")

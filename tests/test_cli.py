@@ -464,9 +464,16 @@ class TestSpectrumCommand:
             "    5  0.001200113426\n"
         ) + SPECTRUM_TAIL
 
-    def test_low_order_takes_cumulants_from_order_128(self, capsys):
+    def test_low_order_prints_its_own_power_sums(self, monkeypatch, capsys):
+        # the cumulants are the power sums of the order-64 spectrum it prints,
+        # from its one discretisation, not those of an order-128 rule
+        from unigof import null_limit
+
+        calls = []
+        inner = null_limit.nystrom_discretize
+        monkeypatch.setattr(null_limit, "nystrom_discretize", lambda *a: calls.append(a) or inner(*a))
         code = main(["spectrum", "--order", "64", "--top", "5"])
-        assert code == 0
+        assert code == 0 and len(calls) == 1
         assert capsys.readouterr().out == (
             "leading eigenvalues (order 64):\n"
             "    1  0.115741037849\n"
@@ -474,7 +481,11 @@ class TestSpectrumCommand:
             "    3  0.002736287827\n"
             "    4  0.001986134852\n"
             "    5  0.001206664367\n"
-        ) + SPECTRUM_TAIL
+            "trace: 0.133333333333 (mean of limit: 0.133333333333)\n"
+            "cumulants (numeric vs exact): k1 0.1333333333/0.1333333333, "
+            "k2 0.0269173458/0.0269135802, k3 0.0124066601/0.0124044597, "
+            "k4 0.0086138353/0.0086118101\n"
+        )
 
     def test_order_256_discretises_once(self, monkeypatch, capsys):
         from unigof import null_limit
@@ -530,7 +541,7 @@ class TestEveryRequestIsChecked:
         ["curve", "--alt", "beta(2,3)", "--n-range", "10:20:10", "--reps", "200"],
     ], ids=["test", "critval", "power", "curve"])
     def test_workers_is_not_an_option(self, argv, uniform_file, capsys):
-        # every study runs its (cell, chunk) tasks on every core; taskset sets the count
+        # every study runs its (cell, row block) tasks on every core; taskset sets the count
         argv = [arg.format(unif=uniform_file) for arg in argv]
         with pytest.raises(SystemExit) as excinfo:
             main(argv + ["--workers", "2"])

@@ -18,7 +18,7 @@ import pytest
 
 import unigof
 from unigof import StudyConfig, estimate_critical_values, statistic
-from unigof.mc import _CHUNK
+from unigof.statistic import _BLOCK_VALUES
 
 SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 
@@ -56,11 +56,11 @@ def test_uniform_critval_command_leaves_scipy_unloaded():
 
 
 def test_three_threads_share_the_first_scipy_import(monkeypatch):
-    # Three one-chunk tasks on three threads, more than the cores of a small
+    # Three one-block tasks on three threads, more than the cores of a small
     # host; each thread waits at a barrier before its first normal CDF, so all
     # three make the first scipy call at once, while scipy.special is still
     # unimported, and switch threads as often as the interpreter allows.
-    config = _critval_config("normal", 3 * _CHUNK)
+    config = _critval_config("normal", 3 * (_BLOCK_VALUES // 10))
     code = f"""
 import sys, threading
 from unigof import StudyConfig, composite, estimate_critical_values, statistic

@@ -45,7 +45,7 @@ from unigof import (
 from unigof import mc, statistic
 from unigof.composite import FAMILIES as COMPOSITE_FAMILIES
 from unigof.distributions import FAMILIES
-from unigof.mc import _CHUNK, NULL_FAMILIES, _cell_salt, _quantile_sorted, _score_chunk, theory_spec_for
+from unigof.mc import NULL_FAMILIES, _cell_salt, _quantile_sorted, _score_block, theory_spec_for
 from unigof.statistic import _BLOCK_VALUES, UnitRows
 
 
@@ -547,9 +547,9 @@ def test_each_study_kind_keeps_its_stream_salts(cores, monkeypatch):
 
 
 def test_core_count_does_not_change_bytes(tmp_path, monkeypatch):
-    # cells of two chunks, so the (cell, chunk) tasks of a study interleave
-    # on 1, 2 or 3 threads
-    reps = _CHUNK + 300
+    # cells of three to eight row blocks, so the (cell, block) tasks of a
+    # study interleave on 1, 2 or 3 threads
+    reps = 2 * (_BLOCK_VALUES // 5) + 300
     base = dict(family="normal", tests=("tm", "ks"), sizes=(5, 9), alphas=(0.1, 0.05), replications=reps)
     alts = (parse_spec("chisq(5)"), parse_spec("t(3)"))
     outputs = set()
@@ -570,10 +570,10 @@ def test_core_count_does_not_change_bytes(tmp_path, monkeypatch):
 
 
 def test_cell_threads_lose_no_chunk_under_fast_switching(monkeypatch):
-    # eight threads on three cells of four chunks, switching as often as the
-    # interpreter allows: a lost countdown would leave a cell unreduced, and a
-    # chunk written to the wrong cell would move its quantiles
-    config = critval_config(tests=("tm",), sizes=(3, 4, 5), replications=3 * _CHUNK + 7)
+    # eight threads on three cells of four to six row blocks, switching as
+    # often as the interpreter allows: a lost countdown would leave a cell
+    # unreduced, and a block written to the wrong cell would move its quantiles
+    config = critval_config(tests=("tm",), sizes=(3, 4, 5), replications=3 * (_BLOCK_VALUES // 3) + 7)
     expected = estimate_critical_values(config).rows
     monkeypatch.setattr(statistic, "_cores", lambda: 8)
     interval = sys.getswitchinterval()
@@ -617,7 +617,7 @@ def test_the_earliest_failing_cell_raises_whatever_the_core_count(monkeypatch):
     assert len(messages) == 1 and str(later.value) not in messages
 
 
-_CHUNK_CASES = [
+_BLOCK_CASES = [
     ("uniform", None),
     ("pareto", None),
     ("normal", None),
@@ -630,10 +630,15 @@ def _case(family, alt):
     return family, None if alt is None else parse_spec(alt)
 
 
-def _unit_chunk(family, alt, n, salt, seed, start, count):
-    # the stream rule, restated: a chunk's rows are one draw on the substream
+def _step(n):
+    # rows per row block, the engine's unit of work and of seeding
+    return max(1, _BLOCK_VALUES // n)
+
+
+def _unit_block(family, alt, n, salt, seed, start, count):
+    # the stream rule, restated: a block's rows are one draw on the substream
     # (seed, salt, start), from the alternative or the null's standard
-    # member; a composite null then transforms the whole chunk
+    # member; a composite null then transforms the whole block
     rng = rng_substream(seed, salt, start)
     composite = COMPOSITE_FAMILIES.get(family)
     if alt is not None:
@@ -644,30 +649,30 @@ def _unit_chunk(family, alt, n, salt, seed, start, count):
 
 
 def _cell_statistics(seed, salt, family, alt, n, tests, reps):
-    # the reference: every chunk drawn, transformed, sorted and scored whole
-    stats = {t: np.empty(reps) for t in tests}
-    for start in range(0, reps, _CHUNK):
-        rows = UnitRows(_unit_chunk(family, alt, n, salt, seed, start, min(_CHUNK, reps - start)))
+    # the reference: every block drawn, transformed, sorted and scored whole
+    stats, step = {t: np.empty(reps) for t in tests}, _step(n)
+    for start in range(0, reps, step):
+        rows = UnitRows(_unit_block(family, alt, n, salt, seed, start, min(step, reps - start)))
         for t in tests:
-            stats[t][start:start + _CHUNK] = batch_statistic(t, rows)
+            stats[t][start:start + step] = batch_statistic(t, rows)
     return stats
 
 
 def _engine_statistics(seed, salt, family, alt, n, tests, reps):
-    # the engine's chunk task on every chunk of one cell, in order, on this thread
+    # the engine's block task on every block of one cell, in order, on this thread
     stats = {t: np.empty(reps) for t in tests}
-    for start in range(0, reps, _CHUNK):
-        _score_chunk(stats, family, alt, n, salt, seed, start)
+    for start in range(0, reps, _step(n)):
+        _score_block(stats, family, alt, n, salt, seed, start)
     return stats
 
 
 @pytest.mark.parametrize("family", NULL_FAMILIES)
-@pytest.mark.parametrize("n, reps", [(163, _CHUNK + 5), (200, _CHUNK + 5), (_BLOCK_VALUES + 1, 5)])
+@pytest.mark.parametrize("n, reps", [(163, 4101), (200, 4101), (_BLOCK_VALUES + 1, 5)])
 def test_a_null_chunk_drawn_block_by_block_is_one_draw(family, n, reps):
-    # the engine draws a null chunk one row block at a time from its substream;
-    # the null samplers are stream-sequential, so every statistic is that of
-    # the whole-chunk draw. At n = _BLOCK_VALUES + 1 a block is one row, and
-    # five rows keep the reference's whole-chunk draw small.
+    # a chunk is one row block, and the engine draws each null block in one
+    # call on its substream, as the restated rule does: 20 blocks of 201 rows
+    # and one of 81 at n = 163, 25 of 163 and one of 26 at n = 200, and five
+    # one-row blocks at n = _BLOCK_VALUES + 1
     got = _engine_statistics(7, 123, family, None, n, TEST_IDS, reps)
     want = _cell_statistics(7, 123, family, None, n, TEST_IDS, reps)
     for t in TEST_IDS:
@@ -690,24 +695,25 @@ def test_a_cell_of_long_rows_holds_one_block_not_one_chunk():
     assert float(out.stdout) < 40.0  # peak growth in MB over the post-import baseline
 
 
-@pytest.mark.parametrize("family, alt", _CHUNK_CASES)
+@pytest.mark.parametrize("family, alt", _BLOCK_CASES)
 def test_unit_chunk_is_a_pure_function(family, alt):
-    # the engine's chunk task depends on its arguments only
+    # the engine's block task depends on its arguments only
     family, alt = _case(family, alt)
-    first = _engine_statistics(7, 123, family, alt, 9, ("tm", "ks"), _CHUNK + 7)
+    reps = 2 * _step(9) + 7
+    first = _engine_statistics(7, 123, family, alt, 9, ("tm", "ks"), reps)
     _engine_statistics(7, 124, family, alt, 9, ("tm", "ks"), 5)
-    again = _engine_statistics(7, 123, family, alt, 9, ("tm", "ks"), _CHUNK + 7)
+    again = _engine_statistics(7, 123, family, alt, 9, ("tm", "ks"), reps)
     for t in ("tm", "ks"):
         np.testing.assert_array_equal(first[t], again[t])
 
 
-@pytest.mark.parametrize("family, alt", _CHUNK_CASES)
+@pytest.mark.parametrize("family, alt", _BLOCK_CASES)
 def test_longer_cell_shares_its_leading_chunk(family, alt):
     family, alt = _case(family, alt)
-    short = _engine_statistics(7, 123, family, alt, 9, ("tm", "ks"), _CHUNK)
-    longer = _engine_statistics(7, 123, family, alt, 9, ("tm", "ks"), _CHUNK + 5)
+    short = _engine_statistics(7, 123, family, alt, 9, ("tm", "ks"), _step(9))
+    longer = _engine_statistics(7, 123, family, alt, 9, ("tm", "ks"), _step(9) + 5)
     for t in ("tm", "ks"):
-        np.testing.assert_array_equal(longer[t][:_CHUNK], short[t])
+        np.testing.assert_array_equal(longer[t][:_step(9)], short[t])
 
 
 def test_each_chunk_is_checked_and_sorted_once(monkeypatch):
@@ -718,26 +724,25 @@ def test_each_chunk_is_checked_and_sorted_once(monkeypatch):
         return UnitRows(U)
 
     monkeypatch.setattr(mc, "UnitRows", counting)
-    _engine_statistics(7, 123, "normal", None, 9, TEST_IDS, 2 * _CHUNK + 5)
-    # each chunk is sorted in row blocks of _BLOCK_VALUES // n rows, once for all ten tests
-    step = _BLOCK_VALUES // 9
-    assert built == [(min(step, count - i), 9) for count in (_CHUNK, _CHUNK, 5) for i in range(0, count, step)]
-    assert len(built) == 5
+    _engine_statistics(7, 123, "normal", None, 9, TEST_IDS, 2 * _step(9) + 5)
+    # each row block is sorted once for all ten tests
+    assert built == [(_step(9), 9), (_step(9), 9), (5, 9)]
 
 
 @settings(max_examples=20, deadline=None)
 @given(
-    case=st.sampled_from(_CHUNK_CASES),
+    case=st.sampled_from(_BLOCK_CASES),
     n=st.integers(3, 12),
-    reps=st.integers(1, 2 * _CHUNK + 100),
+    reps=st.integers(1, 3 * _step(3) + 100),
 )
+@example(case=_BLOCK_CASES[4], n=3, reps=2 * _step(3) + 1)  # three blocks, the last of one row
 def test_chunks_in_reverse_order_reproduce_the_cell(case, n, reps):
     family, alt = _case(*case)
     tests = ("tm", "ks")
     whole = _engine_statistics(7, 123, family, alt, n, tests, reps)
     blocks = {}
-    for start in reversed(range(0, reps, _CHUNK)):
-        U = _unit_chunk(family, alt, n, 123, 7, start, min(_CHUNK, reps - start))
+    for start in reversed(range(0, reps, _step(n))):
+        U = _unit_block(family, alt, n, 123, 7, start, min(_step(n), reps - start))
         blocks[start] = {t: batch_statistic(t, U) for t in tests}
     for t in tests:
         stitched = np.concatenate([blocks[start][t] for start in sorted(blocks)])
@@ -745,12 +750,14 @@ def test_chunks_in_reverse_order_reproduce_the_cell(case, n, reps):
 
 
 def test_stream_scheme_seeds_once_per_chunk():
-    # scheme 2: the chunk starting at row s is one block from substream (seed, salt, s)
-    assert STREAM_SCHEME == 2
-    stats = {"tm": np.empty(_CHUNK + 3)}
-    _score_chunk(stats, "uniform", None, 5, 123, 7, _CHUNK)
-    block = rng_substream(7, 123, _CHUNK).random((3, 5))
-    np.testing.assert_array_equal(stats["tm"][_CHUNK:], batch_statistic("tm", block))
+    # scheme 3: a chunk is one row block, and the block starting at row s is
+    # one draw from substream (seed, salt, s)
+    assert STREAM_SCHEME == 3
+    step = _step(5)
+    stats = {"tm": np.empty(step + 3)}
+    _score_block(stats, "uniform", None, 5, 123, 7, step)
+    block = rng_substream(7, 123, step).random((3, 5))
+    np.testing.assert_array_equal(stats["tm"][step:], batch_statistic("tm", block))
 
 
 def test_study_results_carry_the_stream_scheme(tmp_path, small_cv):
