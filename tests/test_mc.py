@@ -547,7 +547,7 @@ def test_each_study_kind_keeps_its_stream_salts(cores, monkeypatch):
 
 
 def test_core_count_does_not_change_bytes(tmp_path, monkeypatch):
-    # cells of three to eight row blocks, so the (cell, block) tasks of a
+    # cells of 3 to 13 row blocks, so the (cell, block) tasks of a
     # study interleave on 1, 2 or 3 threads
     reps = 2 * (_BLOCK_VALUES // 5) + 300
     base = dict(family="normal", tests=("tm", "ks"), sizes=(5, 9), alphas=(0.1, 0.05), replications=reps)
